@@ -119,14 +119,8 @@ def _render_table_csv(table) -> str:
 
 
 def _cmd_table(args) -> int:
-    if args.group == "sn":
-        if args.n > SN_TABLE_LIMIT:
-            raise ValueError(f"n={args.n} exceeds the S_n table bound {SN_TABLE_LIMIT}")
-        table = character_table_sn(args.n)
-    else:
-        if args.n > WN_TABLE_LIMIT:
-            raise ValueError(f"n={args.n} exceeds the W_n table bound {WN_TABLE_LIMIT}")
-        table = character_table_wn(args.n)
+    build = character_table_sn if args.group == "sn" else character_table_wn
+    table = build(args.n)
     text = _render_table_csv(table) if args.format == "csv" else _render_table_text(table)
     if args.output:
         with open(args.output, "w") as handle:
@@ -287,6 +281,13 @@ def main(argv=None) -> int:
         return _cmd_verify(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except RecursionError:
+        # the removal recursion is one level deep per cycle
+        print(
+            "error: input too large: too many cycles for the removal recursion",
+            file=sys.stderr,
+        )
         return USAGE_ERROR
 
 

@@ -4,8 +4,10 @@ Two independent evaluation routes are kept side by side on purpose:
 
 * ``mn_trace_sn`` peels one cycle at a time off the class, subtracting its
   length from each symbol entry in turn (a beta-sequence form of the
-  classical border-strip recursion, with the strip signs absorbed by the
-  normalization of the sequence);
+  classical border-strip recursion).  It has no recursion of its own: a
+  beta-sequence is the one-row case of a bi-symbol, so it calls the W_n
+  removal kernel in ``wnchars`` with an empty bottom row and positive
+  cycles;
 * ``oracle_trace_sn`` expands the symbol as an alternating sum over
   permutations of Young-subgroup permutation characters, each evaluated by
   counting distributions of cycles into blocks.
@@ -21,22 +23,21 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .symbols import (
+    BiSymbol,
+    SignedCycleType,
     beta_weight,
     normalize_beta,
     partition_to_beta,
     partitions,
     perm_sign,
-    reduce_beta,
 )
 
 # shared memo; plain dict assignment is atomic under CPython, and a lost
 # duplicate insert only recomputes the same pure value
-_MN_CACHE: dict = {}
 _ORACLE_CACHE: dict = {}
 
 
 def clear_caches():
-    _MN_CACHE.clear()
     _ORACLE_CACHE.clear()
 
 
@@ -51,57 +52,19 @@ def _check_weight(entries, cycles):
 def mn_trace_sn(entries, cycles, *, order=None) -> int:
     """Trace of the virtual character of a beta-sequence at a cycle type.
 
-    ``cycles`` is the multiset of cycle lengths.  The result is independent
-    of the removal order; pass ``order`` (a permutation of the cycles) to
-    force one, e.g. when testing that independence.  Raises ValueError when
-    the symbol weight does not match the class size.
+    ``cycles`` is the multiset of cycle lengths, each at least 1.  The
+    result is independent of the removal order; pass ``order`` (a
+    permutation of the cycles) to force one, e.g. when testing that
+    independence.  Raises ValueError when the symbol weight does not match
+    the class size.  Evaluated as the one-row case of the W_n recursion: a
+    bi-symbol with an empty bottom row at a class of positive cycles.
     """
-    entries = tuple(int(x) for x in entries)
-    cycles = tuple(sorted(int(c) for c in cycles))
-    if normalize_beta(entries).is_zero:
-        return 0  # the zero character, whatever the class
-    _check_weight(entries, cycles)
-    if order is None:
-        return _mn(entries, cycles)
-    order = tuple(int(c) for c in order)
-    if tuple(sorted(order)) != cycles:
-        raise ValueError("order must be a permutation of the cycle multiset")
-    return _mn_ordered(entries, order)
+    from .wnchars import mn_trace_wn  # wnchars imports this module
 
-
-def _mn(entries, cycles) -> int:
-    norm = normalize_beta(entries)
-    if norm.is_zero:
-        return 0
-    canon = reduce_beta(norm.entries)
-    key = (canon, cycles)
-    val = _MN_CACHE.get(key)
-    if val is None:
-        if not cycles:
-            val = 1  # weight 0: the reduced symbol is empty
-        else:
-            # largest cycle first: entries shrink fastest, most children die
-            k, rest = cycles[-1], cycles[:-1]
-            val = sum(
-                _mn(canon[:i] + (canon[i] - k,) + canon[i + 1 :], rest)
-                for i in range(len(canon))
-            )
-        _MN_CACHE[key] = val
-    return norm.sign * val
-
-
-def _mn_ordered(entries, order) -> int:
-    norm = normalize_beta(entries)
-    if norm.is_zero:
-        return 0
-    if not order:
-        return norm.sign
-    canon, k = norm.entries, order[0]
-    total = sum(
-        _mn_ordered(canon[:i] + (canon[i] - k,) + canon[i + 1 :], order[1:])
-        for i in range(len(canon))
-    )
-    return norm.sign * total
+    cls = SignedCycleType(pos=cycles)
+    if order is not None:
+        order = [(False, k) for k in order]
+    return mn_trace_wn(BiSymbol(entries, ()), cls, order=order)
 
 
 def young_perm_char(blocks, cycles) -> int:
@@ -228,6 +191,8 @@ SN_TABLE_LIMIT = 8
 
 def character_table_sn(n: int, limit: int = SN_TABLE_LIMIT) -> CharacterTable:
     """Character table of S_n: rows keyed by minimal beta-sequences."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n > limit:
         raise ValueError(f"n={n} exceeds the S_n table bound {limit}")
     cols = sorted(partitions(n))

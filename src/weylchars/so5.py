@@ -672,6 +672,8 @@ class OrthogonalGeometry:
     ) -> CheckRecord:
         """Reduced check for q > 3: line census plus the support identity on
         randomly sampled elements (no full enumeration)."""
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
 
         def scan():
             q = self.q

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import lt
 
 
 def perm_sign(perm) -> int:
@@ -57,11 +58,14 @@ def normalize_beta(entries) -> NormalizedBeta:
     otherwise the sign of the sorting permutation together with the sorted
     entries.  Total function, idempotent on canonical sequences.
     """
-    entries = tuple(int(x) for x in entries)
-    if any(x < 0 for x in entries) or len(set(entries)) != len(entries):
+    entries = tuple(map(int, entries))
+    if len(set(entries)) != len(entries) or (entries and min(entries) < 0):
         return ZERO_BETA
-    order = sorted(range(len(entries)), key=lambda i: entries[i])
-    return NormalizedBeta(perm_sign(tuple(order)), tuple(sorted(entries)))
+    ordered = tuple(sorted(entries))
+    if ordered == entries:
+        return NormalizedBeta(1, entries)
+    order = sorted(range(len(entries)), key=entries.__getitem__)
+    return NormalizedBeta(perm_sign(order), ordered)
 
 
 def shift_beta(entries, d: int = 1) -> tuple[int, ...]:
@@ -78,14 +82,16 @@ def reduce_beta(entries) -> tuple[int, ...]:
     Inverse of shift_beta: strips a leading 0 and decrements while possible.
     The weight-0 symbol in any presentation reduces to the empty sequence.
     """
-    entries = tuple(int(x) for x in entries)
-    if any(entries[i] >= entries[i + 1] for i in range(len(entries) - 1)):
+    entries = tuple(map(int, entries))
+    if not all(map(lt, entries, entries[1:])):
         raise ValueError("reduce_beta expects a strictly increasing sequence")
     if entries and entries[0] < 0:
         raise ValueError("reduce_beta expects non-negative entries")
-    while entries and entries[0] == 0:
-        entries = tuple(x - 1 for x in entries[1:])
-    return entries
+    # a leading run 0, 1, ..., t-1 is t shifts: strip it, decrement by t
+    t = 0
+    while t < len(entries) and entries[t] == t:
+        t += 1
+    return tuple(x - t for x in entries[t:]) if t else entries
 
 
 def beta_weight(entries) -> int:
@@ -144,8 +150,8 @@ class BiSymbol:
     bottom: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "top", tuple(int(x) for x in self.top))
-        object.__setattr__(self, "bottom", tuple(int(x) for x in self.bottom))
+        object.__setattr__(self, "top", tuple(map(int, self.top)))
+        object.__setattr__(self, "bottom", tuple(map(int, self.bottom)))
 
     @property
     def weight(self) -> int:

@@ -33,9 +33,9 @@ from .wnchars import (
     wn_elements,
 )
 
-LEMMA_M_LIMIT = 6
-PROP_BC_M_LIMIT = 5
-PROP_D_M_LIMIT = 4
+LEMMA_M_LIMIT = 8
+PROP_BC_M_LIMIT = 8
+PROP_D_M_LIMIT = 8
 
 
 def even_negative_cycles(m: int) -> SignedCycleType:
@@ -254,7 +254,8 @@ def induced_linear_trace_w4(kind1, kind2, cls: SignedCycleType) -> int:
         h1 = h[:2]
         h2 = tuple((abs(v) - 2) * (1 if v > 0 else -1) for v in h[2:])
         total += _w2_linear_character(*kind1, h1) * _w2_linear_character(*kind2, h2)
-    assert total % 64 == 0
+    if total % 64:
+        raise ArithmeticError("induced sum not divisible by the subgroup order")
     return total // 64
 
 

@@ -9,14 +9,19 @@ flip-counting character chi, and inducing up to W_n.
 
 ``mn_trace_wn`` evaluates by cycle removal: a negative k-cycle expands with
 + signs on the top row and - signs on the bottom row, a positive k-cycle
-with + signs on both.  ``oracle_trace_wn`` evaluates the inducing
-construction literally on an explicitly enumerated group (small n only)
-and is the correctness reference for the recursion.
+with + signs on both.  One kernel, ``removals``, does every removal step,
+for the memoized recursion, the order-forced walk and ``expand_once``
+alike, and the S_n traces of ``snchars`` are its one-row case.  It works
+on sorted, shift-minimal rows and places each new entry by bisection, so
+the symbol is normalized only once, on entry.  ``oracle_trace_wn``
+evaluates the inducing construction literally on an explicitly enumerated
+group (small n only) and is the correctness reference for the recursion.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import lru_cache
 from math import factorial
 
@@ -29,7 +34,6 @@ from .symbols import (
     bipartitions,
     normalize_bisymbol,
     perm_sign,
-    reduce_beta,
     signed_cycle_types,
 )
 
@@ -62,77 +66,99 @@ def mn_trace_wn(sym: BiSymbol, cls: SignedCycleType, *, order=None) -> int:
     Removal order does not affect the value; ``order`` (a sequence of
     (negative, k) pairs exhausting the class) forces one for testing.
     """
-    if normalize_bisymbol(sym.top, sym.bottom).is_zero:
+    sign, top, bottom = _canonical(sym)
+    if not sign:
         return 0  # the zero character, whatever the class
     _check_weight(sym, cls)
     if order is None:
-        return _mn(sym.top, sym.bottom, cls)
+        return sign * _mn(top, bottom, cls.pos, cls.neg)
     order = tuple((bool(s), int(k)) for s, k in order)
     got = SignedCycleType(
         tuple(k for s, k in order if not s), tuple(k for s, k in order if s)
     )
     if got != cls:
         raise ValueError("order must exhaust the signed cycle type")
-    return _mn_ordered(sym.top, sym.bottom, order)
+    return sign * _walk(top, bottom, order)
 
 
-def _pick_cycle(cls: SignedCycleType):
-    # largest length first; negative wins ties
-    if cls.neg and (not cls.pos or cls.neg[-1] >= cls.pos[-1]):
-        return True, cls.neg[-1]
-    return False, cls.pos[-1]
-
-
-def _mn(top, bottom, cls) -> int:
-    norm = normalize_bisymbol(top, bottom)
+def _canonical(sym: BiSymbol):
+    """(sign, top, bottom): both rows sorted and shift-minimal; sign 0 is zero."""
+    norm = normalize_bisymbol(sym.top, sym.bottom)
     if norm.is_zero:
-        return 0
-    key = (
-        reduce_beta(norm.symbol.top),
-        reduce_beta(norm.symbol.bottom),
-        cls,
-    )
+        return 0, (), ()
+    reduced = norm.symbol.reduced()
+    return norm.sign, reduced.top, reduced.bottom
+
+
+def removals(row: tuple, k: int) -> list:
+    """Every nonzero result of subtracting k from one entry of the row.
+
+    ``row`` is strictly increasing and shift-minimal.  Returns one
+    ``(sign, reduced_row)`` pair per entry x, in row order, for which x - k
+    is non-negative and not already in the row.  The new entry is inserted
+    where it sorts, at j = bisect_left(row, x - k), which moves it past
+    i - j entries and so costs the sign (-1)^(i-j); a new leading 0 is
+    shifted away, keeping the result shift-minimal.
+    """
+    out = []
+    for i in range(bisect_left(row, k), len(row)):
+        y = row[i] - k
+        j = bisect_left(row, y)
+        if row[j] == y:
+            continue  # repeated entry: the zero symbol
+        new = row[:j] + (y,) + row[j:i] + row[i + 1 :]
+        if y == 0:
+            t = 1
+            while t < len(new) and new[t] == t:
+                t += 1
+            new = tuple(x - t for x in new[t:])
+        out.append((-1 if (i - j) & 1 else 1, new))
+    return out
+
+
+def _children(top, bottom, negative: bool, k: int) -> list:
+    """(sign, top, bottom) of each nonzero child of removing one k-cycle.
+
+    Both rows expand with the kernel's signs; a negative cycle also negates
+    every bottom-row child.
+    """
+    bottom_sign = -1 if negative else 1
+    return [(s, t, bottom) for s, t in removals(top, k)] + [
+        (bottom_sign * s, top, b) for s, b in removals(bottom, k)
+    ]
+
+
+def _mn(top, bottom, pos, neg) -> int:
+    """Memoized trace of a canonical bi-symbol at the class (pos, neg)."""
+    key = (top, bottom, pos, neg)
     val = _MN_CACHE.get(key)
     if val is None:
-        if cls.weight == 0:
-            val = 1
+        if not (pos or neg):
+            val = 1  # weight 0: both reduced rows are empty
         else:
-            negative, k = _pick_cycle(cls)
-            val = _expand(key[0], key[1], cls, negative, k)
+            # largest cycle first, negative winning ties: entries shrink
+            # fastest, so most children die
+            if neg and (not pos or neg[-1] >= pos[-1]):
+                children = _children(top, bottom, True, neg[-1])
+                neg = neg[:-1]
+            else:
+                children = _children(top, bottom, False, pos[-1])
+                pos = pos[:-1]
+            val = 0
+            for s, t, b in children:
+                val += s * _mn(t, b, pos, neg)
         _MN_CACHE[key] = val
-    return norm.sign * val
+    return val
 
 
-def _expand(top, bottom, cls, negative, k) -> int:
-    rest = cls.remove(negative, k)
-    total = 0
-    for i in range(len(top)):
-        total += _mn(top[:i] + (top[i] - k,) + top[i + 1 :], bottom, rest)
-    bottom_sign = -1 if negative else 1
-    for j in range(len(bottom)):
-        total += bottom_sign * _mn(
-            top, bottom[:j] + (bottom[j] - k,) + bottom[j + 1 :], rest
-        )
-    return total
-
-
-def _mn_ordered(top, bottom, order) -> int:
-    norm = normalize_bisymbol(top, bottom)
-    if norm.is_zero:
-        return 0
+def _walk(top, bottom, order) -> int:
+    """Unmemoized trace removing the cycles in the given order."""
     if not order:
-        return norm.sign
+        return 1
     (negative, k), rest = order[0], order[1:]
-    t, b = norm.symbol.top, norm.symbol.bottom
-    total = 0
-    for i in range(len(t)):
-        total += _mn_ordered(t[:i] + (t[i] - k,) + t[i + 1 :], b, rest)
-    bottom_sign = -1 if negative else 1
-    for j in range(len(b)):
-        total += bottom_sign * _mn_ordered(
-            t, b[:j] + (b[j] - k,) + b[j + 1 :], rest
-        )
-    return norm.sign * total
+    return sum(
+        s * _walk(t, b, rest) for s, t, b in _children(top, bottom, negative, k)
+    )
 
 
 def expand_once(sym: BiSymbol, cls: SignedCycleType, negative: bool, k: int) -> int:
@@ -140,18 +166,14 @@ def expand_once(sym: BiSymbol, cls: SignedCycleType, negative: bool, k: int) -> 
 
     Used to check the single-step expansion against a direct evaluation.
     """
-    norm = normalize_bisymbol(sym.top, sym.bottom)
-    if norm.is_zero:
+    sign, top, bottom = _canonical(sym)
+    if not sign:
         return 0
     rest = cls.remove(negative, k)
-    t, b = norm.symbol.top, norm.symbol.bottom
-    total = 0
-    for i in range(len(t)):
-        total += _mn(t[:i] + (t[i] - k,) + t[i + 1 :], b, rest)
-    bottom_sign = -1 if negative else 1
-    for j in range(len(b)):
-        total += bottom_sign * _mn(t, b[:j] + (b[j] - k,) + b[j + 1 :], rest)
-    return norm.sign * total
+    return sign * sum(
+        s * _mn(t, b, rest.pos, rest.neg)
+        for s, t, b in _children(top, bottom, negative, k)
+    )
 
 
 # --- explicit signed permutations (oracle route) ---
@@ -309,6 +331,8 @@ def centralizer_order_wn(cls: SignedCycleType) -> int:
 
 def character_table_wn(n: int, limit: int = WN_TABLE_LIMIT) -> CharacterTable:
     """Character table of W_n: rows keyed by minimal canonical bi-symbols."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n > limit:
         raise ValueError(f"n={n} exceeds the W_n table bound {limit}")
     cols = signed_cycle_types(n)

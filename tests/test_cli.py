@@ -40,6 +40,25 @@ def test_trace_sn_weight_mismatch(capsys):
     assert "weight mismatch" in err
 
 
+def test_trace_sn_rejects_bad_cycle_lengths(capsys):
+    for beta, cycles in (("1,3", "4,-1"), ("0", "0")):
+        code, out, err = run(capsys, "trace", "sn", "--beta", beta, "--cycles", cycles)
+        assert (code, out) == (2, "")
+        assert "cycle lengths must be >= 1" in err
+
+
+def test_trace_too_deep_is_a_usage_error(capsys):
+    ones = ",".join(["1"] * 1100)
+    code, out, err = run(capsys, "trace", "sn", "--beta", "1100", "--cycles", ones)
+    assert (code, out) == (2, "")
+    assert "input too large" in err
+    code, out, err = run(
+        capsys, "trace", "wn", "--top", "1100", "--bottom", "", "--pos", ones
+    )
+    assert (code, out) == (2, "")
+    assert "input too large" in err
+
+
 def test_trace_wn(capsys):
     code, out, _ = run(
         capsys, "trace", "wn", "--top", "0,1", "--bottom", "2", "--neg", "2"
@@ -120,6 +139,22 @@ def test_table_bounds(capsys):
     assert code == 2
     code, _, err = run(capsys, "table", "wn", "--n", "7")
     assert code == 2
+
+
+def test_table_negative_n(capsys):
+    for group in ("sn", "wn"):
+        code, out, err = run(capsys, "table", group, "--n", "-1")
+        assert (code, out) == (2, "")
+        assert "n must be >= 0" in err
+
+
+def test_verify_so5_needs_samples(capsys):
+    for samples in ("0", "-2"):
+        code, out, err = run(
+            capsys, "verify", "so5", "--q", "5", "--samples", samples
+        )
+        assert (code, out) == (2, "")
+        assert "samples must be >= 1" in err
 
 
 def test_table_output_file(tmp_path, capsys):

@@ -142,5 +142,6 @@ def test_identity_column_is_dimension():
 
 
 def test_table_bound():
-    with pytest.raises(ValueError):
-        character_table_sn(9)
+    for n in (9, -1):
+        with pytest.raises(ValueError):
+            character_table_sn(n)

@@ -171,3 +171,6 @@ def test_q5_sampled_verification():
     record = geo.verify_sampled(samples=25, seed=0)
     assert record.ok, record.counterexamples[:5]
     assert record.params == "q=5 sampled"
+    for samples in (0, -1):
+        with pytest.raises(ValueError):
+            geo.verify_sampled(samples=samples)

@@ -102,7 +102,7 @@ def test_lemma_checks_pass_small():
 
 def test_lemma_bounds():
     with pytest.raises(ValueError):
-        check_lemma26(7)
+        check_lemma26(9)
     with pytest.raises(ValueError):
         check_lemma210(0)
 
@@ -172,6 +172,11 @@ def test_prop_checks_pass():
     assert check_prop211(1).ok
     assert check_prop211(2).ok
     assert check_prop212(2).ok
+
+
+def test_prop_checks_pass_past_old_bounds():
+    assert check_prop211(7).ok
+    assert check_prop212(6).ok
 
 
 def test_underlying_order():

@@ -211,5 +211,6 @@ def test_table_orthogonality_and_dimensions():
 
 
 def test_table_bound():
-    with pytest.raises(ValueError):
-        character_table_wn(7)
+    for n in (7, -1):
+        with pytest.raises(ValueError):
+            character_table_wn(n)
