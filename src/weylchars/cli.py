@@ -34,6 +34,9 @@ from .wnchars import WN_TABLE_LIMIT, character_table_wn, mn_trace_wn
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+SO5_DEFAULT_Q = 3
+SO5_DEFAULT_SAMPLES = 200
+SO5_CLAIMS = ("so5", "all")
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -84,7 +87,7 @@ def _render_table_text(table) -> str:
         col_names = [serialize_class(c) for c in table.col_labels]
     row_names = [serialize_symbol(r) for r in table.row_labels]
     width = max(
-        [len(n) for n in col_names + row_names]
+        [len(n) for n in col_names + row_names + ["centralizer"]]
         + [len(str(v)) for row in table.entries for v in row]
         + [len(str(z)) for z in table.centralizers]
     )
@@ -155,10 +158,12 @@ def _verify_jobs(args):
 
     def so5_job():
         def run():
-            geometry = OrthogonalGeometry(q=args.q)
-            if args.q == 3:
+            q = SO5_DEFAULT_Q if args.q is None else args.q
+            geometry = OrthogonalGeometry(q=q)
+            if q == 3:
                 return geometry.verify(seed)
-            return geometry.verify_sampled(args.samples, seed)
+            samples = SO5_DEFAULT_SAMPLES if args.samples is None else args.samples
+            return geometry.verify_sampled(samples, seed)
 
         return [("so5", run)]
 
@@ -235,8 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     verify.add_argument("--m", type=int, default=None, help="single parameter value")
-    verify.add_argument("--q", type=int, default=3, help="field size for so5")
-    verify.add_argument("--samples", type=int, default=200, help="sample count, q > 3")
+    verify.add_argument(
+        "--q", type=int, default=None, help=f"field size for so5 (default {SO5_DEFAULT_Q})"
+    )
+    verify.add_argument(
+        "--samples",
+        type=int,
+        default=None,
+        help=f"sample count for so5 at q=5 (default {SO5_DEFAULT_SAMPLES})",
+    )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--jobs", type=int, default=1, help="parallel checks")
     verify.add_argument("--no-timing", action="store_true", help="zero elapsed_ms")
@@ -253,6 +265,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_verify(args) -> None:
+    """Reject parameter values out of range and parameters the claim ignores."""
+    if args.m is not None and args.claim in ("lemma217", *SO5_CLAIMS):
+        raise ValueError(f"--m does not apply to verify {args.claim}")
+    if args.claim not in SO5_CLAIMS:
+        for flag, value in (("--q", args.q), ("--samples", args.samples)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to verify so5 and verify all")
+    if args.q is not None and args.q not in (3, 5):
+        raise ValueError("so5 verification supports q=3 (full) or q=5 (sampled)")
+    if args.samples is not None and args.q != 5:
+        raise ValueError("--samples applies only to the sampled so5 check, --q 5")
     if args.m is not None:
         if args.claim == "prop211" and not 1 <= args.m <= PROP_BC_M_LIMIT:
             raise ValueError(f"prop211 needs 1 <= m <= {PROP_BC_M_LIMIT}")
@@ -265,8 +288,6 @@ def _validate_verify(args) -> None:
             low = 0 if args.claim in ("lemma26", "lemma27") else 1
             if not low <= args.m <= limit:
                 raise ValueError(f"{args.claim} needs {low} <= m <= {limit}")
-    if args.claim == "so5" and args.q not in (3, 5):
-        raise ValueError("so5 verification supports q=3 (full) or q=5 (sampled)")
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
 from .symbols import (
     BiSymbol,
@@ -171,16 +172,22 @@ class CharacterTable:
         ]
 
     def orthogonality_defect(self):
-        """Max deviation of weighted row inner products from the identity."""
-        worst = Fraction(0)
+        """Max deviation of weighted row inner products from the identity.
+
+        With N the lcm of the centralizer orders (the group order), each
+        inner product sum(x * y / z) is checked as the integer sum
+        sum(x * y * (N // z)) against N * delta; only the worst deviation
+        becomes a Fraction.
+        """
+        order = lcm(*self.centralizers)
+        weights = [order // z for z in self.centralizers]
+        worst = 0
         for i, row_i in enumerate(self.entries):
-            for j, row_j in enumerate(self.entries):
-                s = sum(
-                    Fraction(x * y, z)
-                    for x, y, z in zip(row_i, row_j, self.centralizers)
-                )
-                worst = max(worst, abs(s - (1 if i == j else 0)))
-        return worst
+            weighted = [x * w for x, w in zip(row_i, weights)]
+            for j in range(i, len(self.entries)):
+                s = sum(map(mul, weighted, self.entries[j]))
+                worst = max(worst, abs(s - (order if i == j else 0)))
+        return Fraction(worst, order)
 
     def is_orthogonal(self) -> bool:
         return self.orthogonality_defect() == 0

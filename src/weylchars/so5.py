@@ -1,10 +1,22 @@
 """Five-dimensional special orthogonal groups over small prime fields.
 
-Everything is exact arithmetic mod q on numpy integer arrays.  The group is
-enumerated by breadth-first closure from a small generating set (products
-of reflection pairs, so determinants stay 1, with both spinor classes
-covered); lines in F_q^5 are classified by whether a spanning vector has
-square, non-square or zero self-pairing.
+Everything is exact arithmetic mod q on numpy integer arrays.  Lines in
+F_q^5 are classified by whether a spanning vector has square, non-square or
+zero self-pairing.  Two kernels carry the per-element work:
+
+* ``line_action(g)`` maps every line at once with one matrix product and
+  reads the scalar at each representative's leading coordinate (always 1),
+  giving g's scalar on every fixed line and 0 on every moved one.  The
+  line-count trace, the eigenline labels of the membership test and the
+  fixed cosets of the induced characters are masks on its result.
+* ``_closure(start, step)`` is a breadth-first closure over whole
+  frontiers.  Each 5x5 matrix mod q is coded as one int64 (its entries as
+  base-q digits; q^25 < 2^63 for q <= 5), and a frontier is deduplicated
+  with ``np.unique``/``np.isin``.  The group is the closure of the identity
+  under right multiplication by a small generating set (products of
+  reflection pairs, so determinants stay 1, with both spinor classes
+  covered); a conjugacy class is the closure of one element under
+  conjugation by the same generators.
 
 The distinguished twisted class consists of the elements whose semisimple
 part negates a hyperplane (minus the semisimple part is then a reflection)
@@ -34,6 +46,7 @@ import numpy as np
 from .report import CheckRecord, run_check
 
 FULL_ENUMERATION_Q = 3
+MAX_CODED_Q = 5  # largest q with q^25 < 2^63: one int64 per 5x5 matrix mod q
 
 
 def is_prime(n: int) -> bool:
@@ -115,18 +128,20 @@ class OrthogonalGeometry:
     # --- lines ---
 
     def _init_lines(self):
+        """Representatives with leading coordinate 1, in lexicographic order,
+        and a table from each representative's base-q value to its index."""
         q = self.q
-        reps = []
-        index = {}
-        for vec in itertools.product(range(q), repeat=5):
-            arr = np.array(vec, dtype=np.int64)
-            nonzero = arr[arr != 0]
-            if len(nonzero) == 0 or nonzero[0] != 1:
-                continue
-            index[bytes(arr.astype(np.uint8))] = len(reps)
-            reps.append(arr)
-        self.lines = np.stack(reps)
-        self._line_lookup = index
+        vectors = np.indices((q,) * 5, dtype=np.int64).reshape(5, -1).T
+        lead = (vectors != 0).argmax(axis=1)
+        keep = vectors[np.arange(len(vectors)), lead] == 1  # drops zero too
+        self.lines = vectors[keep]
+        self._lead = lead[keep]
+        self._place = q ** np.arange(4, -1, -1, dtype=np.int64)
+        self._line_of_code = np.full(q**5, -1, dtype=np.int64)
+        self._line_of_code[self.lines @ self._place] = np.arange(len(self.lines))
+        self._inverse_mod = np.array(
+            [0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64
+        )
         norms = np.einsum("li,ij,lj->l", self.lines, self.gram, self.lines) % q
         self.line_types = np.where(
             norms == 0,
@@ -136,10 +151,18 @@ class OrthogonalGeometry:
 
     def line_index(self, vec) -> int:
         """Index of the line spanned by a nonzero vector."""
-        arr = np.array(vec, dtype=np.int64) % self.q
-        lead = arr[arr != 0][0]
-        arr = (arr * pow(int(lead), self.q - 2, self.q)) % self.q
-        return self._line_lookup[bytes(arr.astype(np.uint8))]
+        return int(self._line_indices(np.asarray(vec)[None])[0])
+
+    def _line_indices(self, vectors):
+        """Index of the line spanned by each row of a (k, 5) array."""
+        q = self.q
+        vectors = np.asarray(vectors, dtype=np.int64) % q
+        lead = vectors[np.arange(len(vectors)), (vectors != 0).argmax(axis=1)]
+        normalized = (vectors * self._inverse_mod[lead][:, None]) % q
+        indices = self._line_of_code[normalized @ self._place]
+        if (indices < 0).any():
+            raise ValueError("the zero vector spans no line")
+        return indices
 
     def pairing(self, u, v) -> int:
         return int(np.array(u) @ self.gram @ np.array(v)) % self.q
@@ -229,29 +252,46 @@ class OrthogonalGeometry:
                 f"full enumeration is guarded to q={FULL_ENUMERATION_Q};"
                 " pass force=True to override"
             )
-        q = self.q
-        gens = self.generators()
-        identity = np.eye(5, dtype=np.int64)
-        seen = {identity.astype(np.uint8).tobytes()}
-        elements = [identity]
-        frontier = [identity]
-        while frontier:
-            batch = np.stack(frontier)
-            frontier = []
-            for g in gens:
-                for m in (batch @ g) % q:
-                    key = m.astype(np.uint8).tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        elements.append(m)
-                        frontier.append(m)
+        gens = np.stack(self.generators())
+        elements = self._closure(
+            np.eye(5, dtype=np.int64), lambda batch: batch[None] @ gens[:, None]
+        )
         if len(elements) != self.group_order_formula():
             raise RuntimeError(
                 f"enumeration produced {len(elements)} elements, expected"
                 f" {self.group_order_formula()}"
             )
-        self._elements = np.stack(elements)
+        self._elements = elements
         return self._elements
+
+    def _closure(self, start, step):
+        """Every matrix reachable from ``start`` by repeated ``step``: start
+        first, then in breadth-first discovery order.
+
+        ``step`` maps a (k, 5, 5) frontier to an array of its images, reduced
+        mod q here.  Each matrix is coded as one int64, so a whole frontier
+        is deduplicated, within itself and against everything seen, by
+        ``np.unique`` and ``np.isin``; the first occurrence of each new code
+        is kept, in the order ``step`` produced it.
+        """
+        q = self.q
+        if q > MAX_CODED_Q:
+            raise ValueError(f"int64 matrix codes need q <= {MAX_CODED_Q}")
+        weights = q ** np.arange(25, dtype=np.int64)
+        frontier = (np.asarray(start, dtype=np.int64) % q)[None]
+        seen = frontier.reshape(1, 25) @ weights
+        found = [frontier]
+        while len(frontier):
+            images = step(frontier).reshape(-1, 5, 5)
+            np.remainder(images, q, out=images)
+            codes = images.reshape(-1, 25) @ weights
+            _, first = np.unique(codes, return_index=True)
+            first.sort()
+            first = first[~np.isin(codes[first], seen, assume_unique=True)]
+            frontier = images[first]
+            seen = np.concatenate([seen, codes[first]])
+            found.append(frontier)
+        return np.concatenate(found)
 
     def inverse(self, g):
         """Inverse via the form: g^{-1} = gram^{-1} g^T gram."""
@@ -280,6 +320,21 @@ class OrthogonalGeometry:
         return g
 
     # --- per-element operations ---
+
+    def line_action(self, g):
+        """Scalar of g on every line at once, aligned with ``lines``.
+
+        One product maps every representative; since each has leading
+        coordinate 1, the image's entry there is the only candidate scalar.
+        Fixed lines get it in the symmetric range (-q/2, q/2] (as
+        ``fixed_line_scalar`` returns it), moved lines get 0.
+        """
+        q = self.q
+        images = (self.lines @ (np.asarray(g, dtype=np.int64) % q).T) % q
+        scalars = images[np.arange(len(images)), self._lead]
+        fixed = (images == (scalars[:, None] * self.lines) % q).all(axis=1)
+        scalars = np.where(fixed, scalars, 0)
+        return np.where(scalars > q // 2, scalars - q, scalars)
 
     def fixed_line_scalar(self, g, line_vec):
         """Scalar of g on a fixed line, None if the line moves.
@@ -315,21 +370,17 @@ class OrthogonalGeometry:
             return None
         if rank_mod((plus @ plus) % q, q) != 2:
             return None
-        eps = delta = None
-        for vec, line_type in zip(self.lines, self.line_types):
-            scalar = self.fixed_line_scalar(g, vec)
-            if scalar == 1:
-                eps = int(line_type)
-            elif scalar == -1 and line_type != 0:
-                if delta is not None and delta != int(line_type):
-                    raise RuntimeError(
-                        "lines of both types in the (-1)-plane: bug in the"
-                        " membership test"
-                    )
-                delta = int(line_type)
-        if eps in (None, 0) or delta is None:
+        scalars = self.line_action(g)
+        fixed_types = self.line_types[scalars == 1]
+        minus_types = set(self.line_types[scalars == -1].tolist()) - {0}
+        if len(minus_types) > 1:
+            raise RuntimeError(
+                "lines of both types in the (-1)-plane: bug in the"
+                " membership test"
+            )
+        if len(fixed_types) != 1 or fixed_types[0] == 0 or not minus_types:
             raise RuntimeError("degenerate eigenline structure: bug")
-        return ClassCLabel(eps, delta)
+        return ClassCLabel(int(fixed_types[0]), minus_types.pop())
 
     def class_support_value(self, g) -> int:
         """2 * delta * q on the twisted class, 0 elsewhere."""
@@ -340,17 +391,8 @@ class OrthogonalGeometry:
 
     def line_count_trace(self, g) -> int:
         """Twice the square-type count minus twice the non-square-type count
-        of lines on which g acts by -1."""
-        plus = minus = 0
-        for vec, line_type in zip(self.lines, self.line_types):
-            if line_type == 0:
-                continue
-            if self.fixed_line_scalar(g, vec) == -1:
-                if line_type == 1:
-                    plus += 1
-                else:
-                    minus += 1
-        return 2 * plus - 2 * minus
+        of lines on which g acts by -1 (types are +1, -1 and 0)."""
+        return 2 * int(self.line_types[self.line_action(g) == -1].sum())
 
     # --- 4-space stabilizers and the induced virtual character ---
 
@@ -409,15 +451,14 @@ class OrthogonalGeometry:
         indices = tuple(int(i) for i in np.where(self.line_types == line_type)[0])
         base = indices[0]
         base_vec = self.lines[base]
-        transporters = {base: np.eye(5, dtype=np.int64)}
-        for g in elements:
-            if len(transporters) == len(indices):
-                break
-            idx = self.line_index((g @ base_vec) % self.q)
-            if idx not in transporters:
-                transporters[idx] = g
-        if len(transporters) != len(indices):
+        # the first element taking the base line to each line; element 0,
+        # the identity, is the base line's own transporter
+        reached, first = np.unique(
+            self._line_indices(elements @ base_vec), return_index=True
+        )
+        if reached.tolist() != list(indices):
             raise RuntimeError("group is not transitive on lines of one type")
+        transporters = {int(idx): elements[i] for idx, i in zip(reached, first)}
         order = len(elements) // len(indices)
 
         def contains(h) -> bool:
@@ -449,10 +490,10 @@ class OrthogonalGeometry:
         element; cosets are modeled by the lines of the matching type.
         """
         q = self.q
+        moved = self.line_action(g) == 0
         total = 0
         for idx in stab.line_indices:
-            image = (np.array(g) @ self.lines[idx]) % q
-            if self.line_index(image) != idx:
+            if moved[idx]:
                 continue
             x = stab.transporters[idx]
             conjugate = (self.inverse(x) @ g @ x) % q
@@ -495,6 +536,7 @@ class OrthogonalGeometry:
         gx = (small @ x) % q
         fixed = (gx == x[None]).all(axis=1)
         negated = (gx == ((-x) % q).astype(np.int8)[None]).all(axis=1)
+        del gx  # about 30 MB at q=3; the kernel test below needs as much again
         plus = ((elements + np.eye(5, dtype=np.int64)) % q).astype(np.int8)
         plus_sq = ((plus.astype(np.int16) @ plus) % q).astype(np.int8)
         kernel_sq = (((plus_sq @ x) % q) == 0).all(axis=1)
@@ -515,24 +557,13 @@ class OrthogonalGeometry:
         return elements, fixed, negated, members, trace.astype(np.int64)
 
     def conjugacy_class_size(self, g) -> int:
-        """Orbit size under conjugation, by BFS over the generators."""
-        q = self.q
-        gens = self.generators()
-        inverses = [self.inverse(h) for h in gens]
-        start = np.array(g, dtype=np.int64) % q
-        seen = {start.astype(np.uint8).tobytes()}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for h, hinv in zip(gens, inverses):
-                    c = (hinv @ m @ h) % q
-                    key = c.astype(np.uint8).tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(c)
-            frontier = nxt
-        return len(seen)
+        """Orbit size under conjugation by the generators."""
+        gens = np.stack(self.generators())
+        inverses = np.stack([self.inverse(h) for h in gens])
+        orbit = self._closure(
+            g, lambda batch: inverses[:, None] @ batch[None] @ gens[:, None]
+        )
+        return len(orbit)
 
     def verify(self, seed: int = 0, clock=time.monotonic) -> CheckRecord:
         """Full element-by-element verification at q = 3.

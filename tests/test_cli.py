@@ -91,6 +91,24 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+def test_verify_rejects_parameters_that_do_not_apply(capsys):
+    for argv, message in (
+        (("all", "--m", "99"), "--m does not apply to verify all"),
+        (("lemma217", "--m", "99"), "--m does not apply to verify lemma217"),
+        (("so5", "--m", "3"), "--m does not apply to verify so5"),
+        (("lemma26", "--q", "3"), "--q applies only to"),
+        (("prop211", "--m", "2", "--q", "5"), "--q applies only to"),
+        (("lemma27", "--samples", "10"), "--samples applies only to"),
+        (("lemma217", "--samples", "10"), "--samples applies only to"),
+        (("all", "--q", "7"), "supports q=3 (full) or q=5 (sampled)"),
+        (("so5", "--samples", "10"), "--samples applies only to the sampled"),
+        (("all", "--q", "3", "--samples", "10"), "--samples applies only to the sampled"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, argv
+
+
 def test_verify_deterministic_output(capsys):
     args = ["verify", "lemma26", "--m", "2", "--no-timing"]
     code1, out1, _ = run(capsys, *args)
@@ -121,6 +139,22 @@ def test_table_text(capsys):
     assert code == 0
     assert "character table W1" in out
     assert "pos:1;neg:" in out and "pos:;neg:1" in out
+
+
+def test_table_text_aligns_small_tables(capsys):
+    for n in (0, 1, 2):
+        code, out, _ = run(capsys, "table", "sn", "--n", str(n))
+        assert code == 0
+        title, *body = out.splitlines()
+        assert title == f"character table S{n}"
+        # header, centralizer row and character rows share one column grid
+        assert len({len(line) for line in body}) == 1
+        assert body[1].startswith("centralizer ")
+    code, out, _ = run(capsys, "table", "sn", "--n", "2")
+    assert out.splitlines()[1:3] == [
+        "                     1.1            2",
+        "centralizer            2            2",
+    ]
 
 
 def test_table_csv(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,30 @@ def test_table_small():
 def test_table_orthogonality():
     for n in range(1, 7):
         assert character_table_sn(n).is_orthogonal()
+
+
+def fraction_defect(table):
+    """Reference: one Fraction per term of every weighted inner product."""
+    return max(
+        abs(
+            sum(Fraction(x * y, z) for x, y, z in zip(a, b, table.centralizers))
+            - (1 if i == j else 0)
+        )
+        for i, a in enumerate(table.entries)
+        for j, b in enumerate(table.entries)
+    )
+
+
+def test_orthogonality_defect_sees_one_perturbed_entry():
+    for n in range(1, 6):
+        table = character_table_sn(n)
+        assert table.orthogonality_defect() == fraction_defect(table) == 0
+        for i, j in ((0, 0), (len(table.entries) - 1, len(table.col_labels) - 1)):
+            rows = [list(row) for row in table.entries]
+            rows[i][j] += 1
+            bad = replace(table, entries=tuple(tuple(row) for row in rows))
+            assert bad.orthogonality_defect() == fraction_defect(bad) > 0
+            assert not bad.is_orthogonal()
 
 
 def test_identity_column_is_dimension():

@@ -174,3 +174,44 @@ def test_q5_sampled_verification():
     for samples in (0, -1):
         with pytest.raises(ValueError):
             geo.verify_sampled(samples=samples)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_line_action_matches_fixed_line_scalar(q):
+    geo = OrthogonalGeometry(q=q)
+    rng = random.Random(7)
+    elements = [np.eye(5, dtype=np.int64)] + [geo.random_element(rng) for _ in range(6)]
+    for g in elements:
+        action = geo.line_action(g)
+        expected = [geo.fixed_line_scalar(g, vec) for vec in geo.lines]
+        assert action.tolist() == [0 if s is None else s for s in expected]
+
+
+def test_closure_enumerates_the_group(geo3):
+    elements = geo3.enumerate_group()
+    q = geo3.q
+    assert (elements[0] == np.eye(5, dtype=np.int64)).all()
+    assert len(np.unique(elements.reshape(len(elements), 25), axis=0)) == 51840
+    forms = np.einsum("nji,jk,nkl->nil", elements, geo3.gram, elements) % q
+    assert (forms == geo3.gram).all()
+
+
+def test_class_orbits_cover_the_scanned_members(geo3):
+    elements, _, _, members, _ = geo3._batched_scan()
+    representatives = {}
+    for i in np.where(members)[0]:
+        label = geo3.in_class_c(elements[i])
+        representatives.setdefault(label, elements[i])
+        if len(representatives) == 4:
+            break
+    assert len(representatives) == 4
+    sizes = [geo3.conjugacy_class_size(g) for g in representatives.values()]
+    assert sum(sizes) == int(members.sum()) == 5760
+
+
+def test_coded_kernels_reject_what_they_cannot_code():
+    geo = OrthogonalGeometry(q=7)
+    with pytest.raises(ValueError):
+        geo.conjugacy_class_size(np.eye(5, dtype=np.int64))
+    with pytest.raises(ValueError):
+        geo.line_index([0, 0, 0, 0, 0])
