@@ -7,6 +7,9 @@ exhaustive verification suite for a family of trace, parity and
 multiplicity identities, including an element-by-element check inside
 SO_5(F_3).  See the cli module or ``weylchars --help`` for the command-line
 surface.
+
+The SO_5 names (``OrthogonalGeometry``, ``ClassCLabel``) are loaded on first
+access, so ``import weylchars`` does not import numpy.
 """
 
 from .report import CheckRecord, all_passed, render_report
@@ -18,7 +21,6 @@ from .snchars import (
     oracle_trace_sn,
     young_perm_char,
 )
-from .so5 import ClassCLabel, OrthogonalGeometry
 from .symbols import (
     BiSymbol,
     NormalizedBeta,
@@ -58,3 +60,13 @@ from .wnchars import (
 )
 
 __version__ = "0.1.0"
+
+_SO5_NAMES = ("ClassCLabel", "OrthogonalGeometry")
+
+
+def __getattr__(name):
+    if name in _SO5_NAMES:
+        from . import so5
+
+        return getattr(so5, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,9 @@
 """Command-line driver: traces, character tables, verification suite.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-input error.  Reports are deterministic for a fixed seed; pass --no-timing
+input error, 3 internal error (an unexpected exception inside the program).
+The so5 module, and with it numpy, is imported only by ``verify so5`` and
+``verify all``.  Reports are deterministic for a fixed seed; pass --no-timing
 to zero the elapsed_ms fields and get byte-identical reruns.
 """
 
@@ -16,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .report import all_passed, render_report
 from .snchars import SN_TABLE_LIMIT, character_table_sn, mn_trace_sn
-from .so5 import OrthogonalGeometry
 from .symbols import BiSymbol, SignedCycleType
 from .verifications import (
     LEMMA_M_LIMIT,
@@ -32,11 +33,17 @@ from .verifications import (
 )
 from .wnchars import WN_TABLE_LIMIT, character_table_wn, mn_trace_wn
 
-USAGE_ERROR = 2
 CHECK_FAILED = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 SO5_DEFAULT_Q = 3
 SO5_DEFAULT_SAMPLES = 200
 SO5_CLAIMS = ("so5", "all")
+EXIT_CODES = """exit codes:
+  0  success: the command ran and every check passed
+  1  a verification check failed
+  2  usage or input error
+  3  internal error: an unexpected exception inside the program"""
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -157,6 +164,8 @@ def _verify_jobs(args):
         return [("prop212", lambda m=m: check_prop212(m, seed)) for m in ms]
 
     def so5_job():
+        from .so5 import OrthogonalGeometry  # numpy only where it is used
+
         def run():
             q = SO5_DEFAULT_Q if args.q is None else args.q
             geometry = OrthogonalGeometry(q=q)
@@ -210,6 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylchars",
         description="exact traces, character tables and verification checks",
+        epilog=EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -310,6 +321,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
+    except Exception as exc:  # exit 1 must mean only "a check failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -119,6 +119,7 @@ class OrthogonalGeometry:
             raise ValueError("gram must be a symmetric 5x5 matrix")
         if rank_mod(self.gram, q) != 5:
             raise ValueError("gram matrix is degenerate")
+        self._gram_inv = self._gram_inverse()  # the form is fixed from here on
         self.squares = {(a * a) % q for a in range(1, q)}
         self._init_lines()
         self._generators = None
@@ -295,7 +296,7 @@ class OrthogonalGeometry:
 
     def inverse(self, g):
         """Inverse via the form: g^{-1} = gram^{-1} g^T gram."""
-        return (self._gram_inverse() @ np.array(g).T @ self.gram) % self.q
+        return (self._gram_inv @ np.array(g).T @ self.gram) % self.q
 
     def _gram_inverse(self):
         q = self.q

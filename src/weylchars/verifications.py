@@ -9,6 +9,11 @@ multiplicity of the distinguished constituent, which must come out to
 exactly 1.  Each check enumerates every split and reports counterexamples
 rather than stopping at the first.
 
+Lemma 2.17 induces the linear characters of the block subgroup W_2 x W_2
+to W_4.  It reads the shared induction profile of ``wnchars`` (each class
+representative conjugated over W_4 once, for the oracle and this lemma
+alike) and evaluates each linear character on the two block classes.
+
 Claim ids (lemma26, prop211, ...) are the stable tokens of the CLI verify
 interface.
 """
@@ -21,17 +26,7 @@ from fractions import Fraction
 
 from .report import CheckRecord, run_check
 from .symbols import BiSymbol, SignedCycleType, signed_cycle_types
-from .wnchars import (
-    chi_value,
-    class_representative,
-    mn_trace_wn,
-    sp_cycle_type,
-    sp_inv,
-    sp_mul,
-    sp_underlying_sign,
-    trace_dn,
-    wn_elements,
-)
+from .wnchars import _induction_profile, class_representative, mn_trace_wn, trace_dn
 
 LEMMA_M_LIMIT = 8
 PROP_BC_M_LIMIT = 8
@@ -232,28 +227,35 @@ def check_prop212(m: int, seed: int = 0, clock=time.monotonic) -> CheckRecord:
 # --- induction from the block subgroup W_2 x W_2 of W_4 ---
 
 
-def _w2_linear_character(on_perm_sign: int, on_flips: int, w) -> int:
-    """One of the four +-1-valued characters of W_2."""
-    value = 1
+def _w2_linear_value(kind, block) -> int:
+    """One of the four +-1-valued characters of W_2, at a (pos, neg) class.
+
+    ``kind`` gives the character's values on the two generators: the first
+    factor, if -1, is the sign of the underlying permutation, (-1) to the
+    sum of (k - 1) over all cycles; the second, if -1, is chi, (-1) to the
+    number of negative cycles.
+    """
+    on_perm_sign, on_flips = kind
+    pos, neg = block
+    odd = 0
     if on_perm_sign == -1:
-        value *= sp_underlying_sign(w)
+        odd += sum(pos) + sum(neg) - len(pos) - len(neg)
     if on_flips == -1:
-        value *= chi_value(sp_cycle_type(w))
-    return value
+        odd += len(neg)
+    return -1 if odd % 2 else 1
 
 
 def induced_linear_trace_w4(kind1, kind2, cls: SignedCycleType) -> int:
     """Trace at cls of the induction to W_4 of a linear character of
-    W_2 x W_2, each factor labeled by its values on the two generators."""
-    rep = class_representative(cls)
+    W_2 x W_2, each factor labeled by its values on the two generators.
+
+    Reads the W_2 x W_2 entry (r = 2) of the shared induction profile of
+    ``wnchars``, which counts the conjugates of a class representative by
+    their pair of block classes.
+    """
     total = 0
-    for x in wn_elements(4):
-        h = sp_mul(sp_mul(x, rep), sp_inv(x))
-        if any(abs(h[i]) > 2 for i in range(2)):
-            continue
-        h1 = h[:2]
-        h2 = tuple((abs(v) - 2) * (1 if v > 0 else -1) for v in h[2:])
-        total += _w2_linear_character(*kind1, h1) * _w2_linear_character(*kind2, h2)
+    for (block1, block2), count in _induction_profile(4, class_representative(cls))[2]:
+        total += count * _w2_linear_value(kind1, block1) * _w2_linear_value(kind2, block2)
     if total % 64:
         raise ArithmeticError("induced sum not divisible by the subgroup order")
     return total // 64

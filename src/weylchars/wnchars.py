@@ -15,13 +15,20 @@ alike, and the S_n traces of ``snchars`` are its one-row case.  It works
 on sorted, shift-minimal rows and places each new entry by bisection, so
 the symbol is normalized only once, on entry.  ``oracle_trace_wn``
 evaluates the inducing construction literally on an explicitly enumerated
-group (small n only) and is the correctness reference for the recursion.
+group (n <= 5) and is the correctness reference for the recursion.
+
+Induction has one loop, ``_induction_profile(n, rep)``: it conjugates a
+class representative by every element of W_n once and counts the
+conjugates lying in each block subgroup W_r x W_{n-r} by their pair of
+block classes.  The cached profile serves both the oracle (any r) and the
+induced linear characters of lemma 2.17 in ``verifications`` (n = 4, r = 2).
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 
@@ -33,13 +40,12 @@ from .symbols import (
     bipartition_to_bisymbol,
     bipartitions,
     normalize_bisymbol,
-    perm_sign,
     signed_cycle_types,
 )
 
 _MN_CACHE: dict = {}
 
-WN_ORACLE_LIMIT = 4
+WN_ORACLE_LIMIT = 5
 WN_TABLE_LIMIT = 6
 
 
@@ -198,29 +204,38 @@ def sp_inv(u):
     return tuple(out)
 
 
-def sp_cycle_type(u) -> SignedCycleType:
-    """Signed cycle type: a cycle is negative when its sign product is -1."""
-    n = len(u)
+def _cycle_spans(h):
+    """(lowest letter, highest letter, negative, length) of each cycle of h.
+
+    A cycle is negative when its sign product is -1.
+    """
+    n = len(h)
     seen = [False] * n
-    pos, neg = [], []
+    spans = []
     for i in range(1, n + 1):
         if seen[i - 1]:
             continue
-        j, length, sign = i, 0, 1
+        j, length, sign, high = i, 0, 1, i
         while not seen[j - 1]:
             seen[j - 1] = True
-            img = u[j - 1]
+            img = h[j - 1]
             if img < 0:
                 sign = -sign
             j = abs(img)
+            high = max(high, j)
             length += 1
-        (pos if sign == 1 else neg).append(length)
-    return SignedCycleType(tuple(pos), tuple(neg))
+        # every letter below i is in an earlier cycle, so i is this one's lowest
+        spans.append((i, high, sign == -1, length))
+    return spans
 
 
-def sp_underlying_sign(u) -> int:
-    """Sign of the underlying (unsigned) permutation."""
-    return perm_sign(tuple(abs(j) - 1 for j in u))
+def sp_cycle_type(u) -> SignedCycleType:
+    """Signed cycle type of a signed permutation."""
+    spans = _cycle_spans(u)
+    return SignedCycleType(
+        tuple(k for _, _, negative, k in spans if not negative),
+        tuple(k for _, _, negative, k in spans if negative),
+    )
 
 
 def sp_in_type_d(u) -> bool:
@@ -253,29 +268,38 @@ def wn_elements(n: int):
 
 
 @lru_cache(maxsize=None)
-def _induction_profile(n: int, rep, r: int):
-    """Conjugates of rep landing in the block subgroup W_r x W_{n-r}.
+def _induction_profile(n: int, rep):
+    """Conjugates of rep over all of W_n, sorted into the block subgroups.
 
-    Returns (cycle type of first block as plain cycles, same for second
-    block, chi of second block) with multiplicities; shared by every symbol
-    with the same split, which keeps the oracle affordable.
+    One pass over ``wn_elements(n)`` conjugates rep once per x.  Entry r of
+    the result (r = 0..n) counts the x whose conjugate h = x rep x^-1
+    stabilizes {1..r}, that is lies in W_r x W_{n-r}, by the pair of signed
+    cycle types of h on {1..r} and on {r+1..n}; each type is a plain
+    ``(pos, neg)`` pair of sorted length tuples, and each entry a sorted
+    tuple of ``(pair, count)`` items.  One profile per class serves every
+    split r, so ``oracle_trace_wn`` and ``verifications.induced_linear_trace_w4``
+    read the same conjugations.
     """
-    profile: dict = {}
-    for x in wn_elements(n):
-        h = sp_mul(sp_mul(x, rep), sp_inv(x))
-        if any(abs(h[i]) > r for i in range(r)):
-            continue
-        h1 = h[:r]
-        h2 = tuple((abs(v) - r) * (1 if v > 0 else -1) for v in h[r:])
-        t1 = sp_cycle_type(h1)
-        t2 = sp_cycle_type(h2)
-        key = (
-            tuple(sorted(t1.pos + t1.neg)),
-            tuple(sorted(t2.pos + t2.neg)),
-            chi_value(t2),
-        )
-        profile[key] = profile.get(key, 0) + 1
-    return tuple(sorted(profile.items()))
+    conjugates = Counter(sp_mul(sp_mul(x, rep), sp_inv(x)) for x in wn_elements(n))
+    profile = [{} for _ in range(n + 1)]
+    for h, times in conjugates.items():  # each once: |W_n| / |centralizer|
+        spans = sorted(_cycle_spans(h), key=lambda span: span[3])
+        cut = [True] * (n + 1)
+        for low, high, _, _ in spans:
+            cut[low:high] = [False] * (high - low)  # r in low..high-1 splits it
+        for r in range(n + 1):
+            if not cut[r]:
+                continue
+            first, second = ([], []), ([], [])
+            for low, high, negative, length in spans:
+                (first if high <= r else second)[negative].append(length)
+            key = (
+                (tuple(first[0]), tuple(first[1])),
+                (tuple(second[0]), tuple(second[1])),
+            )
+            counts = profile[r]
+            counts[key] = counts.get(key, 0) + times
+    return tuple(tuple(sorted(counts.items())) for counts in profile)
 
 
 def oracle_trace_wn(sym: BiSymbol, cls: SignedCycleType, limit: int = WN_ORACLE_LIMIT) -> int:
@@ -283,9 +307,10 @@ def oracle_trace_wn(sym: BiSymbol, cls: SignedCycleType, limit: int = WN_ORACLE_
 
     Builds W_n explicitly, conjugates a class representative over the whole
     group, and sums the block-subgroup class function (product of two
-    symmetric-group characters, the second twisted by chi).  The two
-    symmetric-group values come from oracle_trace_sn, so no step here shares
-    code with the removal recursion.
+    symmetric-group characters, the second twisted by chi) over the
+    conjugates landing in W_r x W_r'.  The two symmetric-group values come
+    from oracle_trace_sn at the underlying cycle types, so no step here
+    shares code with the removal recursion.
     """
     if normalize_bisymbol(sym.top, sym.bottom).is_zero:
         return 0
@@ -297,9 +322,11 @@ def oracle_trace_wn(sym: BiSymbol, cls: SignedCycleType, limit: int = WN_ORACLE_
     rep = class_representative(cls)
     h_order = 2**r * factorial(r) * 2**rt * factorial(rt)
     total = 0
-    for (c1, c2, chi2), count in _induction_profile(n, rep, r):
-        term = oracle_trace_sn(sym.top, c1) * oracle_trace_sn(sym.bottom, c2)
-        total += count * term * chi2
+    for ((pos1, neg1), (pos2, neg2)), count in _induction_profile(n, rep)[r]:
+        term = oracle_trace_sn(sym.top, pos1 + neg1) * oracle_trace_sn(
+            sym.bottom, pos2 + neg2
+        )
+        total += count * term * (-1 if len(neg2) % 2 else 1)
     if total % h_order:
         raise ArithmeticError("induced sum not divisible by the subgroup order")
     return total // h_order

@@ -1,5 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import weylchars
+import weylchars.cli
 from weylchars.cli import main, parse_int_list, serialize_class, serialize_symbol
 from weylchars.symbols import BiSymbol, SignedCycleType
 
@@ -228,3 +234,44 @@ def test_verify_all_is_green(capsys):
         "so5",
     ):
         assert f"claim: {claim}" in out
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(weylchars.cli, "check_lemma27", broken)
+    code, out, err = run(capsys, "verify", "lemma27", "--m", "1")
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
+
+
+def test_help_documents_exit_codes(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for code in ("0", "1", "2", "3"):
+        assert f"  {code}  " in out
+
+
+def test_numpy_loads_only_for_so5():
+    src = str(Path(weylchars.__file__).resolve().parents[1])
+    script = (
+        "import sys, weylchars, weylchars.cli\n"
+        "assert weylchars.cli.main(['trace', 'wn', '--top', '0,1', '--bottom', '2', '--neg', '2']) == 0\n"
+        "assert weylchars.cli.main(['table', 'wn', '--n', '2']) == 0\n"
+        "assert weylchars.cli.main(['verify', 'lemma26', '--m', '2']) == 0\n"
+        "print(sorted(m for m in ('numpy', 'weylchars.so5') if m in sys.modules))\n"
+        "from weylchars import ClassCLabel, OrthogonalGeometry\n"
+        "print(OrthogonalGeometry.__module__, ClassCLabel.__module__)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert lines[-2:] == ["[]", "weylchars.so5 weylchars.so5"]

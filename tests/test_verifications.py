@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weylchars.report import CheckRecord, all_passed, render_report, run_check
-from weylchars.symbols import BiSymbol, SignedCycleType
+from weylchars.symbols import BiSymbol, SignedCycleType, perm_sign, signed_cycle_types
 from weylchars.verifications import (
     bc_splits,
     check_lemma26,
@@ -28,7 +28,15 @@ from weylchars.verifications import (
     split_admissible_d,
     underlying_order,
 )
-from weylchars.wnchars import mn_trace_wn
+from weylchars.wnchars import (
+    chi_value,
+    class_representative,
+    mn_trace_wn,
+    sp_cycle_type,
+    sp_inv,
+    sp_mul,
+    wn_elements,
+)
 
 
 def test_distinguished_classes():
@@ -189,6 +197,49 @@ def test_underlying_order():
 def test_induced_linear_trace_identity_value():
     identity = SignedCycleType((1, 1, 1, 1), ())
     assert induced_linear_trace_w4((1, 1), (1, 1), identity) == 6
+
+
+def _induced_linear_trace_by_elements(kind1, kind2, cls):
+    """Reference route: conjugate over all 384 elements of W_4 and evaluate
+    each W_2 linear character on the two blocks element by element."""
+
+    def linear(kind, w):
+        on_perm_sign, on_flips = kind
+        value = 1
+        if on_perm_sign == -1:
+            value *= perm_sign(tuple(abs(j) - 1 for j in w))
+        if on_flips == -1:
+            value *= chi_value(sp_cycle_type(w))
+        return value
+
+    rep = class_representative(cls)
+    total = 0
+    for x in wn_elements(4):
+        h = sp_mul(sp_mul(x, rep), sp_inv(x))
+        if any(abs(h[i]) > 2 for i in range(2)):
+            continue
+        h2 = tuple((abs(v) - 2) * (1 if v > 0 else -1) for v in h[2:])
+        total += linear(kind1, h[:2]) * linear(kind2, h2)
+    assert total % 64 == 0
+    return total // 64
+
+
+def test_induced_linear_trace_matches_element_route():
+    kinds = [(a, b) for a in (1, -1) for b in (1, -1)]
+    classes = signed_cycle_types(4)
+    assert len(classes) == 20
+    values = set()
+    for kind1 in kinds:
+        for kind2 in kinds:
+            for cls in classes:
+                want = _induced_linear_trace_by_elements(kind1, kind2, cls)
+                assert induced_linear_trace_w4(kind1, kind2, cls) == want, (
+                    kind1,
+                    kind2,
+                    cls,
+                )
+                values.add(want)
+    assert len(values) > 2  # not a constant table
 
 
 def test_lemma217_passes():

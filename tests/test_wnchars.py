@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 
@@ -11,6 +12,7 @@ from weylchars.symbols import (
     signed_cycle_types,
 )
 from weylchars.wnchars import (
+    _induction_profile,
     centralizer_order_wn,
     character_table_wn,
     chi_value,
@@ -20,6 +22,8 @@ from weylchars.wnchars import (
     oracle_trace_wn,
     sp_cycle_type,
     sp_in_type_d,
+    sp_inv,
+    sp_mul,
     trace_dn,
     wn_elements,
 )
@@ -78,9 +82,44 @@ def test_oracle_dimension():
 
 
 def test_oracle_bound():
-    sym = BiSymbol((5,), ())
+    sym = BiSymbol((6,), ())
     with pytest.raises(ValueError):
-        oracle_trace_wn(sym, SignedCycleType((5,), ()))
+        oracle_trace_wn(sym, SignedCycleType((6,), ()))
+
+
+def test_oracle_equivalence_w5():
+    # every entry of the W_5 table against the literal induced sum
+    table = character_table_wn(5)
+    assert len(table.row_labels) == len(table.col_labels) == 36
+    for sym, row in zip(table.row_labels, table.entries):
+        for cls, value in zip(table.col_labels, row):
+            assert oracle_trace_wn(sym, cls) == value, (sym, cls)
+
+
+def test_induction_profile_counts_every_conjugate():
+    n = 4
+    elements = wn_elements(n)
+    assert len(elements) == 2**n * factorial(n)
+    blocked_classes = 0
+    for cls in signed_cycle_types(n):
+        rep = class_representative(cls)
+        profile = _induction_profile(n, rep)
+        assert len(profile) == n + 1
+        # every conjugate stabilizes the empty set and the whole of 1..n
+        assert sum(count for _, count in profile[0]) == len(elements)
+        assert sum(count for _, count in profile[n]) == len(elements)
+        in_block = 0
+        for x in elements:
+            h = sp_mul(sp_mul(x, rep), sp_inv(x))
+            in_block += all(abs(v) <= 2 for v in h[:2])
+        assert sum(count for _, count in profile[2]) == in_block
+        blocked_classes += in_block > 0
+        # conjugation keeps the signed cycle type: at r = n the first block
+        # is the whole class, at r = 0 the second
+        assert profile[n] == ((((cls.pos, cls.neg), ((), ())), len(elements)),)
+        assert profile[0] == (((((), ()), (cls.pos, cls.neg)), len(elements)),)
+    # cycle lengths 1111 (5 sign patterns), 211 (6) and 22 (3) split 2 + 2
+    assert blocked_classes == 14
 
 
 def test_oracle_equivalence_n3():
