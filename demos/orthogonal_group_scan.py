@@ -3,6 +3,8 @@
 Run:  python demos/orthogonal_group_scan.py
 """
 
+from collections import Counter
+
 import numpy as np
 
 from weylchars.so5 import OrthogonalGeometry
@@ -25,15 +27,9 @@ print("Membership: rank(g-1)=4, rank(g+1)=3, rank((g+1)^2)=2, i.e. the")
 print("semisimple part negates a hyperplane and the unipotent part has")
 print("Jordan blocks 3,1,1.  Labels: eps = type of the fixed line,")
 print("delta = shared type of the non-degenerate (-1)-lines.\n")
-by_label = {}
-member = None
-for g in elements:
-    label = geo.in_class_c(g)
-    if label is not None:
-        by_label.setdefault((label.eps, label.delta), 0)
-        by_label[(label.eps, label.delta)] += 1
-        if member is None:
-            member = g
+elements, _, member_idx, eps, delta = geo.member_labels()
+by_label = Counter(zip(eps.tolist(), delta.tolist()))
+member = elements[member_idx[0]]
 for label in sorted(by_label):
     print(f"  label (eps={label[0]:+d}, delta={label[1]:+d}): {by_label[label]} elements")
 print(f"  total: {sum(by_label.values())} members")

@@ -2,6 +2,8 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 input error, 3 internal error (an unexpected exception inside the program).
+When a verify check raises unexpectedly, the report is still written: it
+holds every completed record plus a ``status: error`` record for that check.
 The so5 module, and with it numpy, is imported only by ``verify so5`` and
 ``verify all``.  Reports are deterministic for a fixed seed; pass --no-timing
 to zero the elapsed_ms fields and get byte-identical reruns.
@@ -16,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .report import all_passed, render_report
+from .report import CheckRecord, all_passed, render_report
 from .snchars import SN_TABLE_LIMIT, character_table_sn, mn_trace_sn
 from .symbols import BiSymbol, SignedCycleType
 from .verifications import (
@@ -141,60 +143,62 @@ def _cmd_table(args) -> int:
 
 
 def _verify_jobs(args):
-    """(claim, callable) pairs selected by the verify arguments."""
+    """(claim, params, callable) triples selected by the verify arguments;
+    params is the parameter string the check's record will carry."""
     seed = args.seed
     jobs = []
 
-    def lemma26_jobs(ms):
-        return [("lemma26", lambda m=m: check_lemma26(m, seed)) for m in ms]
-
-    def lemma27_jobs(ms):
-        return [("lemma27", lambda m=m: check_lemma27(m, seed)) for m in ms]
-
-    def lemma29_jobs(ms):
-        return [("lemma29", lambda m=m: check_lemma29(m, seed)) for m in ms]
-
-    def lemma210_jobs(ms):
-        return [("lemma210", lambda m=m: check_lemma210(m, seed)) for m in ms]
-
-    def prop211_jobs(ms):
-        return [("prop211", lambda m=m: check_prop211(m, seed)) for m in ms]
-
-    def prop212_jobs(ms):
-        return [("prop212", lambda m=m: check_prop212(m, seed)) for m in ms]
+    def m_jobs(claim, check, ms, prefix="m"):
+        return [(claim, f"{prefix}={m}", lambda m=m: check(m, seed)) for m in ms]
 
     def so5_job():
         from .so5 import OrthogonalGeometry  # numpy only where it is used
 
+        q = SO5_DEFAULT_Q if args.q is None else args.q
+
         def run():
-            q = SO5_DEFAULT_Q if args.q is None else args.q
             geometry = OrthogonalGeometry(q=q)
             if q == 3:
                 return geometry.verify(seed)
             samples = SO5_DEFAULT_SAMPLES if args.samples is None else args.samples
             return geometry.verify_sampled(samples, seed)
 
-        return [("so5", run)]
+        return [("so5", "q=3" if q == 3 else f"q={q} sampled", run)]
 
     claim = args.claim
-    m_given = args.m is not None
+
+    def chosen(default):
+        return [args.m] if args.m is not None and claim != "all" else default
+
     if claim in ("lemma26", "all"):
-        jobs += lemma26_jobs([args.m] if m_given and claim != "all" else range(6))
+        jobs += m_jobs("lemma26", check_lemma26, chosen(range(6)))
     if claim in ("lemma27", "all"):
-        jobs += lemma27_jobs([args.m] if m_given and claim != "all" else range(6))
+        jobs += m_jobs("lemma27", check_lemma27, chosen(range(6)))
     if claim in ("lemma29", "all"):
-        jobs += lemma29_jobs([args.m] if m_given and claim != "all" else range(1, 6))
+        jobs += m_jobs("lemma29", check_lemma29, chosen(range(1, 6)))
     if claim in ("lemma210", "all"):
-        jobs += lemma210_jobs([args.m] if m_given and claim != "all" else (1, 2))
+        jobs += m_jobs("lemma210", check_lemma210, chosen((1, 2)), prefix="m'")
     if claim in ("prop211", "all"):
-        jobs += prop211_jobs([args.m] if m_given and claim != "all" else range(1, 6))
+        jobs += m_jobs("prop211", check_prop211, chosen(range(1, 6)))
     if claim in ("prop212", "all"):
-        jobs += prop212_jobs([args.m] if m_given and claim != "all" else (2, 4))
+        jobs += m_jobs("prop212", check_prop212, chosen((2, 4)))
     if claim in ("lemma217", "all"):
-        jobs += [("lemma217", lambda: check_lemma217(seed))]
+        jobs += [("lemma217", "n=4", lambda: check_lemma217(seed))]
     if claim in ("so5", "all"):
         jobs += so5_job()
     return jobs
+
+
+def _run_job(job, seed: int) -> CheckRecord:
+    """The job's record; an unexpected exception becomes an error record
+    carrying the exception.  Usage errors propagate to ``main``."""
+    claim, params, fn = job
+    try:
+        return fn()
+    except (ValueError, KeyError, RecursionError):
+        raise
+    except Exception as exc:  # noqa: BLE001 - reported in the record and by main
+        return CheckRecord(claim, params, "error", (f"{type(exc).__name__}: {exc}",), 0, seed)
 
 
 def _cmd_verify(args) -> int:
@@ -203,15 +207,20 @@ def _cmd_verify(args) -> int:
     workers = max(1, min(args.jobs, max_jobs))
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda job: job[1](), jobs))
+            records = list(pool.map(lambda job: _run_job(job, args.seed), jobs))
     else:
-        records = [fn() for _, fn in jobs]
+        records = [_run_job(job, args.seed) for job in jobs]
     text = render_report(records, include_timing=not args.no_timing)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+    errors = [rec for rec in records if rec.status == "error"]
+    for rec in errors:
+        print(f"internal error: {rec.counterexamples[0]}", file=sys.stderr)
+    if errors:
+        return INTERNAL_ERROR
     return 0 if all_passed(records) else CHECK_FAILED
 
 

@@ -1,8 +1,8 @@
 """Structured pass/fail records for the verification suite.
 
 A record carries the claim id, its parameter string, a status, the list of
-counterexamples (empty on pass), the elapsed wall time and the seed in
-force.  Rendering is deterministic: records are sorted by (claim, params)
+counterexamples (empty on pass; the exception on error), the elapsed wall
+time and the seed in force.  Rendering is deterministic: records are sorted by (claim, params)
 and counterexamples are emitted in the order collected, which every check
 keeps lexicographic.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 class CheckRecord:
     claim: str
     params: str
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "error" (the check raised)
     counterexamples: tuple[str, ...] = ()
     elapsed_ms: int = 0
     seed: int = 0
@@ -27,7 +27,7 @@ class CheckRecord:
         return self.status == "pass"
 
 
-def run_check(claim: str, params: str, fn, seed: int = 0, clock=time.monotonic) -> CheckRecord:
+def run_check(claim: str, params: str, fn, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
     """Time fn() and wrap its returned counterexample list in a record."""
     start = clock()
     counterexamples = tuple(fn())

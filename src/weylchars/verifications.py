@@ -86,7 +86,7 @@ def count_even(row) -> int:
     return sum(1 for x in row if x % 2 == 0)
 
 
-def check_lemma26(m: int, seed: int = 0, clock=time.monotonic) -> CheckRecord:
+def check_lemma26(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
     """Every split traces to (-1)^((m^2+m)/2) at the even-cycle class when
     admissible, and to 0 otherwise."""
     if m > LEMMA_M_LIMIT:
@@ -104,7 +104,7 @@ def check_lemma26(m: int, seed: int = 0, clock=time.monotonic) -> CheckRecord:
     return run_check("lemma26", f"m={m}", scan, seed, clock)
 
 
-def check_lemma27(m: int, seed: int = 0, clock=time.monotonic) -> CheckRecord:
+def check_lemma27(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
     """For admissible splits, the count of even bottom entries has the
     parity of (m^2+m)/2."""
     if m > LEMMA_M_LIMIT:
@@ -120,7 +120,7 @@ def check_lemma27(m: int, seed: int = 0, clock=time.monotonic) -> CheckRecord:
     return run_check("lemma27", f"m={m}", scan, seed, clock)
 
 
-def check_lemma29(m: int, seed: int = 0, clock=time.monotonic) -> CheckRecord:
+def check_lemma29(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
     """Every split traces to (-1)^(N + m(m-1)/2) at the odd-cycle class when
     admissible (N = bottom entries >= m), and to 0 otherwise."""
     if m > LEMMA_M_LIMIT:
@@ -141,7 +141,7 @@ def check_lemma29(m: int, seed: int = 0, clock=time.monotonic) -> CheckRecord:
     return run_check("lemma29", f"m={m}", scan, seed, clock)
 
 
-def check_lemma210(m_prime: int, seed: int = 0, clock=time.monotonic) -> CheckRecord:
+def check_lemma210(m_prime: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
     """Both parity identities for even m = 2m': on admissible splits,
     (a) #{bottom >= m} - #{bottom even} has the parity of m', and
     (b) #{bottom even} has the parity of N + m(m-1)/2."""
@@ -200,7 +200,7 @@ def multiplicity_d(m: int) -> Fraction:
     return Fraction(multiplicity_sum_d(m), 2**m)
 
 
-def check_prop211(m: int, seed: int = 0, clock=time.monotonic) -> CheckRecord:
+def check_prop211(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
     if not 1 <= m <= PROP_BC_M_LIMIT:
         raise ValueError(f"m={m} out of range 1..{PROP_BC_M_LIMIT}")
 
@@ -212,7 +212,7 @@ def check_prop211(m: int, seed: int = 0, clock=time.monotonic) -> CheckRecord:
     return run_check("prop211", f"m={m}", scan, seed, clock)
 
 
-def check_prop212(m: int, seed: int = 0, clock=time.monotonic) -> CheckRecord:
+def check_prop212(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
     if m % 2 or not 2 <= m <= PROP_D_M_LIMIT:
         raise ValueError(f"m={m} must be even and within 2..{PROP_D_M_LIMIT}")
 
@@ -271,7 +271,7 @@ def underlying_order(cls: SignedCycleType) -> int:
     return order
 
 
-def check_lemma217(seed: int = 0, clock=time.monotonic) -> CheckRecord:
+def check_lemma217(seed: int = 0, clock=time.perf_counter) -> CheckRecord:
     """Every induced linear character of the block subgroup W_2 x W_2 takes
     even values on W_4, the trivial one matching the 6/2/0 pattern of the
     underlying 4-letter permutation; and the bi-symbol ([1,2];[2]) is even

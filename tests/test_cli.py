@@ -242,9 +242,31 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
 
     monkeypatch.setattr(weylchars.cli, "check_lemma27", broken)
     code, out, err = run(capsys, "verify", "lemma27", "--m", "1")
-    assert (code, out) == (3, "")
+    assert code == 3
+    assert out == (
+        "claim: lemma27\nparams: m=1\nstatus: error\ncounterexamples: 1\n"
+        "  - RuntimeError: boom\nelapsed_ms: 0\nseed: 0\n"
+    )
     assert err == "internal error: RuntimeError: boom\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_internal_error_keeps_the_completed_records(capsys, monkeypatch, jobs):
+    original = weylchars.cli.check_lemma27
+
+    def broken_at_3(m, seed=0):
+        if m == 3:
+            raise ZeroDivisionError("boom")
+        return original(m, seed)
+
+    monkeypatch.setattr(weylchars.cli, "check_lemma27", broken_at_3)
+    code, out, err = run(capsys, "verify", "all", "--no-timing", "--jobs", jobs)
+    assert code == 3
+    assert err == "internal error: ZeroDivisionError: boom\n"
+    assert out.count("status: pass") == 27
+    assert out.count("status: error") == 1
+    assert "params: m=3\nstatus: error\ncounterexamples: 1\n  - ZeroDivisionError: boom\n" in out
 
 
 def test_help_documents_exit_codes(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -187,6 +188,20 @@ def test_line_action_matches_fixed_line_scalar(q):
         assert action.tolist() == [0 if s is None else s for s in expected]
 
 
+def test_signed_tables_widen_past_int16():
+    # 16,105 lines at q = 11: entries up to 177,155 need more than int16
+    geo = OrthogonalGeometry(q=11)
+    g = geo.random_element(random.Random(2))
+    tables = geo._signed_tables(np.stack([np.eye(5, dtype=np.int64), g]))
+    assert tables.dtype == np.int32
+    assert tables[0].tolist() == [11 * i + 1 for i in range(len(geo.lines))]
+    action = geo.line_action(g)
+    fixed = np.flatnonzero(action).tolist()
+    for idx in fixed + random.Random(3).sample(range(len(geo.lines)), 200):
+        expected = geo.fixed_line_scalar(g, geo.lines[idx])
+        assert action[idx] == (0 if expected is None else expected)
+
+
 def test_closure_enumerates_the_group(geo3):
     elements = geo3.enumerate_group()
     q = geo3.q
@@ -207,6 +222,169 @@ def test_class_orbits_cover_the_scanned_members(geo3):
     assert len(representatives) == 4
     sizes = [geo3.conjugacy_class_size(g) for g in representatives.values()]
     assert sum(sizes) == int(members.sum()) == 5760
+    # the table closure walks each class in the matrix closure's order
+    gens = np.stack(geo3.generators())
+    inverses = np.stack([geo3.inverse(h) for h in gens])
+    for g in representatives.values():
+        orbit = geo3._closure(
+            geo3._signed_tables(g[None])[0],
+            geo3._signed_tables(gens),
+            geo3._signed_tables(inverses),
+        )
+        reference = matrix_closure(
+            geo3, g, lambda batch: inverses[:, None] @ batch[None] @ gens[:, None]
+        )
+        assert np.array_equal(table_matrices(geo3, orbit), reference)
+
+
+# --- the matrix routes the signed line tables replaced, kept as references ---
+
+
+def matrix_closure(geo, start, step):
+    """Breadth-first closure over 5x5 matrices mod q, deduplicated by int64
+    matrix codes with np.unique/np.isin, first occurrence kept."""
+    q = geo.q
+    weights = q ** np.arange(25, dtype=np.int64)
+    frontier = (np.asarray(start, dtype=np.int64) % q)[None]
+    seen = frontier.reshape(1, 25) @ weights
+    found = [frontier]
+    while len(frontier):
+        images = step(frontier).reshape(-1, 5, 5) % q
+        codes = images.reshape(-1, 25) @ weights
+        _, first = np.unique(codes, return_index=True)
+        first.sort()
+        first = first[~np.isin(codes[first], seen, assume_unique=True)]
+        frontier = images[first]
+        seen = np.concatenate([seen, codes[first]])
+        found.append(frontier)
+    return np.concatenate(found)
+
+
+def table_matrices(geo, tables):
+    """Matrices of signed line tables: column i is the entry at basis line i."""
+    basis = [geo.line_index(np.eye(5, dtype=np.int64)[i]) for i in range(5)]
+    line, scalar = np.divmod(tables[:, basis].astype(np.int64), geo.q)
+    return ((scalar[..., None] * geo.lines[line]) % geo.q).transpose(0, 2, 1)
+
+
+def scan_by_products(geo):
+    """Fixed and negated lines, membership and trace from elements x lines
+    products, with the (g + 1)^2 kernel test run on every element."""
+    q = geo.q
+    elements = geo.enumerate_group()
+    small = elements.astype(np.int8)
+    x = geo.lines.T.astype(np.int8)
+    gx = (small @ x) % q
+    fixed = (gx == x[None]).all(axis=1)
+    negated = (gx == ((-x) % q).astype(np.int8)[None]).all(axis=1)
+    del gx
+    plus = ((elements + np.eye(5, dtype=np.int64)) % q).astype(np.int8)
+    plus_sq = ((plus.astype(np.int16) @ plus) % q).astype(np.int8)
+    kernel_sq = (((plus_sq @ x) % q) == 0).all(axis=1)
+    rank_tests = [fixed.sum(axis=1) == 1, negated.sum(axis=1) == q + 1]
+    members = rank_tests[0] & rank_tests[1] & (kernel_sq.sum(axis=1) == q**2 + q + 1)
+    trace = 2 * (negated & (geo.line_types == 1)).sum(axis=1) - 2 * (
+        negated & (geo.line_types == -1)
+    ).sum(axis=1)
+    return elements, fixed, negated, members, trace, rank_tests
+
+
+def coset_model_by_lines(geo, stab, elements):
+    """ind(1) and ind(det) by finding each element's fixed coset lines and
+    conjugating the fixers back by the transporter."""
+    q = geo.q
+    cols = geo.lines[list(stab.line_indices)].T.astype(np.int8)
+    gx = (elements.astype(np.int8) @ cols) % q
+    fixes_line = (gx == cols[None]).all(axis=1) | (
+        gx == ((-cols) % q).astype(np.int8)[None]
+    ).all(axis=1)
+    base_vec = geo.lines[stab.base_index]
+    ind_one = np.zeros(len(elements), dtype=np.int64)
+    ind_det = np.zeros(len(elements), dtype=np.int64)
+    for k, idx in enumerate(stab.line_indices):
+        fixers = np.where(fixes_line[:, k])[0]
+        x = stab.transporters[idx]
+        conjugates = (geo.inverse(x) @ elements[fixers] @ x) % q
+        images = (conjugates @ base_vec) % q
+        det_plus = (images == base_vec).all(axis=1)
+        assert (det_plus | (images == (-base_vec) % q).all(axis=1)).all()
+        ind_one[fixers] += 1
+        ind_det[fixers] += np.where(det_plus, 1, -1)
+    return ind_one, ind_det
+
+
+def test_signed_tables_match_the_line_products(geo3):
+    elements = geo3.enumerate_group()
+    assert geo3._tables.shape == (51840, 121)
+    for start in range(0, len(elements), 4096):
+        chunk = slice(start, start + 4096)
+        line, scalar = np.divmod(geo3._tables[chunk].astype(np.int64), 3)
+        assert ((scalar == 1) | (scalar == 2)).all()
+        images = ((elements[chunk] @ geo3.lines.T) % 3).transpose(0, 2, 1)
+        assert np.array_equal((scalar[..., None] * geo3.lines[line]) % 3, images)
+
+
+def test_table_closure_matches_the_matrix_closure(geo3):
+    gens = np.stack(geo3.generators())
+    reference = matrix_closure(
+        geo3, np.eye(5, dtype=np.int64), lambda batch: batch[None] @ gens[:, None]
+    )
+    elements = geo3.enumerate_group()
+    assert elements.dtype == reference.dtype
+    assert np.array_equal(elements, reference)
+    assert np.array_equal(table_matrices(geo3, geo3._tables), reference)
+
+
+def test_scan_matches_the_full_rank_scan(geo3):
+    elements, fixed, negated, members, trace = geo3._batched_scan()
+    ref_elements, ref_fixed, ref_negated, ref_members, ref_trace, rank_tests = (
+        scan_by_products(geo3)
+    )
+    assert int((rank_tests[0] & rank_tests[1]).sum()) == 17820  # the candidates
+    assert elements is ref_elements
+    for got, want in ((fixed, ref_fixed), (negated, ref_negated), (members, ref_members)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert int(members.sum()) == 5760
+    assert trace.dtype == np.int64 and np.array_equal(trace, ref_trace)
+
+
+def test_scatter_coset_model_matches_the_line_route(geo3):
+    elements = geo3.enumerate_group()
+    for split in (True, False):
+        stab = geo3.stabilizer(split)
+        got = geo3._coset_model_batch(stab, elements)
+        want = coset_model_by_lines(geo3, stab, elements)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert int(got[0][0]) == len(stab.line_indices)
+
+
+def test_member_labels_match_the_membership_test(geo3):
+    elements, trace, index, eps, delta = geo3.member_labels()
+    assert index.tolist() == np.flatnonzero(geo3._batched_scan()[3]).tolist()
+    labels = list(zip(eps.tolist(), delta.tolist()))
+    assert sorted(set(labels)) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    assert all(labels.count(label) == 1440 for label in set(labels))
+    assert np.array_equal(trace[index], 6 * delta)
+    rng = random.Random(5)
+    for k in rng.sample(range(len(index)), 40):
+        assert geo3.in_class_c(elements[index[k]]) == ClassCLabel(*labels[k])
+
+
+def test_coset_model_guards(geo3):
+    elements = geo3.enumerate_group()
+    stab = geo3.stabilizer(split=True)
+    wrong = dataclasses.replace(stab, order=stab.order + 1)
+    with pytest.raises(RuntimeError, match="base-line stabilizer"):
+        geo3._coset_model_batch(wrong, elements)
+    # drop one element that fixes a coset line but not the base line
+    coset_lines = list(stab.line_indices)
+    dropped = next(
+        i
+        for i, g in enumerate(elements)
+        if not stab.contains(g) and geo3.line_action(g)[coset_lines].any()
+    )
+    with pytest.raises(RuntimeError, match="not a group element"):
+        geo3._coset_model_batch(stab, np.delete(elements, dropped, axis=0))
 
 
 def test_coded_kernels_reject_what_they_cannot_code():
@@ -215,3 +393,23 @@ def test_coded_kernels_reject_what_they_cannot_code():
         geo.conjugacy_class_size(np.eye(5, dtype=np.int64))
     with pytest.raises(ValueError):
         geo.line_index([0, 0, 0, 0, 0])
+
+
+def test_verify_reports_broken_labels(geo3, monkeypatch):
+    original = geo3.member_labels
+    elements, trace, index, eps, delta = original()
+
+    def corrupted():
+        bad_eps, bad_delta = eps.copy(), delta.copy()
+        bad_eps[0], bad_delta[1], bad_delta[2] = 0, 0, -delta[2]
+        return elements, trace, index, bad_eps, bad_delta
+
+    monkeypatch.setattr(geo3, "member_labels", corrupted)
+    record = geo3.verify(seed=0)
+    assert record.status == "fail"
+    assert f"element {index[0]}: fixed line not anisotropic" in record.counterexamples
+    assert f"element {index[1]}: mixed (-1)-plane types" in record.counterexamples
+    assert (
+        f"element {index[2]}: trace {trace[index[2]]} != {-2 * delta[2] * 3}"
+        in record.counterexamples
+    )
