@@ -4,27 +4,29 @@ Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 input error, 3 internal error (an unexpected exception inside the program).
 When a verify check raises unexpectedly, the report is still written: it
 holds every completed record plus a ``status: error`` record for that check.
-The so5 module, and with it numpy, is imported only by ``verify so5`` and
-``verify all``.  Reports are deterministic for a fixed seed; pass --no-timing
-to zero the elapsed_ms fields and get byte-identical reruns.
+The verify claims and their parameter values come from the one registry,
+``verifications.CLAIMS``.  The so5 module, and with it numpy, is imported
+only by ``verify so5`` and ``verify all``.  Reports are deterministic for a
+fixed seed; pass --no-timing to zero the elapsed_ms fields and get
+byte-identical reruns.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from .report import CheckRecord, all_passed, render_report
 from .snchars import SN_TABLE_LIMIT, character_table_sn, mn_trace_sn
 from .symbols import BiSymbol, SignedCycleType
-from .verifications import (
-    LEMMA_M_LIMIT,
-    PROP_BC_M_LIMIT,
-    PROP_D_M_LIMIT,
+from .verifications import (  # check_<claim> is looked up by claim id
+    CLAIMS,
+    SO5_DEFAULT_Q,
+    SO5_DEFAULT_SAMPLES,
     check_lemma26,
     check_lemma27,
     check_lemma29,
@@ -32,15 +34,14 @@ from .verifications import (
     check_lemma217,
     check_prop211,
     check_prop212,
+    check_so5,
+    claim_params,
 )
 from .wnchars import WN_TABLE_LIMIT, character_table_wn, mn_trace_wn
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
-SO5_DEFAULT_Q = 3
-SO5_DEFAULT_SAMPLES = 200
-SO5_CLAIMS = ("so5", "all")
 EXIT_CODES = """exit codes:
   0  success: the command ran and every check passed
   1  a verification check failed
@@ -130,69 +131,61 @@ def _render_table_csv(table) -> str:
     return buf.getvalue()
 
 
+def _open_output(path):
+    """Stdout, or the file at path opened now: an unwritable path is a usage error."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_table(args) -> int:
     build = character_table_sn if args.group == "sn" else character_table_wn
     table = build(args.n)
     text = _render_table_csv(table) if args.format == "csv" else _render_table_text(table)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_output(args.output) as out:
+        out.write(text)
     return 0
 
 
-def _verify_jobs(args):
-    """(claim, params, callable) triples selected by the verify arguments;
-    params is the parameter string the check's record will carry."""
+def _verify_tasks(args):
+    """(claim, record params, callable) per selected check; ValueError on a
+    parameter or a value the claim does not take."""
+    if args.m is not None and CLAIMS.get(args.claim) is None:
+        raise ValueError(f"--m does not apply to verify {args.claim}")
+    if args.claim not in ("so5", "all"):
+        for flag, value in (("--q", args.q), ("--samples", args.samples)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to verify so5 and verify all")
+    if args.q is not None and args.q not in (3, 5):
+        raise ValueError("so5 verification supports q=3 (full) or q=5 (sampled)")
+    if args.samples is not None and args.q != 5:
+        raise ValueError("--samples applies only to the sampled so5 check, --q 5")
     seed = args.seed
-    jobs = []
-
-    def m_jobs(claim, check, ms, prefix="m"):
-        return [(claim, f"{prefix}={m}", lambda m=m: check(m, seed)) for m in ms]
-
-    def so5_job():
-        from .so5 import OrthogonalGeometry  # numpy only where it is used
-
-        q = SO5_DEFAULT_Q if args.q is None else args.q
-
-        def run():
-            geometry = OrthogonalGeometry(q=q)
-            if q == 3:
-                return geometry.verify(seed)
+    tasks = []
+    for claim, sweep in CLAIMS.items():
+        if args.claim not in (claim, "all"):
+            continue
+        check = globals()[f"check_{claim}"]
+        if sweep is not None:
+            values = sweep.defaults if args.m is None else (args.m,)
+            tasks += [(claim, claim_params(claim, m), partial(check, m, seed)) for m in values]
+        elif claim == "lemma217":
+            tasks.append((claim, "n=4", partial(check, seed)))
+        else:
+            q = SO5_DEFAULT_Q if args.q is None else args.q
             samples = SO5_DEFAULT_SAMPLES if args.samples is None else args.samples
-            return geometry.verify_sampled(samples, seed)
-
-        return [("so5", "q=3" if q == 3 else f"q={q} sampled", run)]
-
-    claim = args.claim
-
-    def chosen(default):
-        return [args.m] if args.m is not None and claim != "all" else default
-
-    if claim in ("lemma26", "all"):
-        jobs += m_jobs("lemma26", check_lemma26, chosen(range(6)))
-    if claim in ("lemma27", "all"):
-        jobs += m_jobs("lemma27", check_lemma27, chosen(range(6)))
-    if claim in ("lemma29", "all"):
-        jobs += m_jobs("lemma29", check_lemma29, chosen(range(1, 6)))
-    if claim in ("lemma210", "all"):
-        jobs += m_jobs("lemma210", check_lemma210, chosen((1, 2)), prefix="m'")
-    if claim in ("prop211", "all"):
-        jobs += m_jobs("prop211", check_prop211, chosen(range(1, 6)))
-    if claim in ("prop212", "all"):
-        jobs += m_jobs("prop212", check_prop212, chosen((2, 4)))
-    if claim in ("lemma217", "all"):
-        jobs += [("lemma217", "n=4", lambda: check_lemma217(seed))]
-    if claim in ("so5", "all"):
-        jobs += so5_job()
-    return jobs
+            params = "q=3" if q == 3 else f"q={q} sampled"
+            tasks.append((claim, params, partial(check, q, samples, seed)))
+    return tasks
 
 
-def _run_job(job, seed: int) -> CheckRecord:
-    """The job's record; an unexpected exception becomes an error record
+def _run_task(task, seed: int) -> CheckRecord:
+    """The task's record; an unexpected exception becomes an error record
     carrying the exception.  Usage errors propagate to ``main``."""
-    claim, params, fn = job
+    claim, params, fn = task
     try:
         return fn()
     except (ValueError, KeyError, RecursionError):
@@ -202,20 +195,10 @@ def _run_job(job, seed: int) -> CheckRecord:
 
 
 def _cmd_verify(args) -> int:
-    jobs = _verify_jobs(args)
-    max_jobs = int(os.environ.get("WEYLCHARS_MAX_JOBS", "8"))
-    workers = max(1, min(args.jobs, max_jobs))
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda job: _run_job(job, args.seed), jobs))
-    else:
-        records = [_run_job(job, args.seed) for job in jobs]
-    text = render_report(records, include_timing=not args.no_timing)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    tasks = _verify_tasks(args)
+    with _open_output(args.output) as out:
+        records = [_run_task(task, args.seed) for task in tasks]
+        out.write(render_report(records, include_timing=not args.no_timing))
     errors = [rec for rec in records if rec.status == "error"]
     for rec in errors:
         print(f"internal error: {rec.counterexamples[0]}", file=sys.stderr)
@@ -245,20 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_wn.add_argument("--neg", default="", help="negative cycle lengths")
 
     verify = sub.add_parser("verify", help="run verification checks")
-    verify.add_argument(
-        "claim",
-        choices=[
-            "lemma26",
-            "lemma27",
-            "lemma29",
-            "lemma210",
-            "prop211",
-            "prop212",
-            "lemma217",
-            "so5",
-            "all",
-        ],
-    )
+    verify.add_argument("claim", choices=[*CLAIMS, "all"])
     verify.add_argument("--m", type=int, default=None, help="single parameter value")
     verify.add_argument(
         "--q", type=int, default=None, help=f"field size for so5 (default {SO5_DEFAULT_Q})"
@@ -270,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"sample count for so5 at q=5 (default {SO5_DEFAULT_SAMPLES})",
     )
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--jobs", type=int, default=1, help="parallel checks")
     verify.add_argument("--no-timing", action="store_true", help="zero elapsed_ms")
     verify.add_argument("--output", default=None, help="write the report to a file")
 
@@ -284,32 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_verify(args) -> None:
-    """Reject parameter values out of range and parameters the claim ignores."""
-    if args.m is not None and args.claim in ("lemma217", *SO5_CLAIMS):
-        raise ValueError(f"--m does not apply to verify {args.claim}")
-    if args.claim not in SO5_CLAIMS:
-        for flag, value in (("--q", args.q), ("--samples", args.samples)):
-            if value is not None:
-                raise ValueError(f"{flag} applies only to verify so5 and verify all")
-    if args.q is not None and args.q not in (3, 5):
-        raise ValueError("so5 verification supports q=3 (full) or q=5 (sampled)")
-    if args.samples is not None and args.q != 5:
-        raise ValueError("--samples applies only to the sampled so5 check, --q 5")
-    if args.m is not None:
-        if args.claim == "prop211" and not 1 <= args.m <= PROP_BC_M_LIMIT:
-            raise ValueError(f"prop211 needs 1 <= m <= {PROP_BC_M_LIMIT}")
-        if args.claim == "prop212" and (
-            args.m % 2 or not 2 <= args.m <= PROP_D_M_LIMIT
-        ):
-            raise ValueError(f"prop212 needs even m within 2..{PROP_D_M_LIMIT}")
-        if args.claim.startswith("lemma2") and args.claim != "lemma217":
-            limit = LEMMA_M_LIMIT // 2 if args.claim == "lemma210" else LEMMA_M_LIMIT
-            low = 0 if args.claim in ("lemma26", "lemma27") else 1
-            if not low <= args.m <= limit:
-                raise ValueError(f"{args.claim} needs {low} <= m <= {limit}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -318,7 +261,6 @@ def main(argv=None) -> int:
             return _cmd_trace(args)
         if args.command == "table":
             return _cmd_table(args)
-        _validate_verify(args)
         return _cmd_verify(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

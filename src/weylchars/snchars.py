@@ -50,22 +50,17 @@ def _check_weight(entries, cycles):
         )
 
 
-def mn_trace_sn(entries, cycles, *, order=None) -> int:
+def mn_trace_sn(entries, cycles) -> int:
     """Trace of the virtual character of a beta-sequence at a cycle type.
 
-    ``cycles`` is the multiset of cycle lengths, each at least 1.  The
-    result is independent of the removal order; pass ``order`` (a
-    permutation of the cycles) to force one, e.g. when testing that
-    independence.  Raises ValueError when the symbol weight does not match
-    the class size.  Evaluated as the one-row case of the W_n recursion: a
-    bi-symbol with an empty bottom row at a class of positive cycles.
+    ``cycles`` is the multiset of cycle lengths, each at least 1.  Raises
+    ValueError when the symbol weight does not match the class size.
+    Evaluated as the one-row case of the W_n recursion: a bi-symbol with an
+    empty bottom row at a class of positive cycles.
     """
     from .wnchars import mn_trace_wn  # wnchars imports this module
 
-    cls = SignedCycleType(pos=cycles)
-    if order is not None:
-        order = [(False, k) for k in order]
-    return mn_trace_wn(BiSymbol(entries, ()), cls, order=order)
+    return mn_trace_wn(BiSymbol(entries, ()), SignedCycleType(pos=cycles))
 
 
 def young_perm_char(blocks, cycles) -> int:

@@ -15,22 +15,52 @@ representative conjugated over W_4 once, for the oracle and this lemma
 alike) and evaluates each linear character on the two block classes.
 
 Claim ids (lemma26, prop211, ...) are the stable tokens of the CLI verify
-interface.
+interface.  ``CLAIMS`` is the one place the claims are defined, with the
+valid and the default values of each swept parameter; every swept check
+validates its parameter through ``claim_params``, which reads them.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 from .report import CheckRecord, run_check
 from .symbols import BiSymbol, SignedCycleType, signed_cycle_types
 from .wnchars import _induction_profile, class_representative, mn_trace_wn, trace_dn
 
-LEMMA_M_LIMIT = 8
-PROP_BC_M_LIMIT = 8
-PROP_D_M_LIMIT = 8
+SO5_DEFAULT_Q = 3
+SO5_DEFAULT_SAMPLES = 200
+
+# a claim's integer parameter: its name, the values the check accepts and
+# the values ``verify <claim>`` and ``verify all`` run
+Sweep = namedtuple("Sweep", "param values defaults")
+
+# lemma217 (W_4 only) and so5 (a field size and a sample count) are not swept
+CLAIMS = {
+    "lemma26": Sweep("m", range(0, 9), range(0, 6)),
+    "lemma27": Sweep("m", range(0, 9), range(0, 6)),
+    "lemma29": Sweep("m", range(1, 9), range(1, 6)),
+    "lemma210": Sweep("m'", range(1, 5), range(1, 3)),
+    "prop211": Sweep("m", range(1, 9), range(1, 6)),
+    "prop212": Sweep("m", range(2, 9, 2), range(2, 5, 2)),
+    "lemma217": None,
+    "so5": None,
+}
+
+
+def claim_params(claim: str, value: int) -> str:
+    """The params string of a swept claim's record at value, such as ``m=3``;
+    ValueError, naming the parameter, if the claim does not take the value."""
+    param, values, _ = CLAIMS[claim]
+    if value not in values:
+        even = "even " if values.step == 2 and values.start % 2 == 0 else ""
+        raise ValueError(
+            f"{claim} needs {even}{param} within {values[0]}..{values[-1]}"
+        )
+    return f"{param}={value}"
 
 
 def even_negative_cycles(m: int) -> SignedCycleType:
@@ -89,8 +119,7 @@ def count_even(row) -> int:
 def check_lemma26(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
     """Every split traces to (-1)^((m^2+m)/2) at the even-cycle class when
     admissible, and to 0 otherwise."""
-    if m > LEMMA_M_LIMIT:
-        raise ValueError(f"m={m} exceeds bound {LEMMA_M_LIMIT}")
+    params = claim_params("lemma26", m)
     cls = even_negative_cycles(m)
     expected_good = (-1) ** ((m * m + m) // 2)
 
@@ -101,14 +130,13 @@ def check_lemma26(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord
             if got != expected:
                 yield f"split top={top} bottom={bottom}: expected {expected}, got {got}"
 
-    return run_check("lemma26", f"m={m}", scan, seed, clock)
+    return run_check("lemma26", params, scan, seed, clock)
 
 
 def check_lemma27(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
     """For admissible splits, the count of even bottom entries has the
     parity of (m^2+m)/2."""
-    if m > LEMMA_M_LIMIT:
-        raise ValueError(f"m={m} exceeds bound {LEMMA_M_LIMIT}")
+    params = claim_params("lemma27", m)
 
     def scan():
         for top, bottom in bc_splits(m):
@@ -117,14 +145,13 @@ def check_lemma27(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord
             if count_even(bottom) % 2 != ((m * m + m) // 2) % 2:
                 yield f"split top={top} bottom={bottom}: even-count parity off"
 
-    return run_check("lemma27", f"m={m}", scan, seed, clock)
+    return run_check("lemma27", params, scan, seed, clock)
 
 
 def check_lemma29(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
     """Every split traces to (-1)^(N + m(m-1)/2) at the odd-cycle class when
     admissible (N = bottom entries >= m), and to 0 otherwise."""
-    if m > LEMMA_M_LIMIT:
-        raise ValueError(f"m={m} exceeds bound {LEMMA_M_LIMIT}")
+    params = claim_params("lemma29", m)
     cls = odd_negative_cycles(m)
 
     def scan():
@@ -138,16 +165,15 @@ def check_lemma29(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord
             if got != expected:
                 yield f"split top={top} bottom={bottom}: expected {expected}, got {got}"
 
-    return run_check("lemma29", f"m={m}", scan, seed, clock)
+    return run_check("lemma29", params, scan, seed, clock)
 
 
 def check_lemma210(m_prime: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
     """Both parity identities for even m = 2m': on admissible splits,
     (a) #{bottom >= m} - #{bottom even} has the parity of m', and
     (b) #{bottom even} has the parity of N + m(m-1)/2."""
+    params = claim_params("lemma210", m_prime)
     m = 2 * m_prime
-    if m_prime < 1 or m > LEMMA_M_LIMIT:
-        raise ValueError(f"m'={m_prime} out of range")
 
     def scan():
         for top, bottom in d_splits(m):
@@ -160,7 +186,7 @@ def check_lemma210(m_prime: int, seed: int = 0, clock=time.perf_counter) -> Chec
             if n_even % 2 != (n_high + m * (m - 1) // 2) % 2:
                 yield f"split top={top} bottom={bottom}: identity (b) fails"
 
-    return run_check("lemma210", f"m'={m_prime}", scan, seed, clock)
+    return run_check("lemma210", params, scan, seed, clock)
 
 
 def multiplicity_sum_bc(m: int) -> int:
@@ -201,27 +227,25 @@ def multiplicity_d(m: int) -> Fraction:
 
 
 def check_prop211(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
-    if not 1 <= m <= PROP_BC_M_LIMIT:
-        raise ValueError(f"m={m} out of range 1..{PROP_BC_M_LIMIT}")
+    params = claim_params("prop211", m)
 
     def scan():
         value = multiplicity_bc(m)
         if value != 1:
             yield f"multiplicity {value} != 1"
 
-    return run_check("prop211", f"m={m}", scan, seed, clock)
+    return run_check("prop211", params, scan, seed, clock)
 
 
 def check_prop212(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
-    if m % 2 or not 2 <= m <= PROP_D_M_LIMIT:
-        raise ValueError(f"m={m} must be even and within 2..{PROP_D_M_LIMIT}")
+    params = claim_params("prop212", m)
 
     def scan():
         value = multiplicity_d(m)
         if value != 1:
             yield f"multiplicity {value} != 1"
 
-    return run_check("prop212", f"m={m}", scan, seed, clock)
+    return run_check("prop212", params, scan, seed, clock)
 
 
 # --- induction from the block subgroup W_2 x W_2 of W_4 ---
@@ -303,3 +327,14 @@ def check_lemma217(seed: int = 0, clock=time.perf_counter) -> CheckRecord:
                 yield f"symbol (1,2);(2) class={cls}: odd value {value}"
 
     return run_check("lemma217", "n=4", scan, seed, clock)
+
+
+def check_so5(q: int = SO5_DEFAULT_Q, samples: int = SO5_DEFAULT_SAMPLES, seed: int = 0) -> CheckRecord:
+    """The SO_5(F_q) identity: element by element at q = 3, on ``samples``
+    random elements at any other odd prime q."""
+    from .so5 import OrthogonalGeometry  # numpy only where it is used
+
+    geometry = OrthogonalGeometry(q=q)
+    if q == 3:
+        return geometry.verify(seed)
+    return geometry.verify_sampled(samples, seed)

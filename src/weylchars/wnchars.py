@@ -9,11 +9,10 @@ flip-counting character chi, and inducing up to W_n.
 
 ``mn_trace_wn`` evaluates by cycle removal: a negative k-cycle expands with
 + signs on the top row and - signs on the bottom row, a positive k-cycle
-with + signs on both.  One kernel, ``removals``, does every removal step,
-for the memoized recursion, the order-forced walk and ``expand_once``
-alike, and the S_n traces of ``snchars`` are its one-row case.  It works
-on sorted, shift-minimal rows and places each new entry by bisection, so
-the symbol is normalized only once, on entry.  ``oracle_trace_wn``
+with + signs on both.  One kernel, ``removals``, does every removal step of
+the memoized recursion, and the S_n traces of ``snchars`` are its one-row
+case.  It works on sorted, shift-minimal rows and places each new entry by
+bisection, so the symbol is normalized only once, on entry.  ``oracle_trace_wn``
 evaluates the inducing construction literally on an explicitly enumerated
 group (n <= 5) and is the correctness reference for the recursion.
 
@@ -66,25 +65,13 @@ def _check_weight(sym: BiSymbol, cls: SignedCycleType):
         )
 
 
-def mn_trace_wn(sym: BiSymbol, cls: SignedCycleType, *, order=None) -> int:
-    """Trace of the bi-symbol character at a signed cycle type.
-
-    Removal order does not affect the value; ``order`` (a sequence of
-    (negative, k) pairs exhausting the class) forces one for testing.
-    """
+def mn_trace_wn(sym: BiSymbol, cls: SignedCycleType) -> int:
+    """Trace of the bi-symbol character at a signed cycle type."""
     sign, top, bottom = _canonical(sym)
     if not sign:
         return 0  # the zero character, whatever the class
     _check_weight(sym, cls)
-    if order is None:
-        return sign * _mn(top, bottom, cls.pos, cls.neg)
-    order = tuple((bool(s), int(k)) for s, k in order)
-    got = SignedCycleType(
-        tuple(k for s, k in order if not s), tuple(k for s, k in order if s)
-    )
-    if got != cls:
-        raise ValueError("order must exhaust the signed cycle type")
-    return sign * _walk(top, bottom, order)
+    return sign * _mn(top, bottom, cls.pos, cls.neg)
 
 
 def _canonical(sym: BiSymbol):
@@ -155,31 +142,6 @@ def _mn(top, bottom, pos, neg) -> int:
                 val += s * _mn(t, b, pos, neg)
         _MN_CACHE[key] = val
     return val
-
-
-def _walk(top, bottom, order) -> int:
-    """Unmemoized trace removing the cycles in the given order."""
-    if not order:
-        return 1
-    (negative, k), rest = order[0], order[1:]
-    return sum(
-        s * _walk(t, b, rest) for s, t, b in _children(top, bottom, negative, k)
-    )
-
-
-def expand_once(sym: BiSymbol, cls: SignedCycleType, negative: bool, k: int) -> int:
-    """One explicit removal step, summing full evaluations of the children.
-
-    Used to check the single-step expansion against a direct evaluation.
-    """
-    sign, top, bottom = _canonical(sym)
-    if not sign:
-        return 0
-    rest = cls.remove(negative, k)
-    return sign * sum(
-        s * _mn(t, b, rest.pos, rest.neg)
-        for s, t, b in _children(top, bottom, negative, k)
-    )
 
 
 # --- explicit signed permutations (oracle route) ---

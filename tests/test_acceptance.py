@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from removal_walk import sn_trace_in_order, trace_in_order
 from weylchars.snchars import character_table_sn, mn_trace_sn, oracle_trace_sn
 from weylchars.symbols import (
     BiSymbol,
@@ -140,14 +141,14 @@ def test_criterion_8_property_suite():
                 reference = mn_trace_sn(beta, cls)
                 order = list(cls)
                 rng.shuffle(order)
-                assert mn_trace_sn(beta, cls, order=order) == reference
+                assert sn_trace_in_order(beta, order) == reference
     for pair in bipartitions(3):
         sym = bipartition_to_bisymbol(pair)
         for cls in signed_cycle_types(3):
             reference = mn_trace_wn(sym, cls)
             cycles = [(False, k) for k in cls.pos] + [(True, k) for k in cls.neg]
             rng.shuffle(cycles)
-            assert mn_trace_wn(sym, cls, order=cycles) == reference
+            assert trace_in_order(sym, cycles) == reference
 
     # sign coherence of normalization
     for _ in range(150):

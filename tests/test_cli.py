@@ -3,11 +3,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weylchars
 import weylchars.cli
 from weylchars.cli import main, parse_int_list, serialize_class, serialize_symbol
+from weylchars.report import CheckRecord
 from weylchars.symbols import BiSymbol, SignedCycleType
+from weylchars.verifications import CLAIMS
 
 
 def run(capsys, *argv):
@@ -91,6 +95,8 @@ def test_verify_single_claim(capsys):
 def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "prop212", "--m", "3")
     assert code == 2 and "even" in err
+    code, _, err = run(capsys, "verify", "lemma210", "--m", "0")
+    assert code == 2 and "m'" in err
     code, _, err = run(capsys, "verify", "prop211", "--m", "9")
     assert code == 2
     code, _, err = run(capsys, "verify", "so5", "--q", "7")
@@ -206,10 +212,18 @@ def test_table_output_file(tmp_path, capsys):
     assert path.read_text().startswith("symbol,")
 
 
-def test_verify_parallel_matches_serial(capsys):
-    serial = run(capsys, "verify", "lemma210", "--no-timing")
-    parallel = run(capsys, "verify", "lemma210", "--no-timing", "--jobs", "4")
-    assert serial == parallel
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    calls = []
+    for claim in CLAIMS:
+        monkeypatch.setattr(weylchars.cli, f"check_{claim}", lambda *a: calls.append(a))
+    commands = (("verify", "all"), ("verify", "lemma26", "--m", "1"), ("table", "sn", "--n", "3"))
+    for target in (tmp_path / "missing" / "report.txt", tmp_path):
+        for argv in commands:
+            code, out, err = run(capsys, *argv, "--output", str(target))
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: cannot write {target}: "), argv
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_prop211_m3(capsys):
@@ -251,8 +265,7 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("jobs", ["1", "3"])
-def test_internal_error_keeps_the_completed_records(capsys, monkeypatch, jobs):
+def test_internal_error_keeps_the_completed_records(capsys, monkeypatch):
     original = weylchars.cli.check_lemma27
 
     def broken_at_3(m, seed=0):
@@ -261,12 +274,48 @@ def test_internal_error_keeps_the_completed_records(capsys, monkeypatch, jobs):
         return original(m, seed)
 
     monkeypatch.setattr(weylchars.cli, "check_lemma27", broken_at_3)
-    code, out, err = run(capsys, "verify", "all", "--no-timing", "--jobs", jobs)
+    code, out, err = run(capsys, "verify", "all", "--no-timing")
     assert code == 3
     assert err == "internal error: ZeroDivisionError: boom\n"
     assert out.count("status: pass") == 27
     assert out.count("status: error") == 1
     assert "params: m=3\nstatus: error\ncounterexamples: 1\n  - ZeroDivisionError: boom\n" in out
+
+
+@st.composite
+def verify_argv(draw):
+    """verify argv: a claim id or a junk token, and --m/--q/--samples each
+    absent or a value in -2..10."""
+    argv = ["verify", draw(st.sampled_from([*CLAIMS, "all", "lemma2", "", "ALL", "-1"]))]
+    for flag in ("--m", "--q", "--samples"):
+        value = draw(st.none() | st.integers(-2, 10))
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+def test_verify_argv_fuzz(capsys, monkeypatch):
+    # the full so5 check takes a quarter second; every other check is cheap
+    def so5_stub(q, samples, seed):
+        return CheckRecord("so5", "q=3" if q == 3 else f"q={q} sampled", "pass", seed=seed)
+
+    monkeypatch.setattr(weylchars.cli, "check_so5", so5_stub)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(verify_argv())
+    def exits_with_a_documented_code(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the claim token
+            assert exc.code == 2, argv
+            code = 2
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, err)
+        sweep = CLAIMS.get(argv[1])
+        if sweep and argv[2:3] == ["--m"] and len(argv) == 4 and int(argv[3]) not in sweep.values:
+            assert code == 2 and f" {sweep.param} within " in err, (argv, err)
+
+    exits_with_a_documented_code()
 
 
 def test_help_documents_exit_codes(capsys):

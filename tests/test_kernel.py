@@ -9,6 +9,7 @@ it replaces.  Examples are derandomized so every run sees the same cases.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from removal_walk import sn_trace_in_order, trace_in_order
 from weylchars.snchars import mn_trace_sn, oracle_trace_sn
 from weylchars.symbols import (
     BiSymbol,
@@ -76,7 +77,7 @@ def test_wn_removal_order_independence(case, rng):
     sym, cls = case
     order = [(False, k) for k in cls.pos] + [(True, k) for k in cls.neg]
     rng.shuffle(order)
-    assert mn_trace_wn(sym, cls, order=order) == mn_trace_wn(sym, cls)
+    assert trace_in_order(sym, order) == mn_trace_wn(sym, cls)
 
 
 @FEW
@@ -85,7 +86,7 @@ def test_sn_removal_order_independence(case, rng):
     beta, cls = case
     order = list(cls)
     rng.shuffle(order)
-    assert mn_trace_sn(beta, cls, order=order) == mn_trace_sn(beta, cls)
+    assert sn_trace_in_order(beta, order) == mn_trace_sn(beta, cls)
 
 
 def normalized_step(row, k):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from removal_walk import sn_trace_in_order
 from weylchars.snchars import (
     centralizer_order_sn,
     character_table_sn,
@@ -81,7 +82,7 @@ def test_removal_order_independence():
                 for _ in range(3):
                     order = list(cls)
                     rng.shuffle(order)
-                    assert mn_trace_sn(beta, cls, order=order) == reference
+                    assert sn_trace_in_order(beta, order) == reference
 
 
 def test_shift_invariance():

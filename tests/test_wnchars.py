@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from removal_walk import expand_once, trace_in_order
 from weylchars.symbols import (
     BiSymbol,
     SignedCycleType,
@@ -17,7 +18,6 @@ from weylchars.wnchars import (
     character_table_wn,
     chi_value,
     class_representative,
-    expand_once,
     mn_trace_wn,
     oracle_trace_wn,
     sp_cycle_type,
@@ -151,7 +151,7 @@ def test_removal_order_independence():
                 cycles = [(False, k) for k in cls.pos] + [(True, k) for k in cls.neg]
                 for _ in range(3):
                     rng.shuffle(cycles)
-                    assert mn_trace_wn(sym, cls, order=list(cycles)) == reference
+                    assert trace_in_order(sym, list(cycles)) == reference
 
 
 def test_single_step_expansion_matches():
