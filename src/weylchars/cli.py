@@ -163,6 +163,8 @@ def _verify_tasks(args):
         raise ValueError("so5 verification supports q=3 (full) or q=5 (sampled)")
     if args.samples is not None and args.q != 5:
         raise ValueError("--samples applies only to the sampled so5 check, --q 5")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     seed = args.seed
     tasks = []
     for claim, sweep in CLAIMS.items():

@@ -9,6 +9,16 @@ multiplicity of the distinguished constituent, which must come out to
 exactly 1.  Each check enumerates every split and reports counterexamples
 rather than stopping at the first.
 
+The splits are drawn as sorted tuples (``bc_splits``, ``d_splits``), but
+the checks work on row bitsets: a split's rows are sorted and distinct, so
+there is no symbol to normalize, and each split's two bitsets are reduced
+and handed straight to the memoized recursion of ``wnchars``.  The weight
+guard runs once per sweep, since every split of one universe has the same
+weight.  Admissibility is a row bitset against its mirror image, and the
+parity counts are popcounts against the even and the high entries; the
+tuple predicates (``split_admissible_bc`` ...) state the same conditions
+entry by entry.  A row becomes text only in a counterexample.
+
 Lemma 2.17 induces the linear characters of the block subgroup W_2 x W_2
 to W_4.  It reads the shared induction profile of ``wnchars`` (each class
 representative conjugated over W_4 once, for the oracle and this lemma
@@ -29,7 +39,15 @@ from fractions import Fraction
 
 from .report import CheckRecord, run_check
 from .symbols import BiSymbol, SignedCycleType, signed_cycle_types
-from .wnchars import _induction_profile, class_representative, mn_trace_wn, trace_dn
+from .wnchars import (
+    _check_weight,
+    _induction_profile,
+    _mn,
+    class_representative,
+    mn_trace_wn,
+    reduce_mask,
+    row_mask,
+)
 
 SO5_DEFAULT_Q = 3
 SO5_DEFAULT_SAMPLES = 200
@@ -40,12 +58,12 @@ Sweep = namedtuple("Sweep", "param values defaults")
 
 # lemma217 (W_4 only) and so5 (a field size and a sample count) are not swept
 CLAIMS = {
-    "lemma26": Sweep("m", range(0, 9), range(0, 6)),
-    "lemma27": Sweep("m", range(0, 9), range(0, 6)),
-    "lemma29": Sweep("m", range(1, 9), range(1, 6)),
-    "lemma210": Sweep("m'", range(1, 5), range(1, 3)),
-    "prop211": Sweep("m", range(1, 9), range(1, 6)),
-    "prop212": Sweep("m", range(2, 9, 2), range(2, 5, 2)),
+    "lemma26": Sweep("m", range(0, 11), range(0, 6)),
+    "lemma27": Sweep("m", range(0, 11), range(0, 6)),
+    "lemma29": Sweep("m", range(1, 11), range(1, 6)),
+    "lemma210": Sweep("m'", range(1, 6), range(1, 3)),
+    "prop211": Sweep("m", range(1, 11), range(1, 6)),
+    "prop212": Sweep("m", range(2, 11, 2), range(2, 5, 2)),
     "lemma217": None,
     "so5": None,
 }
@@ -84,18 +102,16 @@ def pair_sum_free(row, total: int) -> bool:
 
 def bc_splits(m: int):
     """Splits of {0..2m} into a bottom row of size m and its complement."""
-    universe = tuple(range(2 * m + 1))
-    for bottom in itertools.combinations(universe, m):
-        top = tuple(x for x in universe if x not in bottom)
-        yield top, bottom
+    universe = frozenset(range(2 * m + 1))
+    for bottom in itertools.combinations(range(2 * m + 1), m):
+        yield tuple(sorted(universe.difference(bottom))), bottom
 
 
 def d_splits(m: int):
     """Splits of {0..2m-1} into two rows of size m (bottom row chosen)."""
-    universe = tuple(range(2 * m))
-    for bottom in itertools.combinations(universe, m):
-        top = tuple(x for x in universe if x not in bottom)
-        yield top, bottom
+    universe = frozenset(range(2 * m))
+    for bottom in itertools.combinations(range(2 * m), m):
+        yield tuple(sorted(universe.difference(bottom))), bottom
 
 
 def split_admissible_bc(top, bottom, m: int) -> bool:
@@ -108,12 +124,55 @@ def split_admissible_d(top, bottom, m: int) -> bool:
     return pair_sum_free(top, 2 * m - 1) and pair_sum_free(bottom, 2 * m - 1)
 
 
-def count_ge(row, bound: int) -> int:
-    return sum(1 for x in row if x >= bound)
-
-
 def count_even(row) -> int:
     return sum(1 for x in row if x % 2 == 0)
+
+
+def _split_masks(splits, size: int):
+    """(top, bottom, top bitset, bottom bitset, admissible) per split of
+    {0..size-1}: the rows as drawn, their bitsets, and whether neither row
+    holds two distinct entries summing to size - 1 (2m for types B/C, 2m-1
+    for type D), as ``split_admissible_bc`` / ``split_admissible_d`` say.
+
+    A row meets its mirror image x -> size-1-x exactly in such pairs and in
+    the middle entry, which pairs only with itself.  The mirror maps the
+    universe onto itself, so the top row's mirror image is the complement of
+    the bottom row's.
+    """
+    bits = [1 << x for x in range(size)]
+    mirrored = bits[::-1]
+    full = (1 << size) - 1
+    unpaired = full & ~(bits[size // 2] if size % 2 else 0)  # all but the middle
+    for top, bottom in splits:
+        b = sum(map(bits.__getitem__, bottom))
+        b_mirror = sum(map(mirrored.__getitem__, bottom))
+        t, t_mirror = full ^ b, full ^ b_mirror
+        yield top, bottom, t, b, not (t & t_mirror | b & b_mirror) & unpaired
+
+
+def _split_trace(cls: SignedCycleType, size: int, m: int):
+    """The trace at cls of a split of {0..size-1} with m bottom entries, as
+    a function of its two row bitsets.
+
+    The rows of a split are sorted and distinct, so only the shift is left
+    to normalize; and every split of these sizes has one weight, so the
+    weight guard of ``mn_trace_wn`` runs here, once for the whole sweep.
+    """
+    _check_weight(BiSymbol(tuple(range(m, size)), tuple(range(m))), cls)
+    pos, neg = cls.pos, cls.neg
+    return lambda top, bottom: _mn(reduce_mask(top), reduce_mask(bottom), pos, neg)
+
+
+def _signed_split_sum(splits, size: int, m: int, cls: SignedCycleType) -> int:
+    """Sum over the splits of the trace at cls, negated when the bottom row
+    holds an odd number of even entries."""
+    trace = _split_trace(cls, size, m)
+    even = row_mask(range(0, size, 2))
+    total = 0
+    for _, _, t, b, _ in _split_masks(splits, size):
+        value = trace(t, b)
+        total += -value if (b & even).bit_count() & 1 else value
+    return total
 
 
 def check_lemma26(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
@@ -124,9 +183,10 @@ def check_lemma26(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord
     expected_good = (-1) ** ((m * m + m) // 2)
 
     def scan():
-        for top, bottom in bc_splits(m):
-            expected = expected_good if split_admissible_bc(top, bottom, m) else 0
-            got = mn_trace_wn(BiSymbol(top, bottom), cls)
+        trace = _split_trace(cls, 2 * m + 1, m)
+        for top, bottom, t, b, admissible in _split_masks(bc_splits(m), 2 * m + 1):
+            expected = expected_good if admissible else 0
+            got = trace(t, b)
             if got != expected:
                 yield f"split top={top} bottom={bottom}: expected {expected}, got {got}"
 
@@ -137,12 +197,14 @@ def check_lemma27(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord
     """For admissible splits, the count of even bottom entries has the
     parity of (m^2+m)/2."""
     params = claim_params("lemma27", m)
+    even = row_mask(range(0, 2 * m + 1, 2))
+    parity = (m * m + m) // 2 % 2
 
     def scan():
-        for top, bottom in bc_splits(m):
-            if not split_admissible_bc(top, bottom, m):
+        for top, bottom, _, b, admissible in _split_masks(bc_splits(m), 2 * m + 1):
+            if not admissible:
                 continue
-            if count_even(bottom) % 2 != ((m * m + m) // 2) % 2:
+            if (b & even).bit_count() % 2 != parity:
                 yield f"split top={top} bottom={bottom}: even-count parity off"
 
     return run_check("lemma27", params, scan, seed, clock)
@@ -155,13 +217,14 @@ def check_lemma29(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord
     cls = odd_negative_cycles(m)
 
     def scan():
-        for top, bottom in d_splits(m):
-            if split_admissible_d(top, bottom, m):
-                n_high = count_ge(bottom, m)
+        trace = _split_trace(cls, 2 * m, m)
+        for top, bottom, t, b, admissible in _split_masks(d_splits(m), 2 * m):
+            if admissible:
+                n_high = (b >> m).bit_count()
                 expected = (-1) ** (n_high + m * (m - 1) // 2)
             else:
                 expected = 0
-            got = mn_trace_wn(BiSymbol(top, bottom), cls)
+            got = trace(t, b)
             if got != expected:
                 yield f"split top={top} bottom={bottom}: expected {expected}, got {got}"
 
@@ -174,13 +237,14 @@ def check_lemma210(m_prime: int, seed: int = 0, clock=time.perf_counter) -> Chec
     (b) #{bottom even} has the parity of N + m(m-1)/2."""
     params = claim_params("lemma210", m_prime)
     m = 2 * m_prime
+    even = row_mask(range(0, 2 * m, 2))
 
     def scan():
-        for top, bottom in d_splits(m):
-            if not split_admissible_d(top, bottom, m):
+        for top, bottom, _, b, admissible in _split_masks(d_splits(m), 2 * m):
+            if not admissible:
                 continue
-            n_high = count_ge(bottom, m)
-            n_even = count_even(bottom)
+            n_high = (b >> m).bit_count()
+            n_even = (b & even).bit_count()
             if (n_high - n_even) % 2 != m_prime % 2:
                 yield f"split top={top} bottom={bottom}: identity (a) fails"
             if n_even % 2 != (n_high + m * (m - 1) // 2) % 2:
@@ -196,12 +260,7 @@ def multiplicity_sum_bc(m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    cls = even_negative_cycles(m)
-    total = 0
-    for top, bottom in bc_splits(m):
-        sign = (-1) ** count_even(bottom)
-        total += sign * mn_trace_wn(BiSymbol(top, bottom), cls)
-    return total
+    return _signed_split_sum(bc_splits(m), 2 * m + 1, m, even_negative_cycles(m))
 
 
 def multiplicity_bc(m: int) -> Fraction:
@@ -210,15 +269,20 @@ def multiplicity_bc(m: int) -> Fraction:
 
 
 def multiplicity_sum_d(m: int) -> int:
-    """Signed sum over all splits of {0..2m-1}, before dividing by 2^m."""
+    """Signed sum over all splits of {0..2m-1}, before dividing by 2^m.
+
+    Each term is the trace of the restriction to the type-D subgroup, which
+    equals the full trace under ``trace_dn``'s two guards.  They hold once
+    for the whole sweep: the rows of every split are disjoint and hold
+    m >= 2 entries each, so they differ as sets, and the class is checked
+    here.
+    """
     if m < 2 or m % 2:
         raise ValueError("m must be even and >= 2")
     cls = odd_negative_cycles(m)
-    total = 0
-    for top, bottom in d_splits(m):
-        sign = (-1) ** count_even(bottom)
-        total += sign * trace_dn(BiSymbol(top, bottom), cls)
-    return total
+    if not cls.in_type_d:
+        raise ValueError("class has an odd number of negative cycles")
+    return _signed_split_sum(d_splits(m), 2 * m, m, cls)
 
 
 def multiplicity_d(m: int) -> Fraction:

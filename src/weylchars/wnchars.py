@@ -10,11 +10,15 @@ flip-counting character chi, and inducing up to W_n.
 ``mn_trace_wn`` evaluates by cycle removal: a negative k-cycle expands with
 + signs on the top row and - signs on the bottom row, a positive k-cycle
 with + signs on both.  One kernel, ``removals``, does every removal step of
-the memoized recursion, and the S_n traces of ``snchars`` are its one-row
-case.  It works on sorted, shift-minimal rows and places each new entry by
-bisection, so the symbol is normalized only once, on entry.  ``oracle_trace_wn``
-evaluates the inducing construction literally on an explicitly enumerated
-group (n <= 5) and is the correctness reference for the recursion.
+the memoized recursion ``_mn``, and the S_n traces of ``snchars`` are its
+one-row case (bottom bitset 0).  The recursion works on row bitsets: an int
+whose bit x is set when x is an entry, shift-minimal (bit 0 clear).  Tuples
+exist only at the API edge: ``mn_trace_wn`` normalizes the symbol once and
+converts each row with ``row_mask`` and ``reduce_mask``.  The split checks
+of ``verifications`` build their bitsets directly and call ``_mn``.
+``oracle_trace_wn`` evaluates the inducing construction literally on an
+explicitly enumerated group (n <= 5) and is the correctness reference for
+the recursion.
 
 Induction has one loop, ``_induction_profile(n, rep)``: it conjugates a
 class representative by every element of W_n once and counts the
@@ -26,7 +30,6 @@ induced linear characters of lemma 2.17 in ``verifications`` (n = 4, r = 2).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from math import factorial
@@ -46,6 +49,8 @@ _MN_CACHE: dict = {}
 
 WN_ORACLE_LIMIT = 5
 WN_TABLE_LIMIT = 6
+# largest symbol entry: a row bitset holds one bit per value up to its top entry
+WN_ENTRY_LIMIT = 1 << 20
 
 
 def clear_caches():
@@ -67,62 +72,64 @@ def _check_weight(sym: BiSymbol, cls: SignedCycleType):
 
 def mn_trace_wn(sym: BiSymbol, cls: SignedCycleType) -> int:
     """Trace of the bi-symbol character at a signed cycle type."""
-    sign, top, bottom = _canonical(sym)
-    if not sign:
-        return 0  # the zero character, whatever the class
-    _check_weight(sym, cls)
-    return sign * _mn(top, bottom, cls.pos, cls.neg)
-
-
-def _canonical(sym: BiSymbol):
-    """(sign, top, bottom): both rows sorted and shift-minimal; sign 0 is zero."""
     norm = normalize_bisymbol(sym.top, sym.bottom)
     if norm.is_zero:
-        return 0, (), ()
-    reduced = norm.symbol.reduced()
-    return norm.sign, reduced.top, reduced.bottom
+        return 0  # the zero character, whatever the class
+    _check_weight(sym, cls)
+    top, bottom = norm.symbol.top, norm.symbol.bottom
+    for row in (top, bottom):
+        if row and row[-1] >= WN_ENTRY_LIMIT:
+            raise ValueError(
+                f"symbol entry {row[-1]} exceeds the row bitset bound {WN_ENTRY_LIMIT}"
+            )
+    return norm.sign * _mn(
+        reduce_mask(row_mask(top)), reduce_mask(row_mask(bottom)), cls.pos, cls.neg
+    )
 
 
-def removals(row: tuple, k: int) -> list:
+def row_mask(row) -> int:
+    """Bitset of a row of distinct non-negative entries: bit x set for each entry x."""
+    mask = 0
+    for x in row:
+        mask |= 1 << x
+    return mask
+
+
+def reduce_mask(mask: int) -> int:
+    """Shift-minimal form of a row bitset.
+
+    A run of set bits 0, 1, ..., t-1 is t shifts: drop it and move the rest
+    down by t.
+    """
+    return mask >> ((mask ^ (mask + 1)).bit_length() - 1)
+
+
+def removals(mask: int, k: int) -> list:
     """Every nonzero result of subtracting k from one entry of the row.
 
-    ``row`` is strictly increasing and shift-minimal.  Returns one
-    ``(sign, reduced_row)`` pair per entry x, in row order, for which x - k
-    is non-negative and not already in the row.  The new entry is inserted
-    where it sorts, at j = bisect_left(row, x - k), which moves it past
-    i - j entries and so costs the sign (-1)^(i-j); a new leading 0 is
-    shifted away, keeping the result shift-minimal.
+    ``mask`` is a shift-minimal row bitset (bit 0 clear).  Returns one
+    ``(sign, reduced_mask)`` pair per entry x, lowest first, for which
+    y = x - k is non-negative and not already an entry, that is per set bit
+    y of ``(mask >> k) & ~mask``.  Moving the entry from x down to y passes
+    the entries strictly between them, so the sign is -1 to their count; a
+    new entry 0 is shifted away, keeping the result shift-minimal.
     """
     out = []
-    for i in range(bisect_left(row, k), len(row)):
-        y = row[i] - k
-        j = bisect_left(row, y)
-        if row[j] == y:
-            continue  # repeated entry: the zero symbol
-        new = row[:j] + (y,) + row[j:i] + row[i + 1 :]
-        if y == 0:
-            t = 1
-            while t < len(new) and new[t] == t:
-                t += 1
-            new = tuple(x - t for x in new[t:])
-        out.append((-1 if (i - j) & 1 else 1, new))
+    free = (mask >> k) & ~mask
+    while free:
+        low = free & -free  # bit y
+        free ^= low
+        high = low << k  # bit x
+        new = mask ^ high | low
+        if low == 1:
+            new = reduce_mask(new)
+        out.append((-1 if (mask & (high - 1) & -low).bit_count() & 1 else 1, new))
     return out
 
 
-def _children(top, bottom, negative: bool, k: int) -> list:
-    """(sign, top, bottom) of each nonzero child of removing one k-cycle.
-
-    Both rows expand with the kernel's signs; a negative cycle also negates
-    every bottom-row child.
-    """
-    bottom_sign = -1 if negative else 1
-    return [(s, t, bottom) for s, t in removals(top, k)] + [
-        (bottom_sign * s, top, b) for s, b in removals(bottom, k)
-    ]
-
-
-def _mn(top, bottom, pos, neg) -> int:
-    """Memoized trace of a canonical bi-symbol at the class (pos, neg)."""
+def _mn(top: int, bottom: int, pos, neg) -> int:
+    """Memoized trace at the class (pos, neg) of the canonical bi-symbol
+    with shift-minimal row bitsets top and bottom."""
     key = (top, bottom, pos, neg)
     val = _MN_CACHE.get(key)
     if val is None:
@@ -130,16 +137,17 @@ def _mn(top, bottom, pos, neg) -> int:
             val = 1  # weight 0: both reduced rows are empty
         else:
             # largest cycle first, negative winning ties: entries shrink
-            # fastest, so most children die
+            # fastest, so most children die; a negative cycle negates every
+            # bottom-row child
             if neg and (not pos or neg[-1] >= pos[-1]):
-                children = _children(top, bottom, True, neg[-1])
-                neg = neg[:-1]
+                k, neg, bottom_sign = neg[-1], neg[:-1], -1
             else:
-                children = _children(top, bottom, False, pos[-1])
-                pos = pos[:-1]
+                k, pos, bottom_sign = pos[-1], pos[:-1], 1
             val = 0
-            for s, t, b in children:
-                val += s * _mn(t, b, pos, neg)
+            for s, t in removals(top, k):
+                val += s * _mn(t, bottom, pos, neg)
+            for s, b in removals(bottom, k):
+                val += bottom_sign * s * _mn(top, b, pos, neg)
         _MN_CACHE[key] = val
     return val
 

@@ -12,6 +12,7 @@ from weylchars.cli import main, parse_int_list, serialize_class, serialize_symbo
 from weylchars.report import CheckRecord
 from weylchars.symbols import BiSymbol, SignedCycleType
 from weylchars.verifications import CLAIMS
+from weylchars.wnchars import WN_ENTRY_LIMIT
 
 
 def run(capsys, *argv):
@@ -69,6 +70,18 @@ def test_trace_too_deep_is_a_usage_error(capsys):
     assert "input too large" in err
 
 
+def test_trace_entry_bound(capsys):
+    # rows are bitsets, one bit per value: an entry at the bound is refused
+    # before any bitset is built, one below it still evaluates
+    top = str(WN_ENTRY_LIMIT - 1)
+    code, out, _ = run(capsys, "trace", "sn", "--beta", top, "--cycles", top)
+    assert (code, out.strip()) == (0, "1")
+    for entry in (WN_ENTRY_LIMIT, 10**15):
+        code, out, err = run(capsys, "trace", "wn", "--top", str(entry), "--bottom", "", "--neg", str(entry))
+        assert (code, out) == (2, "")
+        assert f"symbol entry {entry} exceeds the row bitset bound" in err
+
+
 def test_trace_wn(capsys):
     code, out, _ = run(
         capsys, "trace", "wn", "--top", "0,1", "--bottom", "2", "--neg", "2"
@@ -97,7 +110,7 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "even" in err
     code, _, err = run(capsys, "verify", "lemma210", "--m", "0")
     assert code == 2 and "m'" in err
-    code, _, err = run(capsys, "verify", "prop211", "--m", "9")
+    code, _, err = run(capsys, "verify", "prop211", "--m", "11")
     assert code == 2
     code, _, err = run(capsys, "verify", "so5", "--q", "7")
     assert code == 2
@@ -222,6 +235,21 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
             code, out, err = run(capsys, *argv, "--output", str(target))
             assert (code, out) == (2, ""), argv
             assert err.startswith(f"error: cannot write {target}: "), argv
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_sample_count_is_rejected_before_any_check(tmp_path, capsys, monkeypatch):
+    calls = []
+    for claim in CLAIMS:
+        monkeypatch.setattr(weylchars.cli, f"check_{claim}", lambda *a: calls.append(a))
+    report = tmp_path / "r.txt"
+    for claim in ("all", "so5"):
+        for samples in ("0", "-3"):
+            argv = ("verify", claim, "--q", "5", "--samples", samples, "--output", str(report))
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: --samples must be >= 1, got {samples}\n", argv
     assert calls == []
     assert list(tmp_path.iterdir()) == []
 

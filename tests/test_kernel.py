@@ -2,14 +2,15 @@
 
 Random raw symbols (unsorted, shifted so that they hold 0, sometimes with a
 repeated entry) are evaluated by the recursion and by the independent
-oracles; the kernel itself is compared with the normalize-then-reduce step
-it replaces.  Examples are derandomized so every run sees the same cases.
+oracles; the bitset kernel itself is compared with the normalize-then-reduce
+step and with the tuple kernel it replaced.  Examples are derandomized so
+every run sees the same cases.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from removal_walk import sn_trace_in_order, trace_in_order
+from removal_walk import mask_row, sn_trace_in_order, trace_in_order, tuple_removals
 from weylchars.snchars import mn_trace_sn, oracle_trace_sn
 from weylchars.symbols import (
     BiSymbol,
@@ -19,7 +20,7 @@ from weylchars.symbols import (
     reduce_beta,
     signed_cycle_types,
 )
-from weylchars.wnchars import mn_trace_wn, oracle_trace_wn, removals
+from weylchars.wnchars import mn_trace_wn, oracle_trace_wn, reduce_mask, removals, row_mask
 
 FEW = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -103,4 +104,13 @@ def normalized_step(row, k):
 @given(st.sets(st.integers(1, 24), max_size=9), st.integers(1, 12))
 def test_removals_match_normalized_step(entries, k):
     row = tuple(sorted(entries))  # positive entries: shift-minimal
-    assert removals(row, k) == normalized_step(row, k)
+    got = [(sign, mask_row(mask)) for sign, mask in removals(row_mask(row), k)]
+    assert got == normalized_step(row, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sets(st.integers(0, 40), max_size=14), st.integers(1, 30))
+def test_bitset_kernel_matches_tuple_kernel(entries, k):
+    mask = reduce_mask(row_mask(entries))  # any set, made shift-minimal
+    row = mask_row(mask)
+    assert [(sign, mask_row(new)) for sign, new in removals(mask, k)] == tuple_removals(row, k)

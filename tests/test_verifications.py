@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylchars import verifications
 from weylchars.report import CheckRecord, all_passed, render_report, run_check
 from weylchars.symbols import BiSymbol, SignedCycleType, perm_sign, signed_cycle_types
 from weylchars.verifications import (
@@ -32,6 +33,7 @@ from weylchars.wnchars import (
     chi_value,
     class_representative,
     mn_trace_wn,
+    row_mask,
     sp_cycle_type,
     sp_inv,
     sp_mul,
@@ -110,7 +112,7 @@ def test_lemma_checks_pass_small():
 
 def test_lemma_bounds():
     with pytest.raises(ValueError):
-        check_lemma26(9)
+        check_lemma26(11)
     with pytest.raises(ValueError):
         check_lemma210(0)
 
@@ -185,6 +187,44 @@ def test_prop_checks_pass():
 def test_prop_checks_pass_past_old_bounds():
     assert check_prop211(7).ok
     assert check_prop212(6).ok
+
+
+def test_split_path_matches_the_symbol_route():
+    # each split's bitsets, admissibility and trace, read by the checks,
+    # against the tuple predicates and mn_trace_wn on the drawn rows
+    sweeps = [(bc_splits, even_negative_cycles, 2 * m + 1, m, split_admissible_bc) for m in range(7)]
+    sweeps += [(d_splits, odd_negative_cycles, 2 * m, m, split_admissible_d) for m in range(1, 7)]
+    for splits, distinguished, size, m, admissible_ref in sweeps:
+        cls = distinguished(m)
+        trace = verifications._split_trace(cls, size, m)
+        for top, bottom, t, b, admissible in verifications._split_masks(splits(m), size):
+            assert (t, b) == (row_mask(top), row_mask(bottom))
+            assert admissible == admissible_ref(top, bottom, m), (top, bottom)
+            assert trace(t, b) == mn_trace_wn(BiSymbol(top, bottom), cls), (top, bottom)
+
+
+def test_failed_split_keeps_the_counterexample_text(monkeypatch):
+    original = verifications._split_trace
+
+    def skewed(cls, size, m):  # 7 on the split whose bottom row is (1,)
+        trace = original(cls, size, m)
+        return lambda t, b: 7 if b == 0b10 else trace(t, b)
+
+    monkeypatch.setattr(verifications, "_split_trace", skewed)
+    record = check_lemma26(1)
+    assert record.status == "fail"
+    assert record.counterexamples == ("split top=(0, 2) bottom=(1,): expected 0, got 7",)
+    record = check_lemma29(1)
+    assert record.counterexamples == ("split top=(0,) bottom=(1,): expected -1, got 7",)
+
+
+def test_split_weight_and_type_d_guards(monkeypatch):
+    with pytest.raises(ValueError, match="weight mismatch"):
+        verifications._split_trace(even_negative_cycles(2), 5, 1)
+    # the type-D guard of trace_dn, at a class with one negative cycle
+    monkeypatch.setattr(verifications, "odd_negative_cycles", lambda m: SignedCycleType((), (m * m,)))
+    with pytest.raises(ValueError, match="odd number of negative cycles"):
+        multiplicity_sum_d(2)
 
 
 def test_underlying_order():
