@@ -90,11 +90,13 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _column_names(table) -> list[str]:
+    serialize = serialize_sn_class if table.group.startswith("S") else serialize_class
+    return [serialize(c) for c in table.col_labels]
+
+
 def _render_table_text(table) -> str:
-    if table.group.startswith("S"):
-        col_names = [serialize_sn_class(c) for c in table.col_labels]
-    else:
-        col_names = [serialize_class(c) for c in table.col_labels]
+    col_names = _column_names(table)
     row_names = [serialize_symbol(r) for r in table.row_labels]
     width = max(
         [len(n) for n in col_names + row_names + ["centralizer"]]
@@ -118,11 +120,7 @@ def _render_table_text(table) -> str:
 def _render_table_csv(table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if table.group.startswith("S"):
-        col_names = [serialize_sn_class(c) for c in table.col_labels]
-    else:
-        col_names = [serialize_class(c) for c in table.col_labels]
-    writer.writerow(["symbol"] + col_names)
+    writer.writerow(["symbol"] + _column_names(table))
     writer.writerow(["centralizer"] + [str(z) for z in table.centralizers])
     for label, row in zip(table.row_labels, table.entries):
         writer.writerow([serialize_symbol(label)] + [str(v) for v in row])

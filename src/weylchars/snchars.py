@@ -33,8 +33,7 @@ from .symbols import (
     perm_sign,
 )
 
-# shared memo; plain dict assignment is atomic under CPython, and a lost
-# duplicate insert only recomputes the same pure value
+# module-level memo of oracle values, emptied by clear_caches
 _ORACLE_CACHE: dict = {}
 
 
@@ -191,12 +190,12 @@ class CharacterTable:
 SN_TABLE_LIMIT = 8
 
 
-def character_table_sn(n: int, limit: int = SN_TABLE_LIMIT) -> CharacterTable:
+def character_table_sn(n: int) -> CharacterTable:
     """Character table of S_n: rows keyed by minimal beta-sequences."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the S_n table bound {limit}")
+    if n > SN_TABLE_LIMIT:
+        raise ValueError(f"n={n} exceeds the S_n table bound {SN_TABLE_LIMIT}")
     cols = sorted(partitions(n))
     rows = [partition_to_beta(p) for p in sorted(partitions(n))]
     entries = tuple(

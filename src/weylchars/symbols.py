@@ -9,7 +9,9 @@ the hyperoctahedral group W_n (signed permutations of n letters); signed
 cycle types label the conjugacy classes of W_n.
 
 All values are exact Python integers.  Every function here is pure and all
-types are immutable, so concurrent use needs no locking.
+types are immutable; nothing here is memoized (the trace memos of
+``wnchars`` and ``snchars`` are module-level dicts, emptied by their
+``clear_caches``).
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ validates its parameter through ``claim_params``, which reads them.
 from __future__ import annotations
 
 import itertools
-import time
 from collections import namedtuple
 from fractions import Fraction
 
@@ -175,7 +174,7 @@ def _signed_split_sum(splits, size: int, m: int, cls: SignedCycleType) -> int:
     return total
 
 
-def check_lemma26(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
+def check_lemma26(m: int, seed: int = 0) -> CheckRecord:
     """Every split traces to (-1)^((m^2+m)/2) at the even-cycle class when
     admissible, and to 0 otherwise."""
     params = claim_params("lemma26", m)
@@ -190,10 +189,10 @@ def check_lemma26(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord
             if got != expected:
                 yield f"split top={top} bottom={bottom}: expected {expected}, got {got}"
 
-    return run_check("lemma26", params, scan, seed, clock)
+    return run_check("lemma26", params, scan, seed)
 
 
-def check_lemma27(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
+def check_lemma27(m: int, seed: int = 0) -> CheckRecord:
     """For admissible splits, the count of even bottom entries has the
     parity of (m^2+m)/2."""
     params = claim_params("lemma27", m)
@@ -207,10 +206,10 @@ def check_lemma27(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord
             if (b & even).bit_count() % 2 != parity:
                 yield f"split top={top} bottom={bottom}: even-count parity off"
 
-    return run_check("lemma27", params, scan, seed, clock)
+    return run_check("lemma27", params, scan, seed)
 
 
-def check_lemma29(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
+def check_lemma29(m: int, seed: int = 0) -> CheckRecord:
     """Every split traces to (-1)^(N + m(m-1)/2) at the odd-cycle class when
     admissible (N = bottom entries >= m), and to 0 otherwise."""
     params = claim_params("lemma29", m)
@@ -228,10 +227,10 @@ def check_lemma29(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord
             if got != expected:
                 yield f"split top={top} bottom={bottom}: expected {expected}, got {got}"
 
-    return run_check("lemma29", params, scan, seed, clock)
+    return run_check("lemma29", params, scan, seed)
 
 
-def check_lemma210(m_prime: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
+def check_lemma210(m_prime: int, seed: int = 0) -> CheckRecord:
     """Both parity identities for even m = 2m': on admissible splits,
     (a) #{bottom >= m} - #{bottom even} has the parity of m', and
     (b) #{bottom even} has the parity of N + m(m-1)/2."""
@@ -250,7 +249,7 @@ def check_lemma210(m_prime: int, seed: int = 0, clock=time.perf_counter) -> Chec
             if n_even % 2 != (n_high + m * (m - 1) // 2) % 2:
                 yield f"split top={top} bottom={bottom}: identity (b) fails"
 
-    return run_check("lemma210", params, scan, seed, clock)
+    return run_check("lemma210", params, scan, seed)
 
 
 def multiplicity_sum_bc(m: int) -> int:
@@ -290,7 +289,7 @@ def multiplicity_d(m: int) -> Fraction:
     return Fraction(multiplicity_sum_d(m), 2**m)
 
 
-def check_prop211(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
+def check_prop211(m: int, seed: int = 0) -> CheckRecord:
     params = claim_params("prop211", m)
 
     def scan():
@@ -298,10 +297,10 @@ def check_prop211(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord
         if value != 1:
             yield f"multiplicity {value} != 1"
 
-    return run_check("prop211", params, scan, seed, clock)
+    return run_check("prop211", params, scan, seed)
 
 
-def check_prop212(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord:
+def check_prop212(m: int, seed: int = 0) -> CheckRecord:
     params = claim_params("prop212", m)
 
     def scan():
@@ -309,7 +308,7 @@ def check_prop212(m: int, seed: int = 0, clock=time.perf_counter) -> CheckRecord
         if value != 1:
             yield f"multiplicity {value} != 1"
 
-    return run_check("prop212", params, scan, seed, clock)
+    return run_check("prop212", params, scan, seed)
 
 
 # --- induction from the block subgroup W_2 x W_2 of W_4 ---
@@ -359,7 +358,7 @@ def underlying_order(cls: SignedCycleType) -> int:
     return order
 
 
-def check_lemma217(seed: int = 0, clock=time.perf_counter) -> CheckRecord:
+def check_lemma217(seed: int = 0) -> CheckRecord:
     """Every induced linear character of the block subgroup W_2 x W_2 takes
     even values on W_4, the trivial one matching the 6/2/0 pattern of the
     underlying 4-letter permutation; and the bi-symbol ([1,2];[2]) is even
@@ -390,7 +389,7 @@ def check_lemma217(seed: int = 0, clock=time.perf_counter) -> CheckRecord:
             if value % 2:
                 yield f"symbol (1,2);(2) class={cls}: odd value {value}"
 
-    return run_check("lemma217", "n=4", scan, seed, clock)
+    return run_check("lemma217", "n=4", scan, seed)
 
 
 def check_so5(q: int = SO5_DEFAULT_Q, samples: int = SO5_DEFAULT_SAMPLES, seed: int = 0) -> CheckRecord:

@@ -272,7 +272,7 @@ def _induction_profile(n: int, rep):
     return tuple(tuple(sorted(counts.items())) for counts in profile)
 
 
-def oracle_trace_wn(sym: BiSymbol, cls: SignedCycleType, limit: int = WN_ORACLE_LIMIT) -> int:
+def oracle_trace_wn(sym: BiSymbol, cls: SignedCycleType) -> int:
     """Literal evaluation of the inducing construction on the full group.
 
     Builds W_n explicitly, conjugates a class representative over the whole
@@ -286,8 +286,8 @@ def oracle_trace_wn(sym: BiSymbol, cls: SignedCycleType, limit: int = WN_ORACLE_
         return 0
     _check_weight(sym, cls)
     n = cls.weight
-    if n > limit:
-        raise ValueError(f"oracle bound exceeded: n={n} > {limit}")
+    if n > WN_ORACLE_LIMIT:
+        raise ValueError(f"oracle bound exceeded: n={n} > {WN_ORACLE_LIMIT}")
     r, rt = beta_weight(sym.top), beta_weight(sym.bottom)
     rep = class_representative(cls)
     h_order = 2**r * factorial(r) * 2**rt * factorial(rt)
@@ -326,12 +326,12 @@ def centralizer_order_wn(cls: SignedCycleType) -> int:
     return z
 
 
-def character_table_wn(n: int, limit: int = WN_TABLE_LIMIT) -> CharacterTable:
+def character_table_wn(n: int) -> CharacterTable:
     """Character table of W_n: rows keyed by minimal canonical bi-symbols."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the W_n table bound {limit}")
+    if n > WN_TABLE_LIMIT:
+        raise ValueError(f"n={n} exceeds the W_n table bound {WN_TABLE_LIMIT}")
     cols = signed_cycle_types(n)
     rows = [bipartition_to_bisymbol(bp) for bp in sorted(bipartitions(n))]
     entries = tuple(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -27,8 +28,6 @@ def test_constructor_guards():
         OrthogonalGeometry(q=2)
     with pytest.raises(ValueError):
         OrthogonalGeometry(q=9)
-    with pytest.raises(ValueError):
-        OrthogonalGeometry(q=3, gram=np.zeros((5, 5), dtype=int))
 
 
 def test_line_types():
@@ -50,7 +49,7 @@ def test_enumeration_order(geo3):
     assert len(elements) == 51840 == geo3.group_order_formula()
     q = geo3.q
     for g in elements[:50]:
-        assert ((g.T @ geo3.gram @ g) % q == geo3.gram).all()
+        assert ((g.T @ g) % q == np.eye(5, dtype=np.int64)).all()
 
 
 def test_enumeration_guard():
@@ -59,12 +58,27 @@ def test_enumeration_guard():
         geo.enumerate_group()
 
 
+def fixed_line_scalar(geo, g, line_vec):
+    """Scalar of g on a fixed line, None if the line moves, in the symmetric
+    range (-q/2, q/2]: the one-line route ``line_action`` replaced."""
+    q = geo.q
+    v = np.array(line_vec, dtype=np.int64) % q
+    image = (np.array(g) @ v) % q
+    support = np.nonzero(v)[0][0]
+    if image[support] == 0:
+        return None
+    scalar = (int(image[support]) * pow(int(v[support]), q - 2, q)) % q
+    if ((scalar * v) % q != image).any():
+        return None
+    return scalar if scalar <= q // 2 else scalar - q
+
+
 def test_fixed_line_scalar(geo3):
     identity = np.eye(5, dtype=np.int64)
-    assert geo3.fixed_line_scalar(identity, [1, 0, 0, 0, 0]) == 1
+    assert fixed_line_scalar(geo3, identity, [1, 0, 0, 0, 0]) == 1
     flip = np.diag([2, 2, 1, 1, 1]) % 3
-    assert geo3.fixed_line_scalar(flip, [1, 0, 0, 0, 0]) == -1
-    assert geo3.fixed_line_scalar(flip, [1, 0, 1, 0, 0]) is None
+    assert fixed_line_scalar(geo3, flip, [1, 0, 0, 0, 0]) == -1
+    assert fixed_line_scalar(geo3, flip, [1, 0, 1, 0, 0]) is None
 
 
 def test_identity_not_in_class(geo3):
@@ -104,7 +118,7 @@ def test_member_label_matches_line_structure(geo3):
     fixed = [
         geo3.line_type(vec)
         for vec in geo3.lines
-        if geo3.fixed_line_scalar(member, vec) == 1
+        if fixed_line_scalar(geo3, member, vec) == 1
     ]
     assert fixed == [label.eps]
 
@@ -116,6 +130,37 @@ def test_split_type_detection(geo3):
     assert not geo3.perp_is_split([1, 1, 0, 0, 0])
 
 
+def isotropic_vectors_in_perp(geo, line_vec):
+    """Nonzero isotropic vectors of the 4-space perpendicular to a line, by
+    a basis found one candidate at a time and the sub-Gram matrix on it."""
+    q = geo.q
+    normal = np.array(line_vec, dtype=np.int64) % q
+    basis = []
+    for vec in itertools.product(range(q), repeat=5):
+        arr = np.array(vec, dtype=np.int64)
+        if any(vec) and int(arr @ normal) % q == 0:
+            basis.append(arr)
+            if rank_mod(np.stack(basis), q) < len(basis):
+                basis.pop()
+        if len(basis) == 4:
+            break
+    basis = np.stack(basis)
+    sub_gram = (basis @ basis.T) % q
+    coeffs = np.array(list(itertools.product(range(q), repeat=4)), dtype=np.int64)
+    norms = np.einsum("ci,ij,cj->c", coeffs, sub_gram, coeffs) % q
+    return int((norms == 0).sum()) - 1  # drop the zero vector
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_split_type_by_line_count_matches_the_vector_count(q):
+    geo = OrthogonalGeometry(q=q)
+    for line_type in (1, -1):
+        vec = geo.lines[geo.line_types == line_type][0]
+        count = isotropic_vectors_in_perp(geo, vec)
+        assert count in (q**3 + q**2 - q - 1, q**3 - q**2 + q - 1)
+        assert geo.perp_is_split(vec) == (count == q**3 + q**2 - q - 1)
+
+
 def test_stabilizer_cosets(geo3):
     split = geo3.stabilizer(split=True)
     nonsplit = geo3.stabilizer(split=False)
@@ -124,13 +169,10 @@ def test_stabilizer_cosets(geo3):
     assert split.order * 45 == 51840
     assert nonsplit.order * 36 == 51840
     identity = np.eye(5, dtype=np.int64)
-    assert split.contains(identity)
-
-    def one(_):
-        return 1
-
-    assert geo3.induced_char(split, one, identity) == 45
-    assert geo3.induced_char(nonsplit, one, identity) == 36
+    assert split.transporters.shape == (45, 5, 5)
+    assert (split.transporters[0] == identity).all()
+    assert geo3.induced_char(split, identity) == (45, 45)
+    assert geo3.induced_char(nonsplit, identity) == (36, 36)
     assert geo3.induced_virtual_trace(identity) == 0
 
 
@@ -184,7 +226,7 @@ def test_line_action_matches_fixed_line_scalar(q):
     elements = [np.eye(5, dtype=np.int64)] + [geo.random_element(rng) for _ in range(6)]
     for g in elements:
         action = geo.line_action(g)
-        expected = [geo.fixed_line_scalar(g, vec) for vec in geo.lines]
+        expected = [fixed_line_scalar(geo, g, vec) for vec in geo.lines]
         assert action.tolist() == [0 if s is None else s for s in expected]
 
 
@@ -198,7 +240,7 @@ def test_signed_tables_widen_past_int16():
     action = geo.line_action(g)
     fixed = np.flatnonzero(action).tolist()
     for idx in fixed + random.Random(3).sample(range(len(geo.lines)), 200):
-        expected = geo.fixed_line_scalar(g, geo.lines[idx])
+        expected = fixed_line_scalar(geo, g, geo.lines[idx])
         assert action[idx] == (0 if expected is None else expected)
 
 
@@ -207,8 +249,8 @@ def test_closure_enumerates_the_group(geo3):
     q = geo3.q
     assert (elements[0] == np.eye(5, dtype=np.int64)).all()
     assert len(np.unique(elements.reshape(len(elements), 25), axis=0)) == 51840
-    forms = np.einsum("nji,jk,nkl->nil", elements, geo3.gram, elements) % q
-    assert (forms == geo3.gram).all()
+    forms = np.einsum("nji,njl->nil", elements, elements) % q
+    assert (forms == np.eye(5, dtype=np.int64)).all()
 
 
 def test_class_orbits_cover_the_scanned_members(geo3):
@@ -301,9 +343,9 @@ def coset_model_by_lines(geo, stab, elements):
     base_vec = geo.lines[stab.base_index]
     ind_one = np.zeros(len(elements), dtype=np.int64)
     ind_det = np.zeros(len(elements), dtype=np.int64)
-    for k, idx in enumerate(stab.line_indices):
+    for k in range(len(stab.line_indices)):
         fixers = np.where(fixes_line[:, k])[0]
-        x = stab.transporters[idx]
+        x = stab.transporters[k]
         conjugates = (geo.inverse(x) @ elements[fixers] @ x) % q
         images = (conjugates @ base_vec) % q
         det_plus = (images == base_vec).all(axis=1)
@@ -381,7 +423,8 @@ def test_coset_model_guards(geo3):
     dropped = next(
         i
         for i, g in enumerate(elements)
-        if not stab.contains(g) and geo3.line_action(g)[coset_lines].any()
+        if geo3.line_action(g)[stab.base_index] == 0
+        and geo3.line_action(g)[coset_lines].any()
     )
     with pytest.raises(RuntimeError, match="not a group element"):
         geo3._coset_model_batch(stab, np.delete(elements, dropped, axis=0))
