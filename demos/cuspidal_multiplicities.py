@@ -16,14 +16,15 @@ from weylchars.verifications import (
     multiplicity_sum_bc,
     split_admissible_bc,
 )
-from weylchars.wnchars import mn_trace_wn
+from weylchars.wnchars import mask_row, mn_trace_wn
 
 m = 2
 cls = even_negative_cycles(m)
 print(f"=== type B/C at m={m} (class: negative cycles {cls.neg}) ===\n")
 print("bottom row      top row          admissible  trace  sign  contribution")
 total = 0
-for top, bottom in bc_splits(m):
+for t, b in bc_splits(m):  # row bitsets
+    top, bottom = mask_row(t), mask_row(b)
     admissible = split_admissible_bc(top, bottom, m)
     trace = mn_trace_wn(BiSymbol(top, bottom), cls)
     sign = (-1) ** count_even(bottom)

@@ -28,7 +28,6 @@ from .symbols import (
     beta_to_partition,
     beta_weight,
     bipartitions,
-    cycle_type_weight,
     normalize_beta,
     normalize_bisymbol,
     partition_to_beta,

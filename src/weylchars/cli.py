@@ -183,13 +183,12 @@ def _verify_tasks(args):
 
 
 def _run_task(task, seed: int) -> CheckRecord:
-    """The task's record; an unexpected exception becomes an error record
-    carrying the exception.  Usage errors propagate to ``main``."""
+    """The task's record.  Every parameter is validated before the first
+    check runs, so any exception is unexpected: it becomes an error record
+    carrying the exception."""
     claim, params, fn = task
     try:
         return fn()
-    except (ValueError, KeyError, RecursionError):
-        raise
     except Exception as exc:  # noqa: BLE001 - reported in the record and by main
         return CheckRecord(claim, params, "error", (f"{type(exc).__name__}: {exc}",), 0, seed)
 

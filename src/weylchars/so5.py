@@ -117,12 +117,11 @@ class ClassCLabel:
 class LineStabilizer:
     """Stabilizer of a 4-space, presented through its perpendicular line.
 
-    Cosets correspond to the lines of ``line_type``; ``transporters[k]``
+    Cosets correspond to the lines of the base line's type; ``transporters[k]``
     maps the base line to line ``line_indices[k]``.  ``order`` is the
     subgroup order.
     """
 
-    line_type: int
     base_index: int
     order: int
     line_indices: tuple[int, ...]
@@ -456,7 +455,7 @@ class OrthogonalGeometry:
         if reached.tolist() != list(indices):
             raise RuntimeError("group is not transitive on lines of one type")
         order = len(elements) // len(indices)
-        stab = LineStabilizer(line_type, base, order, indices, elements[first])
+        stab = LineStabilizer(base, order, indices, elements[first])
         self._stabilizers[split] = stab
         return stab
 

@@ -231,11 +231,6 @@ class SignedCycleType:
         return SignedCycleType(tuple(row), self.neg)
 
 
-def cycle_type_weight(t: SignedCycleType) -> int:
-    """Total number of letters moved (the n of the ambient W_n)."""
-    return t.weight
-
-
 def signed_cycle_types(n: int):
     """All conjugacy class labels of W_n, deterministic order."""
     out = []

@@ -9,15 +9,16 @@ multiplicity of the distinguished constituent, which must come out to
 exactly 1.  Each check enumerates every split and reports counterexamples
 rather than stopping at the first.
 
-The splits are drawn as sorted tuples (``bc_splits``, ``d_splits``), but
-the checks work on row bitsets: a split's rows are sorted and distinct, so
-there is no symbol to normalize, and each split's two bitsets are reduced
-and handed straight to the memoized recursion of ``wnchars``.  The weight
-guard runs once per sweep, since every split of one universe has the same
-weight.  Admissibility is a row bitset against its mirror image, and the
-parity counts are popcounts against the even and the high entries; the
+A split is a pair of row bitsets (``bc_splits``, ``d_splits``): bit x is
+set when x is an entry.  A bitset needs no sorting and the rows are
+disjoint, so there is no symbol to normalize: each split's two bitsets are
+reduced and handed straight to the memoized recursion of ``wnchars``.
+The weight guard runs once per sweep, since every split of one universe
+has the same weight.  Admissibility reads the bottom bitset alone, the
+parity counts are popcounts against the even and the high entries, and the
 tuple predicates (``split_admissible_bc`` ...) state the same conditions
-entry by entry.  A row becomes text only in a counterexample.
+entry by entry.  A row becomes a tuple, through ``mask_row``, only in a
+counterexample.
 
 Lemma 2.17 induces the linear characters of the block subgroup W_2 x W_2
 to W_4.  It reads the shared induction profile of ``wnchars`` (each class
@@ -43,6 +44,7 @@ from .wnchars import (
     _induction_profile,
     _mn,
     class_representative,
+    mask_row,
     mn_trace_wn,
     reduce_mask,
     row_mask,
@@ -99,18 +101,23 @@ def pair_sum_free(row, total: int) -> bool:
     return all(x + y != total for x, y in itertools.combinations(row, 2))
 
 
+def _splits(size: int, m: int):
+    """(top, bottom) row bitsets of every split of {0..size-1} into m bottom
+    entries and the rest, bottom rows in lexicographic order."""
+    full = (1 << size) - 1
+    for bits in itertools.combinations([1 << x for x in range(size)], m):
+        b = sum(bits)
+        yield full ^ b, b
+
+
 def bc_splits(m: int):
     """Splits of {0..2m} into a bottom row of size m and its complement."""
-    universe = frozenset(range(2 * m + 1))
-    for bottom in itertools.combinations(range(2 * m + 1), m):
-        yield tuple(sorted(universe.difference(bottom))), bottom
+    return _splits(2 * m + 1, m)
 
 
 def d_splits(m: int):
     """Splits of {0..2m-1} into two rows of size m (bottom row chosen)."""
-    universe = frozenset(range(2 * m))
-    for bottom in itertools.combinations(range(2 * m), m):
-        yield tuple(sorted(universe.difference(bottom))), bottom
+    return _splits(2 * m, m)
 
 
 def split_admissible_bc(top, bottom, m: int) -> bool:
@@ -127,39 +134,34 @@ def count_even(row) -> int:
     return sum(1 for x in row if x % 2 == 0)
 
 
-def _split_masks(splits, size: int):
-    """(top, bottom, top bitset, bottom bitset, admissible) per split of
-    {0..size-1}: the rows as drawn, their bitsets, and whether neither row
-    holds two distinct entries summing to size - 1 (2m for types B/C, 2m-1
-    for type D), as ``split_admissible_bc`` / ``split_admissible_d`` say.
-
-    A row meets its mirror image x -> size-1-x exactly in such pairs and in
-    the middle entry, which pairs only with itself.  The mirror maps the
-    universe onto itself, so the top row's mirror image is the complement of
-    the bottom row's.
-    """
-    bits = [1 << x for x in range(size)]
-    mirrored = bits[::-1]
-    full = (1 << size) - 1
-    unpaired = full & ~(bits[size // 2] if size % 2 else 0)  # all but the middle
-    for top, bottom in splits:
-        b = sum(map(bits.__getitem__, bottom))
-        b_mirror = sum(map(mirrored.__getitem__, bottom))
-        t, t_mirror = full ^ b, full ^ b_mirror
-        yield top, bottom, t, b, not (t & t_mirror | b & b_mirror) & unpaired
+def _admissible(size: int, m: int):
+    """Admissibility of a split of {0..size-1} with m bottom entries, as a
+    test of its bottom bitset: no row holds two entries summing to size - 1,
+    as ``split_admissible_bc`` / ``split_admissible_d`` say.  Such pairs are
+    the mirror pairs (x, size-1-x), x < m, so each needs one entry per row:
+    the bottom's low m bits are the complement of its high m bits reversed."""
+    low, shift = (1 << m) - 1, size - m
+    reverse = [0] * (1 << m)  # the m-bit reversal of each index
+    for h in range(1, 1 << m):
+        reverse[h] = reverse[h >> 1] >> 1 | (h & 1) << (m - 1)
+    return lambda b: (b & low) ^ reverse[b >> shift] == low
 
 
 def _split_trace(cls: SignedCycleType, size: int, m: int):
     """The trace at cls of a split of {0..size-1} with m bottom entries, as
     a function of its two row bitsets.
 
-    The rows of a split are sorted and distinct, so only the shift is left
-    to normalize; and every split of these sizes has one weight, so the
+    The rows of a split are disjoint bitsets, so only the shift is left to
+    normalize; and every split of these sizes has one weight, so the
     weight guard of ``mn_trace_wn`` runs here, once for the whole sweep.
     """
     _check_weight(BiSymbol(tuple(range(m, size)), tuple(range(m))), cls)
     pos, neg = cls.pos, cls.neg
     return lambda top, bottom: _mn(reduce_mask(top), reduce_mask(bottom), pos, neg)
+
+
+def _split_text(top: int, bottom: int) -> str:
+    return f"top={mask_row(top)} bottom={mask_row(bottom)}"
 
 
 def _signed_split_sum(splits, size: int, m: int, cls: SignedCycleType) -> int:
@@ -168,7 +170,7 @@ def _signed_split_sum(splits, size: int, m: int, cls: SignedCycleType) -> int:
     trace = _split_trace(cls, size, m)
     even = row_mask(range(0, size, 2))
     total = 0
-    for _, _, t, b, _ in _split_masks(splits, size):
+    for t, b in splits:
         value = trace(t, b)
         total += -value if (b & even).bit_count() & 1 else value
     return total
@@ -183,11 +185,12 @@ def check_lemma26(m: int, seed: int = 0) -> CheckRecord:
 
     def scan():
         trace = _split_trace(cls, 2 * m + 1, m)
-        for top, bottom, t, b, admissible in _split_masks(bc_splits(m), 2 * m + 1):
-            expected = expected_good if admissible else 0
+        admissible = _admissible(2 * m + 1, m)
+        for t, b in bc_splits(m):
+            expected = expected_good if admissible(b) else 0
             got = trace(t, b)
             if got != expected:
-                yield f"split top={top} bottom={bottom}: expected {expected}, got {got}"
+                yield f"split {_split_text(t, b)}: expected {expected}, got {got}"
 
     return run_check("lemma26", params, scan, seed)
 
@@ -200,11 +203,10 @@ def check_lemma27(m: int, seed: int = 0) -> CheckRecord:
     parity = (m * m + m) // 2 % 2
 
     def scan():
-        for top, bottom, _, b, admissible in _split_masks(bc_splits(m), 2 * m + 1):
-            if not admissible:
-                continue
-            if (b & even).bit_count() % 2 != parity:
-                yield f"split top={top} bottom={bottom}: even-count parity off"
+        admissible = _admissible(2 * m + 1, m)
+        for t, b in bc_splits(m):
+            if admissible(b) and (b & even).bit_count() % 2 != parity:
+                yield f"split {_split_text(t, b)}: even-count parity off"
 
     return run_check("lemma27", params, scan, seed)
 
@@ -217,15 +219,16 @@ def check_lemma29(m: int, seed: int = 0) -> CheckRecord:
 
     def scan():
         trace = _split_trace(cls, 2 * m, m)
-        for top, bottom, t, b, admissible in _split_masks(d_splits(m), 2 * m):
-            if admissible:
+        admissible = _admissible(2 * m, m)
+        for t, b in d_splits(m):
+            if admissible(b):
                 n_high = (b >> m).bit_count()
                 expected = (-1) ** (n_high + m * (m - 1) // 2)
             else:
                 expected = 0
             got = trace(t, b)
             if got != expected:
-                yield f"split top={top} bottom={bottom}: expected {expected}, got {got}"
+                yield f"split {_split_text(t, b)}: expected {expected}, got {got}"
 
     return run_check("lemma29", params, scan, seed)
 
@@ -239,15 +242,16 @@ def check_lemma210(m_prime: int, seed: int = 0) -> CheckRecord:
     even = row_mask(range(0, 2 * m, 2))
 
     def scan():
-        for top, bottom, _, b, admissible in _split_masks(d_splits(m), 2 * m):
-            if not admissible:
+        admissible = _admissible(2 * m, m)
+        for t, b in d_splits(m):
+            if not admissible(b):
                 continue
             n_high = (b >> m).bit_count()
             n_even = (b & even).bit_count()
             if (n_high - n_even) % 2 != m_prime % 2:
-                yield f"split top={top} bottom={bottom}: identity (a) fails"
+                yield f"split {_split_text(t, b)}: identity (a) fails"
             if n_even % 2 != (n_high + m * (m - 1) // 2) % 2:
-                yield f"split top={top} bottom={bottom}: identity (b) fails"
+                yield f"split {_split_text(t, b)}: identity (b) fails"
 
     return run_check("lemma210", params, scan, seed)
 

@@ -14,8 +14,9 @@ the memoized recursion ``_mn``, and the S_n traces of ``snchars`` are its
 one-row case (bottom bitset 0).  The recursion works on row bitsets: an int
 whose bit x is set when x is an entry, shift-minimal (bit 0 clear).  Tuples
 exist only at the API edge: ``mn_trace_wn`` normalizes the symbol once and
-converts each row with ``row_mask`` and ``reduce_mask``.  The split checks
-of ``verifications`` build their bitsets directly and call ``_mn``.
+converts each row with ``row_mask`` and ``reduce_mask``; ``mask_row`` is
+the way back.  The split checks of ``verifications`` build their bitsets
+directly and call ``_mn``.
 ``oracle_trace_wn`` evaluates the inducing construction literally on an
 explicitly enumerated group (n <= 5) and is the correctness reference for
 the recursion.
@@ -93,6 +94,11 @@ def row_mask(row) -> int:
     for x in row:
         mask |= 1 << x
     return mask
+
+
+def mask_row(mask: int) -> tuple:
+    """The sorted entries of a row bitset; the inverse of ``row_mask``."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
 def reduce_mask(mask: int) -> int:

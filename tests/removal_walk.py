@@ -12,7 +12,7 @@ kept as the reference the bitset kernel is compared with.
 from bisect import bisect_left
 
 from weylchars.symbols import BiSymbol, normalize_bisymbol
-from weylchars.wnchars import mn_trace_wn, reduce_mask, removals, row_mask
+from weylchars.wnchars import mask_row, mn_trace_wn, reduce_mask, removals, row_mask
 
 
 def tuple_removals(row: tuple, k: int) -> list:
@@ -39,11 +39,6 @@ def tuple_removals(row: tuple, k: int) -> list:
             new = tuple(x - t for x in new[t:])
         out.append((-1 if (i - j) & 1 else 1, new))
     return out
-
-
-def mask_row(mask: int) -> tuple:
-    """The sorted entries of a row bitset."""
-    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
 def _canonical(sym):

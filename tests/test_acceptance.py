@@ -39,7 +39,7 @@ from weylchars.verifications import (
     split_admissible_bc,
     split_admissible_d,
 )
-from weylchars.wnchars import character_table_wn, mn_trace_wn, oracle_trace_wn
+from weylchars.wnchars import character_table_wn, mask_row, mn_trace_wn, oracle_trace_wn
 
 
 def _report(number, description, elapsed, budget):
@@ -188,7 +188,7 @@ def test_criterion_8_property_suite():
     # admissible split count is 2^m
     for m in range(6):
         count = sum(
-            1 for top, bottom in bc_splits(m) if split_admissible_bc(top, bottom, m)
+            1 for t, b in bc_splits(m) if split_admissible_bc(mask_row(t), mask_row(b), m)
         )
         assert count == 2**m
 

@@ -294,20 +294,24 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
 
 
 def test_internal_error_keeps_the_completed_records(capsys, monkeypatch):
+    # parameters are validated before the first check runs, so even the
+    # exception types that mean a usage error elsewhere are internal here
     original = weylchars.cli.check_lemma27
+    for error in (ZeroDivisionError, ValueError, KeyError, RecursionError):
 
-    def broken_at_3(m, seed=0):
-        if m == 3:
-            raise ZeroDivisionError("boom")
-        return original(m, seed)
+        def broken_at_3(m, seed=0):
+            if m == 3:
+                raise error("boom")
+            return original(m, seed)
 
-    monkeypatch.setattr(weylchars.cli, "check_lemma27", broken_at_3)
-    code, out, err = run(capsys, "verify", "all", "--no-timing")
-    assert code == 3
-    assert err == "internal error: ZeroDivisionError: boom\n"
-    assert out.count("status: pass") == 27
-    assert out.count("status: error") == 1
-    assert "params: m=3\nstatus: error\ncounterexamples: 1\n  - ZeroDivisionError: boom\n" in out
+        monkeypatch.setattr(weylchars.cli, "check_lemma27", broken_at_3)
+        message = f"{error.__name__}: {error('boom')}"
+        code, out, err = run(capsys, "verify", "all", "--no-timing")
+        assert code == 3, error
+        assert err == f"internal error: {message}\n"
+        assert out.count("status: pass") == 27
+        assert out.count("status: error") == 1
+        assert f"params: m=3\nstatus: error\ncounterexamples: 1\n  - {message}\n" in out
 
 
 @st.composite

@@ -10,7 +10,7 @@ every run sees the same cases.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from removal_walk import mask_row, sn_trace_in_order, trace_in_order, tuple_removals
+from removal_walk import sn_trace_in_order, trace_in_order, tuple_removals
 from weylchars.snchars import mn_trace_sn, oracle_trace_sn
 from weylchars.symbols import (
     BiSymbol,
@@ -20,7 +20,7 @@ from weylchars.symbols import (
     reduce_beta,
     signed_cycle_types,
 )
-from weylchars.wnchars import mn_trace_wn, oracle_trace_wn, reduce_mask, removals, row_mask
+from weylchars.wnchars import mask_row, mn_trace_wn, oracle_trace_wn, reduce_mask, removals, row_mask
 
 FEW = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 

@@ -9,7 +9,6 @@ from weylchars.symbols import (
     beta_to_partition,
     beta_weight,
     bipartitions,
-    cycle_type_weight,
     normalize_beta,
     normalize_bisymbol,
     partition_to_beta,
@@ -141,9 +140,9 @@ def test_bisymbol_weight():
 
 
 def test_cycle_type_weights():
-    assert cycle_type_weight(SignedCycleType((1, 1), ())) == 2
-    assert cycle_type_weight(SignedCycleType((), (2, 4, 6))) == 12
-    assert cycle_type_weight(SignedCycleType((), (1, 3))) == 4
+    assert SignedCycleType((1, 1), ()).weight == 2
+    assert SignedCycleType((), (2, 4, 6)).weight == 12
+    assert SignedCycleType((), (1, 3)).weight == 4
 
 
 def test_signed_cycle_type_invariants():

@@ -32,8 +32,8 @@ from weylchars.verifications import (
 from weylchars.wnchars import (
     chi_value,
     class_representative,
+    mask_row,
     mn_trace_wn,
-    row_mask,
     sp_cycle_type,
     sp_inv,
     sp_mul,
@@ -64,33 +64,47 @@ def test_admissibility_examples():
     assert pair_sum_free((0, 1, 4), 10) is True
 
 
+def rows(splits):
+    """The splits' row bitsets as sorted tuples."""
+    for t, b in splits:
+        yield mask_row(t), mask_row(b)
+
+
 def test_split_enumeration_sizes():
     from math import comb
 
-    for m in range(6):
-        assert sum(1 for _ in bc_splits(m)) == comb(2 * m + 1, m)
-    for m in range(1, 6):
-        assert sum(1 for _ in d_splits(m)) == comb(2 * m, m)
+    sweeps = [(bc_splits(m), 2 * m + 1, m, comb(2 * m + 1, m)) for m in range(6)]
+    sweeps += [(d_splits(m), 2 * m, m, comb(2 * m, m)) for m in range(1, 6)]
+    for splits, size, m, count in sweeps:
+        splits = list(splits)
+        assert len(splits) == count
+        assert len({b for _, b in splits}) == count
+        for t, b in splits:
+            assert b.bit_count() == m and b >> size == 0
+            assert t == b ^ ((1 << size) - 1)  # the complement
 
 
 def test_admissible_split_count_is_power_of_two():
     for m in range(6):
-        count = sum(
-            1 for top, bottom in bc_splits(m) if split_admissible_bc(top, bottom, m)
-        )
+        count = sum(1 for top, bottom in rows(bc_splits(m)) if split_admissible_bc(top, bottom, m))
         assert count == 2**m
     for m in range(1, 6):
-        count = sum(
-            1 for top, bottom in d_splits(m) if split_admissible_d(top, bottom, m)
-        )
+        count = sum(1 for top, bottom in rows(d_splits(m)) if split_admissible_d(top, bottom, m))
         assert count == 2**m
+    # the bitset test the checks use, up to the claims' bound
+    for m in range(11):
+        admissible = verifications._admissible(2 * m + 1, m)
+        assert sum(1 for _, b in bc_splits(m) if admissible(b)) == 2**m
+    for m in range(1, 11):
+        admissible = verifications._admissible(2 * m, m)
+        assert sum(1 for _, b in d_splits(m) if admissible(b)) == 2**m
 
 
 def test_lemma26_m1_values():
     cls = even_negative_cycles(1)
     values = {
         bottom: mn_trace_wn(BiSymbol(top, bottom), cls)
-        for top, bottom in bc_splits(1)
+        for top, bottom in rows(bc_splits(1))
     }
     assert values == {(0,): -1, (1,): 0, (2,): -1}
 
@@ -121,7 +135,7 @@ def test_multiplicity_bc_hand_expansion_m1():
     # three bottom choices: {0} and {2} contribute +1 each, {1} vanishes
     cls = even_negative_cycles(1)
     contributions = {}
-    for top, bottom in bc_splits(1):
+    for top, bottom in rows(bc_splits(1)):
         sign = (-1) ** count_even(bottom)
         contributions[bottom] = sign * mn_trace_wn(BiSymbol(top, bottom), cls)
     assert contributions == {(0,): 1, (1,): 0, (2,): 1}
@@ -153,11 +167,11 @@ def test_multiplicity_d_preconditions():
 def test_only_admissible_splits_contribute():
     for m in (1, 2):
         cls = even_negative_cycles(m)
-        for top, bottom in bc_splits(m):
+        for top, bottom in rows(bc_splits(m)):
             if not split_admissible_bc(top, bottom, m):
                 assert mn_trace_wn(BiSymbol(top, bottom), cls) == 0
         cls = odd_negative_cycles(m) if m >= 1 else None
-        for top, bottom in d_splits(m):
+        for top, bottom in rows(d_splits(m)):
             if not split_admissible_d(top, bottom, m):
                 assert mn_trace_wn(BiSymbol(top, bottom), cls) == 0
 
@@ -168,7 +182,7 @@ def test_complement_symmetry_type_d():
     m = 2
     cls = odd_negative_cycles(m)
     universe = set(range(2 * m))
-    for top, bottom in d_splits(m):
+    for top, bottom in rows(d_splits(m)):
         comp_bottom = tuple(sorted(universe - set(bottom)))
         comp_top = tuple(sorted(universe - set(comp_bottom)))
         lhs = (-1) ** count_even(bottom) * mn_trace_wn(BiSymbol(top, bottom), cls)
@@ -190,16 +204,17 @@ def test_prop_checks_pass_past_old_bounds():
 
 
 def test_split_path_matches_the_symbol_route():
-    # each split's bitsets, admissibility and trace, read by the checks,
-    # against the tuple predicates and mn_trace_wn on the drawn rows
+    # each split's admissibility and trace, read by the checks off its row
+    # bitsets, against the tuple predicates and mn_trace_wn on its rows
     sweeps = [(bc_splits, even_negative_cycles, 2 * m + 1, m, split_admissible_bc) for m in range(7)]
     sweeps += [(d_splits, odd_negative_cycles, 2 * m, m, split_admissible_d) for m in range(1, 7)]
     for splits, distinguished, size, m, admissible_ref in sweeps:
         cls = distinguished(m)
         trace = verifications._split_trace(cls, size, m)
-        for top, bottom, t, b, admissible in verifications._split_masks(splits(m), size):
-            assert (t, b) == (row_mask(top), row_mask(bottom))
-            assert admissible == admissible_ref(top, bottom, m), (top, bottom)
+        admissible = verifications._admissible(size, m)
+        for t, b in splits(m):
+            top, bottom = mask_row(t), mask_row(b)
+            assert admissible(b) == admissible_ref(top, bottom, m), (top, bottom)
             assert trace(t, b) == mn_trace_wn(BiSymbol(top, bottom), cls), (top, bottom)
 
 
