@@ -18,7 +18,7 @@ import contextlib
 import csv
 import io
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .report import CheckRecord, all_passed, render_report
 from .snchars import SN_TABLE_LIMIT, character_table_sn, mn_trace_sn
@@ -206,7 +206,9 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed(records) else CHECK_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="weylchars",
         description="exact traces, character tables and verification checks",
@@ -253,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "trace":
             return _cmd_trace(args)

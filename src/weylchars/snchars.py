@@ -196,10 +196,14 @@ def character_table_sn(n: int) -> CharacterTable:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > SN_TABLE_LIMIT:
         raise ValueError(f"n={n} exceeds the S_n table bound {SN_TABLE_LIMIT}")
+    from .wnchars import _mn, row_bitsets  # wnchars imports this module
+
     cols = sorted(partitions(n))
     rows = [partition_to_beta(p) for p in sorted(partitions(n))]
-    entries = tuple(
-        tuple(mn_trace_sn(beta, cls) for cls in cols) for beta in rows
-    )
+    classes = [SignedCycleType(pos=cls).pos for cls in cols]
+    entries = []
+    for beta in rows:  # the one-row case of character_table_wn
+        sign, top, _ = row_bitsets(BiSymbol(beta, ()), n)
+        entries.append(tuple(sign * _mn(top, 0, pos, ()) for pos in classes))
     cents = tuple(centralizer_order_sn(cls) for cls in cols)
-    return CharacterTable(f"S{n}", tuple(rows), tuple(cols), entries, cents)
+    return CharacterTable(f"S{n}", tuple(rows), tuple(cols), tuple(entries), cents)

@@ -155,7 +155,7 @@ def _split_trace(cls: SignedCycleType, size: int, m: int):
     normalize; and every split of these sizes has one weight, so the
     weight guard of ``mn_trace_wn`` runs here, once for the whole sweep.
     """
-    _check_weight(BiSymbol(tuple(range(m, size)), tuple(range(m))), cls)
+    _check_weight(BiSymbol(tuple(range(m, size)), tuple(range(m))), cls.weight)
     pos, neg = cls.pos, cls.neg
     return lambda top, bottom: _mn(reduce_mask(top), reduce_mask(bottom), pos, neg)
 

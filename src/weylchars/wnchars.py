@@ -13,10 +13,10 @@ with + signs on both.  One kernel, ``removals``, does every removal step of
 the memoized recursion ``_mn``, and the S_n traces of ``snchars`` are its
 one-row case (bottom bitset 0).  The recursion works on row bitsets: an int
 whose bit x is set when x is an entry, shift-minimal (bit 0 clear).  Tuples
-exist only at the API edge: ``mn_trace_wn`` normalizes the symbol once and
-converts each row with ``row_mask`` and ``reduce_mask``; ``mask_row`` is
-the way back.  The split checks of ``verifications`` build their bitsets
-directly and call ``_mn``.
+exist only at the API edge: ``row_bitsets`` normalizes a symbol, checks it
+and converts each row with ``row_mask`` and ``reduce_mask`` (``mask_row`` is
+the way back), once per trace in ``mn_trace_wn`` and once per row in the
+tables.  The split checks of ``verifications`` build bitsets and call ``_mn``.
 ``oracle_trace_wn`` evaluates the inducing construction literally on an
 explicitly enumerated group (n <= 5) and is the correctness reference for
 the recursion.
@@ -63,29 +63,37 @@ def chi_value(cls: SignedCycleType) -> int:
     return -1 if len(cls.neg) % 2 else 1
 
 
-def _check_weight(sym: BiSymbol, cls: SignedCycleType):
-    if sym.weight != cls.weight:
+def _check_weight(sym: BiSymbol, weight: int):
+    if sym.weight != weight:
         raise ValueError(
             f"weight mismatch: symbol has weight {sym.weight},"
-            f" class has weight {cls.weight}"
+            f" class has weight {weight}"
         )
 
 
 def mn_trace_wn(sym: BiSymbol, cls: SignedCycleType) -> int:
     """Trace of the bi-symbol character at a signed cycle type."""
+    sign, top, bottom = row_bitsets(sym, cls.weight)
+    if not sign:
+        return 0  # the zero character, whatever the class
+    return sign * _mn(top, bottom, cls.pos, cls.neg)
+
+
+def row_bitsets(sym: BiSymbol, weight: int):
+    """``(sign, top, bottom)``: the normalized symbol as shift-minimal row
+    bitsets, or ``(0, 0, 0)`` for the zero character.  ValueError if a
+    nonzero symbol is not of the given weight or has an entry past the bound."""
     norm = normalize_bisymbol(sym.top, sym.bottom)
     if norm.is_zero:
-        return 0  # the zero character, whatever the class
-    _check_weight(sym, cls)
+        return 0, 0, 0
+    _check_weight(sym, weight)
     top, bottom = norm.symbol.top, norm.symbol.bottom
     for row in (top, bottom):
         if row and row[-1] >= WN_ENTRY_LIMIT:
             raise ValueError(
                 f"symbol entry {row[-1]} exceeds the row bitset bound {WN_ENTRY_LIMIT}"
             )
-    return norm.sign * _mn(
-        reduce_mask(row_mask(top)), reduce_mask(row_mask(bottom)), cls.pos, cls.neg
-    )
+    return norm.sign, reduce_mask(row_mask(top)), reduce_mask(row_mask(bottom))
 
 
 def row_mask(row) -> int:
@@ -290,8 +298,8 @@ def oracle_trace_wn(sym: BiSymbol, cls: SignedCycleType) -> int:
     """
     if normalize_bisymbol(sym.top, sym.bottom).is_zero:
         return 0
-    _check_weight(sym, cls)
     n = cls.weight
+    _check_weight(sym, n)
     if n > WN_ORACLE_LIMIT:
         raise ValueError(f"oracle bound exceeded: n={n} > {WN_ORACLE_LIMIT}")
     r, rt = beta_weight(sym.top), beta_weight(sym.bottom)
@@ -340,8 +348,10 @@ def character_table_wn(n: int) -> CharacterTable:
         raise ValueError(f"n={n} exceeds the W_n table bound {WN_TABLE_LIMIT}")
     cols = signed_cycle_types(n)
     rows = [bipartition_to_bisymbol(bp) for bp in sorted(bipartitions(n))]
-    entries = tuple(
-        tuple(mn_trace_wn(sym, cls) for cls in cols) for sym in rows
-    )
+    classes = [(cls.pos, cls.neg) for cls in cols]
+    entries = []
+    for sym in rows:  # one normalization per row, then the memo per cell
+        sign, top, bottom = row_bitsets(sym, n)
+        entries.append(tuple(sign * _mn(top, bottom, pos, neg) for pos, neg in classes))
     cents = tuple(centralizer_order_wn(cls) for cls in cols)
-    return CharacterTable(f"W{n}", tuple(rows), tuple(cols), entries, cents)
+    return CharacterTable(f"W{n}", tuple(rows), tuple(cols), tuple(entries), cents)

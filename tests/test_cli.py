@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import weylchars
 import weylchars.cli
-from weylchars.cli import main, parse_int_list, serialize_class, serialize_symbol
+from weylchars.cli import build_parser, main, parse_int_list, serialize_class, serialize_symbol
 from weylchars.report import CheckRecord
 from weylchars.symbols import BiSymbol, SignedCycleType
 from weylchars.verifications import CLAIMS
@@ -293,9 +293,16 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def passing_check(claim):
+    """A stand-in for cli.check_<claim>: an instant pass record.  Every check
+    is called with the seed last."""
+    return lambda *args: CheckRecord(claim, "stub", "pass", seed=args[-1])
+
+
 def test_internal_error_keeps_the_completed_records(capsys, monkeypatch):
     # parameters are validated before the first check runs, so even the
     # exception types that mean a usage error elsewhere are internal here
+    monkeypatch.setattr(weylchars.cli, "check_so5", passing_check("so5"))
     original = weylchars.cli.check_lemma27
     for error in (ZeroDivisionError, ValueError, KeyError, RecursionError):
 
@@ -327,11 +334,10 @@ def verify_argv(draw):
 
 
 def test_verify_argv_fuzz(capsys, monkeypatch):
-    # the full so5 check takes a quarter second; every other check is cheap
-    def so5_stub(q, samples, seed):
-        return CheckRecord("so5", "q=3" if q == 3 else f"q={q} sampled", "pass", seed=seed)
-
-    monkeypatch.setattr(weylchars.cli, "check_so5", so5_stub)
+    # argv handling only: cli._verify_tasks validates every value (claim_params
+    # included) before it calls a check, so the checks themselves are stubbed
+    for claim in CLAIMS:
+        monkeypatch.setattr(weylchars.cli, f"check_{claim}", passing_check(claim))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(verify_argv())
@@ -348,6 +354,29 @@ def test_verify_argv_fuzz(capsys, monkeypatch):
             assert code == 2 and f" {sweep.param} within " in err, (argv, err)
 
     exits_with_a_documented_code()
+
+
+def test_parser_is_reused_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    build_parser.cache_clear()
+    argvs = (
+        ["verify", "lemma2"],
+        ["--help"],
+        ["verify", "lemma26", "--m", "2", "--no-timing"],
+        ["table", "wn", "--n", "2"],
+    )
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a rejected token or --help
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    first = {tuple(argv): outcome(argv) for argv in argvs}
+    assert [first[tuple(argv)][0] for argv in argvs] == [2, 0, 0, 0]
+    for argv in (*argvs, *reversed(argvs)):
+        assert outcome(argv) == first[tuple(argv)], argv
 
 
 def test_help_documents_exit_codes(capsys):

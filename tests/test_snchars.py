@@ -167,6 +167,14 @@ def test_identity_column_is_dimension():
             assert table.value(beta, identity) >= 1
 
 
+def test_table_entries_match_the_trace():
+    # the builder normalizes each row once; every cell must still be the trace
+    for n in range(8):
+        table = character_table_sn(n)
+        for beta, row in zip(table.row_labels, table.entries):
+            assert row == tuple(mn_trace_sn(beta, cls) for cls in table.col_labels), beta
+
+
 def test_table_bound():
     for n in (9, -1):
         with pytest.raises(ValueError):

@@ -249,6 +249,14 @@ def test_table_orthogonality_and_dimensions():
             assert table.value(sym, identity) >= 1
 
 
+def test_table_entries_match_the_trace():
+    # the builder normalizes each row once; every cell must still be the trace
+    for n in range(6):
+        table = character_table_wn(n)
+        for sym, row in zip(table.row_labels, table.entries):
+            assert row == tuple(mn_trace_wn(sym, cls) for cls in table.col_labels), sym
+
+
 def test_table_bound():
     for n in (7, -1):
         with pytest.raises(ValueError):
