@@ -44,6 +44,6 @@ print(f"  coset-model virtual character  : {geo.induced_virtual_trace(member):+d
 
 print("\n=== the full verification ===")
 record = geo.verify(seed=0)
-print(f"  status: {record.status} ({record.elapsed_ms} ms)")
+print(f"  status: {record.status}")
 for c in record.counterexamples[:5]:
     print(f"  counterexample: {c}")

@@ -29,7 +29,8 @@ print("\n=== shift equivalence ===")
 beta = (1, 3)
 print(f"  {beta} shifted once: {shift_beta(beta, 1)}; twice: {shift_beta(beta, 2)}")
 print(f"  reduce({shift_beta(beta, 2)}) = {reduce_beta(shift_beta(beta, 2))}")
-print("  shifting never changes any trace; the reduced form is the cache key.")
+print("  shifting never changes any trace; the memo is keyed by shift-minimal row bitsets")
+print("  plus the class.")
 
 print("\n=== partitions and symbols ===")
 for p in partitions(4):

@@ -55,7 +55,6 @@ from .wnchars import (
     chi_value,
     mn_trace_wn,
     oracle_trace_wn,
-    trace_dn,
 )
 
 __version__ = "0.1.0"

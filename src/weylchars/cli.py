@@ -18,6 +18,7 @@ import contextlib
 import csv
 import io
 import sys
+from dataclasses import replace
 from functools import cache, partial
 
 from .report import CheckRecord, all_passed, render_report
@@ -163,7 +164,6 @@ def _verify_tasks(args):
         raise ValueError("--samples applies only to the sampled so5 check, --q 5")
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    seed = args.seed
     tasks = []
     for claim, sweep in CLAIMS.items():
         if args.claim not in (claim, "all"):
@@ -171,24 +171,24 @@ def _verify_tasks(args):
         check = globals()[f"check_{claim}"]
         if sweep is not None:
             values = sweep.defaults if args.m is None else (args.m,)
-            tasks += [(claim, claim_params(claim, m), partial(check, m, seed)) for m in values]
+            tasks += [(claim, claim_params(claim, m), partial(check, m)) for m in values]
         elif claim == "lemma217":
-            tasks.append((claim, "n=4", partial(check, seed)))
+            tasks.append((claim, "n=4", check))
         else:
             q = SO5_DEFAULT_Q if args.q is None else args.q
             samples = SO5_DEFAULT_SAMPLES if args.samples is None else args.samples
             params = "q=3" if q == 3 else f"q={q} sampled"
-            tasks.append((claim, params, partial(check, q, samples, seed)))
+            tasks.append((claim, params, partial(check, q, samples, args.seed)))
     return tasks
 
 
 def _run_task(task, seed: int) -> CheckRecord:
-    """The task's record.  Every parameter is validated before the first
-    check runs, so any exception is unexpected: it becomes an error record
-    carrying the exception."""
+    """The task's record, stamped with the run's seed.  Every parameter is
+    validated before the first check runs, so any exception is unexpected:
+    it becomes an error record carrying the exception."""
     claim, params, fn = task
     try:
-        return fn()
+        return replace(fn(), seed=seed)
     except Exception as exc:  # noqa: BLE001 - reported in the record and by main
         return CheckRecord(claim, params, "error", (f"{type(exc).__name__}: {exc}",), 0, seed)
 

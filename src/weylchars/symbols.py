@@ -16,7 +16,6 @@ types are immutable; nothing here is memoized (the trace memos of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import lt
 
@@ -102,24 +101,16 @@ def beta_weight(entries) -> int:
     return sum(entries) - a * (a - 1) // 2
 
 
-def partition_to_beta(parts, a: int | None = None) -> tuple[int, ...]:
-    """Beta-sequence of length a for a weakly increasing partition.
-
-    Pads the partition with zeros on the left to length a, then adds i-1 to
-    the i-th part.  a defaults to the number of parts.
-    """
+def partition_to_beta(parts) -> tuple[int, ...]:
+    """Minimal beta-sequence of a weakly increasing partition: drops the
+    zero parts, then adds i-1 to the i-th part.  ``shift_beta`` pads it."""
     parts = tuple(int(p) for p in parts)
     if any(parts[i] > parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError("partition parts must be weakly increasing")
     if any(p < 0 for p in parts):
         raise ValueError("partition parts must be non-negative")
     parts = tuple(p for p in parts if p > 0)
-    if a is None:
-        a = len(parts)
-    if a < len(parts):
-        raise ValueError(f"length {a} too small for {len(parts)} parts")
-    padded = (0,) * (a - len(parts)) + parts
-    return tuple(p + i for i, p in enumerate(padded))
+    return tuple(p + i for i, p in enumerate(parts))
 
 
 def beta_to_partition(entries) -> tuple[int, ...]:
@@ -158,10 +149,6 @@ class BiSymbol:
     @property
     def weight(self) -> int:
         return beta_weight(self.top) + beta_weight(self.bottom)
-
-    def reduced(self) -> "BiSymbol":
-        """Shift-minimal form, each row reduced (rows must be canonical)."""
-        return BiSymbol(reduce_beta(self.top), reduce_beta(self.bottom))
 
 
 @dataclass(frozen=True)
@@ -223,19 +210,7 @@ class SignedCycleType:
         """Whether elements of this class have an even number of sign flips."""
         return len(self.neg) % 2 == 0
 
-    def remove(self, negative: bool, k: int) -> "SignedCycleType":
-        row = list(self.neg if negative else self.pos)
-        row.remove(k)
-        if negative:
-            return SignedCycleType(self.pos, tuple(row))
-        return SignedCycleType(tuple(row), self.neg)
-
 
 def signed_cycle_types(n: int):
     """All conjugacy class labels of W_n, deterministic order."""
-    out = []
-    for j in range(n + 1):
-        for p in partitions(j):
-            for q in partitions(n - j):
-                out.append(SignedCycleType(p, q))
-    return sorted(out)
+    return sorted(SignedCycleType(p, q) for p, q in bipartitions(n))

@@ -21,9 +21,9 @@ entry by entry.  A row becomes a tuple, through ``mask_row``, only in a
 counterexample.
 
 Lemma 2.17 induces the linear characters of the block subgroup W_2 x W_2
-to W_4.  It reads the shared induction profile of ``wnchars`` (each class
-representative conjugated over W_4 once, for the oracle and this lemma
-alike) and evaluates each linear character on the two block classes.
+to W_4 through ``wnchars.induce``, the one induction sum, which the oracle
+reads too: it hands ``induce`` each linear character as a function of the
+two block classes.
 
 Claim ids (lemma26, prop211, ...) are the stable tokens of the CLI verify
 interface.  ``CLAIMS`` is the one place the claims are defined, with the
@@ -41,9 +41,8 @@ from .report import CheckRecord, run_check
 from .symbols import BiSymbol, SignedCycleType, signed_cycle_types
 from .wnchars import (
     _check_weight,
-    _induction_profile,
     _mn,
-    class_representative,
+    induce,
     mask_row,
     mn_trace_wn,
     reduce_mask,
@@ -125,11 +124,6 @@ def split_admissible_bc(top, bottom, m: int) -> bool:
     return pair_sum_free(top, 2 * m) and pair_sum_free(bottom, 2 * m)
 
 
-def split_admissible_d(top, bottom, m: int) -> bool:
-    """Both rows avoid entry pairs summing to 2m-1."""
-    return pair_sum_free(top, 2 * m - 1) and pair_sum_free(bottom, 2 * m - 1)
-
-
 def count_even(row) -> int:
     return sum(1 for x in row if x % 2 == 0)
 
@@ -137,9 +131,10 @@ def count_even(row) -> int:
 def _admissible(size: int, m: int):
     """Admissibility of a split of {0..size-1} with m bottom entries, as a
     test of its bottom bitset: no row holds two entries summing to size - 1,
-    as ``split_admissible_bc`` / ``split_admissible_d`` say.  Such pairs are
-    the mirror pairs (x, size-1-x), x < m, so each needs one entry per row:
-    the bottom's low m bits are the complement of its high m bits reversed."""
+    as ``split_admissible_bc`` and its type-D partner in
+    ``tests/removal_walk.py`` say entry by entry.  Such pairs are the mirror
+    pairs (x, size-1-x), x < m, so each needs one entry per row: the
+    bottom's low m bits are the complement of its high m bits reversed."""
     low, shift = (1 << m) - 1, size - m
     reverse = [0] * (1 << m)  # the m-bit reversal of each index
     for h in range(1, 1 << m):
@@ -176,7 +171,7 @@ def _signed_split_sum(splits, size: int, m: int, cls: SignedCycleType) -> int:
     return total
 
 
-def check_lemma26(m: int, seed: int = 0) -> CheckRecord:
+def check_lemma26(m: int) -> CheckRecord:
     """Every split traces to (-1)^((m^2+m)/2) at the even-cycle class when
     admissible, and to 0 otherwise."""
     params = claim_params("lemma26", m)
@@ -192,10 +187,10 @@ def check_lemma26(m: int, seed: int = 0) -> CheckRecord:
             if got != expected:
                 yield f"split {_split_text(t, b)}: expected {expected}, got {got}"
 
-    return run_check("lemma26", params, scan, seed)
+    return run_check("lemma26", params, scan)
 
 
-def check_lemma27(m: int, seed: int = 0) -> CheckRecord:
+def check_lemma27(m: int) -> CheckRecord:
     """For admissible splits, the count of even bottom entries has the
     parity of (m^2+m)/2."""
     params = claim_params("lemma27", m)
@@ -208,10 +203,10 @@ def check_lemma27(m: int, seed: int = 0) -> CheckRecord:
             if admissible(b) and (b & even).bit_count() % 2 != parity:
                 yield f"split {_split_text(t, b)}: even-count parity off"
 
-    return run_check("lemma27", params, scan, seed)
+    return run_check("lemma27", params, scan)
 
 
-def check_lemma29(m: int, seed: int = 0) -> CheckRecord:
+def check_lemma29(m: int) -> CheckRecord:
     """Every split traces to (-1)^(N + m(m-1)/2) at the odd-cycle class when
     admissible (N = bottom entries >= m), and to 0 otherwise."""
     params = claim_params("lemma29", m)
@@ -230,10 +225,10 @@ def check_lemma29(m: int, seed: int = 0) -> CheckRecord:
             if got != expected:
                 yield f"split {_split_text(t, b)}: expected {expected}, got {got}"
 
-    return run_check("lemma29", params, scan, seed)
+    return run_check("lemma29", params, scan)
 
 
-def check_lemma210(m_prime: int, seed: int = 0) -> CheckRecord:
+def check_lemma210(m_prime: int) -> CheckRecord:
     """Both parity identities for even m = 2m': on admissible splits,
     (a) #{bottom >= m} - #{bottom even} has the parity of m', and
     (b) #{bottom even} has the parity of N + m(m-1)/2."""
@@ -253,7 +248,7 @@ def check_lemma210(m_prime: int, seed: int = 0) -> CheckRecord:
             if n_even % 2 != (n_high + m * (m - 1) // 2) % 2:
                 yield f"split {_split_text(t, b)}: identity (b) fails"
 
-    return run_check("lemma210", params, scan, seed)
+    return run_check("lemma210", params, scan)
 
 
 def multiplicity_sum_bc(m: int) -> int:
@@ -275,7 +270,8 @@ def multiplicity_sum_d(m: int) -> int:
     """Signed sum over all splits of {0..2m-1}, before dividing by 2^m.
 
     Each term is the trace of the restriction to the type-D subgroup, which
-    equals the full trace under ``trace_dn``'s two guards.  They hold once
+    equals the full trace when the two rows differ as sets (the restriction
+    stays irreducible) and the class lies in the subgroup.  Both hold once
     for the whole sweep: the rows of every split are disjoint and hold
     m >= 2 entries each, so they differ as sets, and the class is checked
     here.
@@ -293,7 +289,7 @@ def multiplicity_d(m: int) -> Fraction:
     return Fraction(multiplicity_sum_d(m), 2**m)
 
 
-def check_prop211(m: int, seed: int = 0) -> CheckRecord:
+def check_prop211(m: int) -> CheckRecord:
     params = claim_params("prop211", m)
 
     def scan():
@@ -301,10 +297,10 @@ def check_prop211(m: int, seed: int = 0) -> CheckRecord:
         if value != 1:
             yield f"multiplicity {value} != 1"
 
-    return run_check("prop211", params, scan, seed)
+    return run_check("prop211", params, scan)
 
 
-def check_prop212(m: int, seed: int = 0) -> CheckRecord:
+def check_prop212(m: int) -> CheckRecord:
     params = claim_params("prop212", m)
 
     def scan():
@@ -312,7 +308,7 @@ def check_prop212(m: int, seed: int = 0) -> CheckRecord:
         if value != 1:
             yield f"multiplicity {value} != 1"
 
-    return run_check("prop212", params, scan, seed)
+    return run_check("prop212", params, scan)
 
 
 # --- induction from the block subgroup W_2 x W_2 of W_4 ---
@@ -338,18 +334,8 @@ def _w2_linear_value(kind, block) -> int:
 
 def induced_linear_trace_w4(kind1, kind2, cls: SignedCycleType) -> int:
     """Trace at cls of the induction to W_4 of a linear character of
-    W_2 x W_2, each factor labeled by its values on the two generators.
-
-    Reads the W_2 x W_2 entry (r = 2) of the shared induction profile of
-    ``wnchars``, which counts the conjugates of a class representative by
-    their pair of block classes.
-    """
-    total = 0
-    for (block1, block2), count in _induction_profile(4, class_representative(cls))[2]:
-        total += count * _w2_linear_value(kind1, block1) * _w2_linear_value(kind2, block2)
-    if total % 64:
-        raise ArithmeticError("induced sum not divisible by the subgroup order")
-    return total // 64
+    W_2 x W_2, each factor labeled by its values on the two generators."""
+    return induce(4, 2, cls, lambda b1, b2: _w2_linear_value(kind1, b1) * _w2_linear_value(kind2, b2))
 
 
 def underlying_order(cls: SignedCycleType) -> int:
@@ -362,7 +348,7 @@ def underlying_order(cls: SignedCycleType) -> int:
     return order
 
 
-def check_lemma217(seed: int = 0) -> CheckRecord:
+def check_lemma217() -> CheckRecord:
     """Every induced linear character of the block subgroup W_2 x W_2 takes
     even values on W_4, the trivial one matching the 6/2/0 pattern of the
     underlying 4-letter permutation; and the bi-symbol ([1,2];[2]) is even
@@ -393,7 +379,7 @@ def check_lemma217(seed: int = 0) -> CheckRecord:
             if value % 2:
                 yield f"symbol (1,2);(2) class={cls}: odd value {value}"
 
-    return run_check("lemma217", "n=4", scan, seed)
+    return run_check("lemma217", "n=4", scan)
 
 
 def check_so5(q: int = SO5_DEFAULT_Q, samples: int = SO5_DEFAULT_SAMPLES, seed: int = 0) -> CheckRecord:

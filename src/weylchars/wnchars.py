@@ -21,11 +21,14 @@ tables.  The split checks of ``verifications`` build bitsets and call ``_mn``.
 explicitly enumerated group (n <= 5) and is the correctness reference for
 the recursion.
 
-Induction has one loop, ``_induction_profile(n, rep)``: it conjugates a
-class representative by every element of W_n once and counts the
-conjugates lying in each block subgroup W_r x W_{n-r} by their pair of
-block classes.  The cached profile serves both the oracle (any r) and the
-induced linear characters of lemma 2.17 in ``verifications`` (n = 4, r = 2).
+Induction is one sum, ``induce(n, r, cls, value)``: it weighs each pair of
+block classes of W_r x W_{n-r} by the class function ``value`` and divides
+by the subgroup order.  The pairs and their counts come from the cached
+``_induction_profile``, which conjugates a class representative by every
+element of W_n once and sorts the conjugates lying in each block subgroup
+by their pair of block classes.  ``induce`` serves both the oracle (any r)
+and the induced linear characters of lemma 2.17 in ``verifications``
+(n = 4, r = 2).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from .snchars import CharacterTable, oracle_trace_sn
+from .snchars import CharacterTable, centralizer_order_sn, oracle_trace_sn
 from .symbols import (
     BiSymbol,
     SignedCycleType,
@@ -213,20 +216,6 @@ def _cycle_spans(h):
     return spans
 
 
-def sp_cycle_type(u) -> SignedCycleType:
-    """Signed cycle type of a signed permutation."""
-    spans = _cycle_spans(u)
-    return SignedCycleType(
-        tuple(k for _, _, negative, k in spans if not negative),
-        tuple(k for _, _, negative, k in spans if negative),
-    )
-
-
-def sp_in_type_d(u) -> bool:
-    """Index-2 subgroup test: an even number of letters change sign."""
-    return sum(1 for j in u if j < 0) % 2 == 0
-
-
 def class_representative(cls: SignedCycleType):
     """A signed permutation with the given cycle type, on consecutive letters."""
     n = cls.weight
@@ -261,8 +250,7 @@ def _induction_profile(n: int, rep):
     cycle types of h on {1..r} and on {r+1..n}; each type is a plain
     ``(pos, neg)`` pair of sorted length tuples, and each entry a sorted
     tuple of ``(pair, count)`` items.  One profile per class serves every
-    split r, so ``oracle_trace_wn`` and ``verifications.induced_linear_trace_w4``
-    read the same conjugations.
+    split r; ``induce`` is its one reader.
     """
     conjugates = Counter(sp_mul(sp_mul(x, rep), sp_inv(x)) for x in wn_elements(n))
     profile = [{} for _ in range(n + 1)]
@@ -286,15 +274,32 @@ def _induction_profile(n: int, rep):
     return tuple(tuple(sorted(counts.items())) for counts in profile)
 
 
+def induce(n: int, r: int, cls: SignedCycleType, value) -> int:
+    """Trace at cls of a class function of W_r x W_{n-r} induced to W_n.
+
+    ``value(block1, block2)`` is the class function at a pair of block
+    classes, each a ``(pos, neg)`` pair of sorted length tuples.  The sum
+    over the conjugates of a class representative in the block subgroup must
+    be divisible by its order 2^n r! (n-r)!.
+    """
+    total = 0
+    for (block1, block2), count in _induction_profile(n, class_representative(cls))[r]:
+        total += count * value(block1, block2)
+    order = 2**n * factorial(r) * factorial(n - r)
+    if total % order:
+        raise ArithmeticError("induced sum not divisible by the subgroup order")
+    return total // order
+
+
 def oracle_trace_wn(sym: BiSymbol, cls: SignedCycleType) -> int:
     """Literal evaluation of the inducing construction on the full group.
 
     Builds W_n explicitly, conjugates a class representative over the whole
-    group, and sums the block-subgroup class function (product of two
-    symmetric-group characters, the second twisted by chi) over the
-    conjugates landing in W_r x W_r'.  The two symmetric-group values come
-    from oracle_trace_sn at the underlying cycle types, so no step here
-    shares code with the removal recursion.
+    group, and induces the block-subgroup class function (product of two
+    symmetric-group characters, the second twisted by chi) from W_r x W_r'.
+    The two symmetric-group values come from oracle_trace_sn at the
+    underlying cycle types, so no step here shares code with the removal
+    recursion.
     """
     if normalize_bisymbol(sym.top, sym.bottom).is_zero:
         return 0
@@ -302,42 +307,19 @@ def oracle_trace_wn(sym: BiSymbol, cls: SignedCycleType) -> int:
     _check_weight(sym, n)
     if n > WN_ORACLE_LIMIT:
         raise ValueError(f"oracle bound exceeded: n={n} > {WN_ORACLE_LIMIT}")
-    r, rt = beta_weight(sym.top), beta_weight(sym.bottom)
-    rep = class_representative(cls)
-    h_order = 2**r * factorial(r) * 2**rt * factorial(rt)
-    total = 0
-    for ((pos1, neg1), (pos2, neg2)), count in _induction_profile(n, rep)[r]:
-        term = oracle_trace_sn(sym.top, pos1 + neg1) * oracle_trace_sn(
-            sym.bottom, pos2 + neg2
-        )
-        total += count * term * (-1 if len(neg2) % 2 else 1)
-    if total % h_order:
-        raise ArithmeticError("induced sum not divisible by the subgroup order")
-    return total // h_order
 
+    def value(block1, block2):
+        (pos1, neg1), (pos2, neg2) = block1, block2
+        chi = -1 if len(neg2) % 2 else 1
+        return chi * oracle_trace_sn(sym.top, pos1 + neg1) * oracle_trace_sn(sym.bottom, pos2 + neg2)
 
-def trace_dn(sym: BiSymbol, cls: SignedCycleType) -> int:
-    """Trace of the restriction to the index-2 subgroup of W_n.
-
-    Valid only when the two rows differ as sets (the restriction stays
-    irreducible) and the class lies in the subgroup; the value then equals
-    the full-group trace.
-    """
-    if set(sym.top) == set(sym.bottom):
-        raise ValueError("rows equal as sets: the restriction splits")
-    if not cls.in_type_d:
-        raise ValueError("class has an odd number of negative cycles")
-    return mn_trace_wn(sym, cls)
+    return induce(n, beta_weight(sym.top), cls, value)
 
 
 def centralizer_order_wn(cls: SignedCycleType) -> int:
-    """Centralizer order in W_n: product of (2k)^m m! over both cycle kinds."""
-    z = 1
-    for row in (cls.pos, cls.neg):
-        for length in set(row):
-            m = row.count(length)
-            z *= (2 * length) ** m * factorial(m)
-    return z
+    """Centralizer order in W_n: (2k)^m m! per cycle length k of each kind,
+    that is 2 per cycle times the S_n centralizers of the two kinds."""
+    return 2 ** len(cls.pos + cls.neg) * centralizer_order_sn(cls.pos) * centralizer_order_sn(cls.neg)
 
 
 def character_table_wn(n: int) -> CharacterTable:

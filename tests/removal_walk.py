@@ -7,12 +7,41 @@ order the test chooses and without a memo, so the tests can check that the
 order does not change a trace and that one explicit removal step
 reproduces it.  ``tuple_removals`` is the earlier kernel on sorted tuples,
 kept as the reference the bitset kernel is compared with.
+
+It also holds the helpers that only tests read: the
+signed cycle type of an explicit signed permutation (``sp_cycle_type``),
+one cycle removed from a class (``remove_cycle``) and the type-D
+admissibility of a split as tuple rows (``split_admissible_d``).
 """
 
 from bisect import bisect_left
 
-from weylchars.symbols import BiSymbol, normalize_bisymbol
-from weylchars.wnchars import mask_row, mn_trace_wn, reduce_mask, removals, row_mask
+from weylchars.symbols import BiSymbol, SignedCycleType
+from weylchars.verifications import pair_sum_free
+from weylchars.wnchars import _cycle_spans, mask_row, mn_trace_wn, removals, row_bitsets
+
+
+def sp_cycle_type(u) -> SignedCycleType:
+    """Signed cycle type of a signed permutation."""
+    spans = _cycle_spans(u)
+    return SignedCycleType(
+        tuple(k for _, _, negative, k in spans if not negative),
+        tuple(k for _, _, negative, k in spans if negative),
+    )
+
+
+def remove_cycle(cls: SignedCycleType, negative: bool, k: int) -> SignedCycleType:
+    """The class with one negative (or positive) k-cycle fewer."""
+    row = list(cls.neg if negative else cls.pos)
+    row.remove(k)
+    if negative:
+        return SignedCycleType(cls.pos, tuple(row))
+    return SignedCycleType(tuple(row), cls.neg)
+
+
+def split_admissible_d(top, bottom, m: int) -> bool:
+    """Both rows avoid entry pairs summing to 2m-1."""
+    return pair_sum_free(top, 2 * m - 1) and pair_sum_free(bottom, 2 * m - 1)
 
 
 def tuple_removals(row: tuple, k: int) -> list:
@@ -41,15 +70,6 @@ def tuple_removals(row: tuple, k: int) -> list:
     return out
 
 
-def _canonical(sym):
-    """(sign, top, bottom) with both rows as shift-minimal bitsets; sign 0 is zero."""
-    norm = normalize_bisymbol(sym.top, sym.bottom)
-    if norm.is_zero:
-        return 0, 0, 0
-    top, bottom = (reduce_mask(row_mask(row)) for row in (norm.symbol.top, norm.symbol.bottom))
-    return norm.sign, top, bottom
-
-
 def _children(top, bottom, negative, k):
     """(sign, top, bottom) per nonzero child of removing one k-cycle; a
     negative cycle negates the bottom-row children."""
@@ -69,7 +89,7 @@ def _walk(top, bottom, order):
 def trace_in_order(sym: BiSymbol, order) -> int:
     """Trace of sym at the class whose cycles are the (negative, k) pairs of
     order, removed in that order."""
-    sign, top, bottom = _canonical(sym)
+    sign, top, bottom = row_bitsets(sym, sym.weight)
     return sign * _walk(top, bottom, tuple(order)) if sign else 0
 
 
@@ -80,10 +100,10 @@ def sn_trace_in_order(beta, order) -> int:
 
 def expand_once(sym: BiSymbol, cls, negative: bool, k: int) -> int:
     """One explicit removal step, each child evaluated in full by mn_trace_wn."""
-    sign, top, bottom = _canonical(sym)
+    sign, top, bottom = row_bitsets(sym, sym.weight)
     if not sign:
         return 0
-    rest = cls.remove(negative, k)
+    rest = remove_cycle(cls, negative, k)
     return sign * sum(
         s * mn_trace_wn(BiSymbol(mask_row(t), mask_row(b)), rest)
         for s, t, b in _children(top, bottom, negative, k)

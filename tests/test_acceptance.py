@@ -37,7 +37,6 @@ from weylchars.verifications import (
     multiplicity_sum_bc,
     multiplicity_sum_d,
     split_admissible_bc,
-    split_admissible_d,
 )
 from weylchars.wnchars import character_table_wn, mask_row, mn_trace_wn, oracle_trace_wn
 

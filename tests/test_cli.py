@@ -294,9 +294,9 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
 
 
 def passing_check(claim):
-    """A stand-in for cli.check_<claim>: an instant pass record.  Every check
-    is called with the seed last."""
-    return lambda *args: CheckRecord(claim, "stub", "pass", seed=args[-1])
+    """A stand-in for cli.check_<claim>: an instant pass record (the CLI
+    stamps it with the run's seed)."""
+    return lambda *args: CheckRecord(claim, "stub", "pass")
 
 
 def test_internal_error_keeps_the_completed_records(capsys, monkeypatch):
@@ -306,10 +306,10 @@ def test_internal_error_keeps_the_completed_records(capsys, monkeypatch):
     original = weylchars.cli.check_lemma27
     for error in (ZeroDivisionError, ValueError, KeyError, RecursionError):
 
-        def broken_at_3(m, seed=0):
+        def broken_at_3(m):
             if m == 3:
                 raise error("boom")
-            return original(m, seed)
+            return original(m)
 
         monkeypatch.setattr(weylchars.cli, "check_lemma27", broken_at_3)
         message = f"{error.__name__}: {error('boom')}"

@@ -18,6 +18,7 @@ from weylchars.symbols import (
     partition_to_beta,
     partitions,
     reduce_beta,
+    shift_beta,
     signed_cycle_types,
 )
 from weylchars.wnchars import mask_row, mn_trace_wn, oracle_trace_wn, reduce_mask, removals, row_mask
@@ -35,7 +36,8 @@ def raw_rows(draw, weight: int, max_len: int):
     """
     parts = draw(st.sampled_from(list(partitions(weight))))
     length = draw(st.integers(len(parts), max(len(parts), max_len)))
-    row = list(draw(st.permutations(partition_to_beta(parts, length))))
+    padded = shift_beta(partition_to_beta(parts), length - len(parts))
+    row = list(draw(st.permutations(padded)))
     if len(row) > 1 and draw(st.integers(0, 3)) == 0:
         i, j = draw(st.permutations(range(len(row))))[:2]
         row[i] = row[j]

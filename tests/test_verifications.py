@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from removal_walk import sp_cycle_type, split_admissible_d
 from weylchars import verifications
 from weylchars.report import CheckRecord, all_passed, render_report, run_check
 from weylchars.symbols import BiSymbol, SignedCycleType, perm_sign, signed_cycle_types
@@ -26,7 +27,6 @@ from weylchars.verifications import (
     odd_negative_cycles,
     pair_sum_free,
     split_admissible_bc,
-    split_admissible_d,
     underlying_order,
 )
 from weylchars.wnchars import (
@@ -34,7 +34,6 @@ from weylchars.wnchars import (
     class_representative,
     mask_row,
     mn_trace_wn,
-    sp_cycle_type,
     sp_inv,
     sp_mul,
     wn_elements,
@@ -236,7 +235,7 @@ def test_failed_split_keeps_the_counterexample_text(monkeypatch):
 def test_split_weight_and_type_d_guards(monkeypatch):
     with pytest.raises(ValueError, match="weight mismatch"):
         verifications._split_trace(even_negative_cycles(2), 5, 1)
-    # the type-D guard of trace_dn, at a class with one negative cycle
+    # the type-D class guard, at a class with one negative cycle
     monkeypatch.setattr(verifications, "odd_negative_cycles", lambda m: SignedCycleType((), (m * m,)))
     with pytest.raises(ValueError, match="odd number of negative cycles"):
         multiplicity_sum_d(2)

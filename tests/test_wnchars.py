@@ -1,9 +1,11 @@
+import itertools
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
 
-from removal_walk import expand_once, trace_in_order
+from removal_walk import expand_once, remove_cycle, sp_cycle_type, trace_in_order
 from weylchars.symbols import (
     BiSymbol,
     SignedCycleType,
@@ -18,13 +20,11 @@ from weylchars.wnchars import (
     character_table_wn,
     chi_value,
     class_representative,
+    induce,
     mn_trace_wn,
     oracle_trace_wn,
-    sp_cycle_type,
-    sp_in_type_d,
     sp_inv,
     sp_mul,
-    trace_dn,
     wn_elements,
 )
 
@@ -162,7 +162,7 @@ def test_single_step_expansion_matches():
             sym = bipartition_to_bisymbol(pair)
             for cls in signed_cycle_types(n):
                 for k in set(cls.neg):
-                    rest = cls.remove(True, k)
+                    rest = remove_cycle(cls, True, k)
                     if k in rest.neg or 2 * k in rest.pos:
                         continue
                     assert expand_once(sym, cls, True, k) == mn_trace_wn(sym, cls)
@@ -186,22 +186,24 @@ def test_independent_row_shift_is_harmless():
         assert mn_trace_wn(sym, cls) == mn_trace_wn(padded, cls)
 
 
-def test_trace_dn_values_and_errors():
-    sym = BiSymbol((0, 1), (2, 3))
-    identity = SignedCycleType((1, 1, 1, 1), ())
-    assert trace_dn(sym, identity) == mn_trace_wn(sym, identity)
-    in_d = SignedCycleType((), (1, 3))
-    assert trace_dn(sym, in_d) == mn_trace_wn(sym, in_d)
-    with pytest.raises(ValueError):
-        trace_dn(BiSymbol((0, 1), (1, 0)), identity)  # rows equal as sets
-    with pytest.raises(ValueError):
-        trace_dn(sym, SignedCycleType((1,), (3,)))  # one negative cycle
+def test_induce_counts_the_subsets_a_class_fixes():
+    # inducing the trivial character of W_r x W_{n-r} gives the permutation
+    # character on r-subsets: an element fixes the unions of its cycles
+    for n in range(6):
+        for cls in signed_cycle_types(n):
+            cycles = cls.pos + cls.neg
+            for r in range(n + 1):
+                fixed = sum(
+                    sum(chosen) == r
+                    for size in range(len(cycles) + 1)
+                    for chosen in itertools.combinations(cycles, size)
+                )
+                assert induce(n, r, cls, lambda b1, b2: 1) == fixed, (n, r, cls)
 
 
 def test_type_d_membership_matches_flips():
     for w in wn_elements(3):
         flips = sum(1 for v in w if v < 0)
-        assert sp_in_type_d(w) == (flips % 2 == 0)
         assert sp_cycle_type(w).in_type_d == (flips % 2 == 0)
 
 
@@ -212,7 +214,6 @@ def test_class_representative_roundtrip():
 
 def test_centralizers_weight_to_group_order():
     from fractions import Fraction
-    from math import factorial
 
     for n in range(1, 5):
         order = 2**n * factorial(n)
@@ -220,6 +221,11 @@ def test_centralizers_weight_to_group_order():
             Fraction(order, centralizer_order_wn(c)) for c in signed_cycle_types(n)
         )
         assert total == order
+        # each class, counted element by element, has |W_n| / centralizer members
+        sizes = Counter(sp_cycle_type(w) for w in wn_elements(n))
+        assert sorted(sizes) == signed_cycle_types(n)
+        for cls, size in sizes.items():
+            assert size * centralizer_order_wn(cls) == order, cls
 
 
 def test_table_w1():
@@ -236,7 +242,7 @@ def test_table_w1():
 def test_table_w2_closed_form_entry():
     table = character_table_wn(2)
     assert len(table.row_labels) == 5
-    sym = BiSymbol((0, 1), (2,)).reduced()
+    sym = BiSymbol((), (2,))  # the shift-minimal form of ((0, 1), (2,))
     assert table.value(sym, SignedCycleType((), (2,))) == -1
 
 
