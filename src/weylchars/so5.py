@@ -10,20 +10,26 @@ q^2 + 1.  Two kernels carry the per-element work:
 
 * The signed line table of g: for each line l, g maps the representative
   x_l to c * x_m for one line m and one scalar c, stored as the single
-  entry ``m * q + c``.  The line-count trace, the eigenline labels of the
-  membership test and the group's transitivity on lines are masks on it;
-  ``line_action(g)`` is its fixed-line part.  Tables compose by gathers:
-  (gh) has line ``perm_g[perm_h]`` and scalar ``c_h * c_g[perm_h]``.
+  entry ``m * q + c``.  The line-count trace and eigenline labels of the
+  full scan and the group's transitivity on lines are masks on it;
+  ``line_action(g)`` is its fixed-line part.  Tables compose by lookups in
+  ``scaled[c, e]``, the entry of c times the vector of entry e: where h
+  maps x_l to c_h x_m, (gh) holds ``scaled[c_h, g[m]]``.
 * ``_closure(start, rights, lefts)`` is a breadth-first closure over whole
-  frontiers of tables.  Each element is coded as one int64, its 5x5 matrix
-  mod q as base-q digits (q^25 < 2^63 for q <= 5), read off the tables'
-  five basis-line entries; a frontier is deduplicated by one sort of codes
-  before any full table is composed.  The group is the closure of the
-  identity under right multiplication by a small generating set (products
-  of reflection pairs, so determinants stay 1, with both spinor classes
-  covered), and its matrices are read back off the basis-line entries; a
-  conjugacy class is the closure of one element under conjugation by the
-  same generators.
+  frontiers of tables.  Each element is coded as one int64, its five
+  basis-line entries as digits in base q * #lines ((q * #lines)^5 < 2^63
+  for q <= 5); they fix the matrix.  A frontier is deduplicated by one sort
+  of codes before any full table is composed.  The group is the closure of
+  the identity under right multiplication by a small generating set
+  (products of reflection pairs, so determinants stay 1, with both spinor
+  classes covered), and its matrices are read back off the basis-line
+  entries; a conjugacy class is the closure of one element under
+  conjugation by the same generators.
+
+Sampled and single elements skip the tables: ``_support_batch`` reads the
+eigenlines of a stack of matrices off ``((g -+ 1) @ lines.T) % q == 0``
+and runs the three rank tests below as one stacked ``rank_mod``, in chunks
+of a few MB.
 
 The coset model of the induced characters uses neither kernel's line
 action: it conjugates the 4-space stabilizer by every transporter and
@@ -59,7 +65,8 @@ import numpy as np
 from .report import CheckRecord, run_check
 
 FULL_ENUMERATION_Q = 3
-MAX_CODED_Q = 5  # largest q with q^25 < 2^63: one int64 per 5x5 matrix mod q
+MAX_CODED_Q = 5  # largest q with q^25 and (q * #lines)^5 < 2^63: int64 codes
+CHUNK_ENTRIES = 2**19  # int64 entries per chunk of (chunk, 5, #lines) products: 4 MB
 
 
 def is_prime(n: int) -> bool:
@@ -80,29 +87,28 @@ def _first_occurrences(values):
     return np.sort(np.minimum.reduceat(order, starts))
 
 
-def rank_mod(matrix, q: int) -> int:
-    """Rank over F_q by Gaussian elimination on a copy."""
+def rank_mod(matrix, q: int):
+    """Rank over F_q by Gaussian elimination on a copy: an int for one
+    matrix, an array of ranks for a stack, eliminated all at once."""
     m = np.array(matrix, dtype=np.int64) % q
-    rows, cols = m.shape
-    rank = 0
+    stack = m.reshape(-1, *m.shape[-2:])
+    count, rows, cols = stack.shape
+    rank = np.zeros(count, dtype=np.int64)
+    inverse = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
     for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, col] % q:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), q - 2, q)
-        m[rank] = (m[rank] * inv) % q
-        for r in range(rows):
-            if r != rank and m[r, col]:
-                m[r] = (m[r] - m[r, col] * m[rank]) % q
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+        # the first row at or below each matrix's rank with a nonzero entry
+        free = (stack[:, :, col] != 0) & (np.arange(rows) >= rank[:, None])
+        which = np.flatnonzero(free.any(axis=1))
+        sub, top, each = stack[which], rank[which], np.arange(len(which))
+        pivot = free[which].argmax(axis=1)
+        row = (sub[each, pivot] * inverse[sub[each, pivot, col]][:, None]) % q
+        sub[each, pivot] = sub[each, top]
+        sub[each, top] = row
+        factor = sub[:, :, col].copy()
+        factor[each, top] = 0
+        stack[which] = (sub - factor[:, :, None] * row[:, None]) % q
+        rank[which] += 1
+    return int(rank[0]) if m.ndim == 2 else rank.reshape(m.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -280,25 +286,30 @@ class OrthogonalGeometry:
         entries = self._signed_lines(images.transpose(0, 2, 1).reshape(-1, 5))
         return entries.reshape(len(matrices), -1).astype(self._entry_dtype)
 
-    def _compose(self, g, h):
-        """Table of the product gh from the tables of g and h: where h maps
-        x_l to c_h x_m, gh maps it to c_h c_g(m) x_{perm_g(m)}.  Either side
-        may be a stack of tables, and h may hold only some of its columns;
-        the result then covers the same lines."""
+    def _scaled_entries(self):
+        """``scaled[c, m * q + a] = m * q + (a * c) % q``, the entry of c
+        times the vector of entry m * q + a; shape (q, q * #lines)."""
         q = self.q
-        line_h, scalar_h = np.divmod(h, q)
-        line, scalar = np.divmod(g[..., line_h], q)
-        return line * q + (scalar * scalar_h) % q
+        line, scalar = np.divmod(np.arange(q * len(self.lines)), q)
+        return (line * q + (scalar * np.arange(q)[:, None]) % q).astype(self._entry_dtype)
 
-    def _code_weights(self):
-        """Weight of matrix entry (r, c) in the int64 matrix code."""
+    def _compose(self, g, h, scaled):
+        """Table of gh by one gather: where h maps x_l to c_h x_m, gh holds
+        ``scaled[c_h, g[m]]``.  g may be a stack, and h may hold only some
+        of its columns; the result covers the same lines.  The flat index
+        stays below q^2 * #lines, inside the entry dtype for q <= 5."""
+        line_h, scalar_h = np.divmod(h, self.q)
+        return scaled.take(scalar_h * scaled.shape[1] + g.take(line_h, axis=-1))
+
+    def _code_weights(self, base: int, digits: int):
+        """Place values of an int64 code of ``digits`` digits in ``base``."""
         if self.q > MAX_CODED_Q:
-            raise ValueError(f"int64 matrix codes need q <= {MAX_CODED_Q}")
-        return self.q ** np.arange(25, dtype=np.int64).reshape(5, 5)
+            raise ValueError(f"int64 codes need q <= {MAX_CODED_Q}")
+        return base ** np.arange(digits, dtype=np.int64)
 
     def _matrix_codes(self, matrices):
         """One int64 per 5x5 matrix mod q, its entries as base-q digits."""
-        weights = self._code_weights().reshape(25)
+        weights = self._code_weights(self.q, 25)
         return np.asarray(matrices, dtype=np.int64).reshape(-1, 25) @ weights
 
     def _closure(self, start, rights, lefts=None):
@@ -307,37 +318,40 @@ class OrthogonalGeometry:
         tables ``rights`` (and ``lefts``): start first, then in
         breadth-first discovery order.
 
-        A frontier's images are first composed only at the five basis
-        lines, which fix the matrix and so its code; the codes are
-        deduplicated, within the frontier and against everything seen, by
-        one sort of the seen codes followed by the new ones, keeping the
-        first occurrence of each new code in step-major order, and only the
-        new elements get full tables.
+        Right factors are applied by ``_compose``; each left factor l is
+        first extended to its entry on every signed vector, so that l g is
+        the gather ``extended(l)[g]``.  A frontier's images are first
+        composed only at the five basis lines, whose entries fix the matrix
+        and are its code's digits; the codes are deduplicated, within the
+        frontier and against everything seen, by one sort of the seen codes
+        followed by the new ones, keeping the first occurrence of each new
+        code in step-major order, and only the new elements get full tables.
         """
-        column_codes = self._entry_vectors() @ self._code_weights()
-        basis, columns = self._basis, np.arange(5)
+        width = self.q * len(self.lines)
+        weights = self._code_weights(width, 5)
+        scaled = self._scaled_entries()
+        if lefts is not None:
+            lefts = scaled[:, lefts].transpose(1, 2, 0).reshape(len(lefts), width)
+        basis = self._basis
 
         def image(step, tables, lines):
-            product = self._compose(tables, rights[step][lines])
-            return product if lefts is None else self._compose(lefts[step], product)
-
-        def codes(basis_entries):
-            return column_codes[basis_entries, columns].sum(axis=1)
+            product = self._compose(tables, rights[step][lines], scaled)
+            return product if lefts is None else lefts[step].take(product)
 
         frontier = start[None]
-        seen = codes(frontier[:, basis])
+        seen = frontier[:, basis] @ weights
         found = [frontier]
         while len(frontier):
             images = np.concatenate(
                 [image(step, frontier, basis) for step in range(len(rights))]
             )
-            image_codes = codes(images)
+            image_codes = images @ weights
             first = _first_occurrences(np.concatenate([seen, image_codes]))
             first = first[first >= len(seen)] - len(seen)
             step_of, row = np.divmod(first, len(frontier))
             frontier = np.concatenate(
                 [
-                    image(step, frontier[row[step_of == step]], slice(None))
+                    image(step, frontier.take(row[step_of == step], axis=0), slice(None))
                     for step in range(len(rights))
                 ]
             )
@@ -372,46 +386,70 @@ class OrthogonalGeometry:
         scalar = np.where(line == np.arange(len(line)), scalar, 0)
         return np.where(scalar > q // 2, scalar - q, scalar)
 
-    def in_class_c(self, g):
-        """Twisted-class membership test; a label or None.
-
-        Raises if a passing element has non-degenerate lines of both types
-        in its (-1)-plane, which would mean this implementation (not the
-        input) is broken.
-        """
-        q = self.q
-        g = np.array(g, dtype=np.int64) % q
-        eye = np.eye(5, dtype=np.int64)
-        if rank_mod(g - eye, q) != 4:
-            return None
-        plus = (g + eye) % q
-        if rank_mod(plus, q) != 3:
-            return None
-        if rank_mod((plus @ plus) % q, q) != 2:
-            return None
-        scalars = self.line_action(g)
-        fixed_types = self.line_types[scalars == 1]
-        minus_types = set(self.line_types[scalars == -1].tolist()) - {0}
-        if len(minus_types) > 1:
+    def _labels(self, fixed, negated, strict=False):
+        """(eps, delta) of twisted-class members from their masks of fixed
+        and negated lines: the type of the fixed line, and the type the
+        (-1)-plane's non-degenerate lines share.  A 0 (isotropic fixed line;
+        mixed or absent plane types) means this implementation, not the
+        input, is broken; ``strict`` raises then, and when the fixed lines
+        are not exactly one."""
+        types = self.line_types
+        eps = types[fixed.argmax(axis=1)]
+        has_plus = (negated & (types == 1)).any(axis=1)
+        has_minus = (negated & (types == -1)).any(axis=1)
+        if strict and (has_plus & has_minus).any():
             raise RuntimeError(
                 "lines of both types in the (-1)-plane: bug in the"
                 " membership test"
             )
-        if len(fixed_types) != 1 or fixed_types[0] == 0 or not minus_types:
+        if strict and ((fixed.sum(axis=1) != 1) | (eps == 0) | ~(has_plus | has_minus)).any():
             raise RuntimeError("degenerate eigenline structure: bug")
-        return ClassCLabel(int(fixed_types[0]), minus_types.pop())
+        return eps, np.where(has_plus == has_minus, 0, np.where(has_plus, 1, -1))
+
+    def _support_batch(self, matrices):
+        """Line-count trace and twisted-class label (eps, delta) of every
+        matrix in a (k, 5, 5) stack, with (0, 0) off the class, so that
+        2 * delta * q is the class-function value.
+
+        The lines g fixes (negates) are those every row of g - 1 (g + 1) is
+        orthogonal to; the three rank tests run as one stacked ``rank_mod``.
+        The stack goes in chunks whose (chunk, 5, #lines) products hold
+        about CHUNK_ENTRIES entries.
+        """
+        q = self.q
+        eye = np.eye(5, dtype=np.int64)
+        matrices = np.asarray(matrices, dtype=np.int64) % q
+        trace, eps, delta = np.zeros((3, len(matrices)), dtype=np.int64)
+        size = max(1, CHUNK_ENTRIES // (5 * len(self.lines)))
+        for start in range(0, len(matrices), size):
+            part = slice(start, start + size)
+            g = matrices[part]
+            fixed, negated = (
+                (((g + sign * eye) @ self.lines.T) % q == 0).all(axis=1) for sign in (-1, 1)
+            )
+            trace[part] = 2 * (negated @ self.line_types)
+            plus = g + eye
+            ranks = rank_mod(np.concatenate([g - eye, plus, plus @ plus]), q)
+            members = (ranks.reshape(3, -1) == [[4], [3], [2]]).all(axis=0)
+            eps[part][members], delta[part][members] = self._labels(
+                fixed[members], negated[members], strict=True
+            )
+        return trace, eps, delta
+
+    def in_class_c(self, g):
+        """Twisted-class membership test; a label or None.  Raises where
+        ``_labels`` finds this implementation broken."""
+        _, eps, delta = self._support_batch(np.asarray(g)[None])
+        return ClassCLabel(int(eps[0]), int(delta[0])) if eps[0] else None
 
     def class_support_value(self, g) -> int:
         """2 * delta * q on the twisted class, 0 elsewhere."""
-        label = self.in_class_c(g)
-        if label is None:
-            return 0
-        return 2 * label.delta * self.q
+        return 2 * int(self._support_batch(np.asarray(g)[None])[2][0]) * self.q
 
     def line_count_trace(self, g) -> int:
         """Twice the square-type count minus twice the non-square-type count
         of lines on which g acts by -1 (types are +1, -1 and 0)."""
-        return 2 * int(self.line_types[self.line_action(g) == -1].sum())
+        return int(self._support_batch(np.asarray(g)[None])[0][0])
 
     # --- 4-space stabilizers and the induced virtual character ---
 
@@ -526,20 +564,12 @@ class OrthogonalGeometry:
     def member_labels(self):
         """The full enumeration, the line-count trace of every element, and
         the index and (eps, delta) label of every twisted-class member, all
-        from one batched scan.
-
-        eps is the type of the member's one fixed line and delta the type
-        its (-1)-plane's non-degenerate lines share; eps is 0 when the fixed
-        line is isotropic and delta is 0 when those lines are of both types
-        or absent, which would mean this implementation is broken.
+        from one batched scan; a label holds a 0 where ``_labels`` finds
+        this implementation broken.
         """
         elements, fixed, negated, members, trace = self._batched_scan()
         index = np.flatnonzero(members)
-        eps = self.line_types[fixed[index].argmax(axis=1)]
-        minus = negated[index]
-        has_plus = (minus & (self.line_types == 1)).any(axis=1)
-        has_minus = (minus & (self.line_types == -1)).any(axis=1)
-        delta = np.where(has_plus == has_minus, 0, np.where(has_plus, 1, -1))
+        eps, delta = self._labels(fixed[index], negated[index])
         return elements, trace, index, eps, delta
 
     def conjugacy_class_size(self, g) -> int:
@@ -636,21 +666,25 @@ class OrthogonalGeometry:
         ) != len(nonsplit_stab.line_indices):
             failures.append("induced dimension != coset count at the identity")
 
-        # per-element functions against the batch, plus conjugation invariance
+        # the table-free route and the per-element coset model against the
+        # scan, plus conjugation invariance of the labels
         rng = random.Random(seed)
         sample = [int(member_idx[rng.randrange(len(member_idx))]) for _ in range(8)]
         sample += [rng.randrange(len(elements)) for _ in range(8)]
-        for i in sample:
-            g = elements[i]
-            if self.line_count_trace(g) != trace[i]:
+        h = np.stack([self.random_element(rng) for _ in sample])
+        g = elements[sample]
+        free_trace, free_eps, free_delta = (
+            part.reshape(2, -1)
+            for part in self._support_batch(np.concatenate([g, (self.inverse(h) @ g @ h) % q]))
+        )
+        for k, i in enumerate(sample):
+            if free_trace[0, k] != trace[i]:
                 failures.append(f"element {i}: per-element trace disagrees")
-            if self.class_support_value(g) != trace[i]:
+            if 2 * free_delta[0, k] * q != trace[i]:
                 failures.append(f"element {i}: support value disagrees")
-            if self.induced_virtual_trace(g) != trace[i]:
+            if self.induced_virtual_trace(g[k]) != trace[i]:
                 failures.append(f"element {i}: per-element coset model disagrees")
-            h = self.random_element(rng)
-            conj = (self.inverse(h) @ g @ h) % q
-            if self.in_class_c(conj) != self.in_class_c(g):
+            if (free_eps[1, k], free_delta[1, k]) != (free_eps[0, k], free_delta[0, k]):
                 failures.append(f"element {i}: label not conjugation invariant")
         return sorted(failures)
 
@@ -702,10 +736,10 @@ class OrthogonalGeometry:
         def scan():
             failures = self._census_failures()
             rng = random.Random(seed)
-            for k in range(samples):
-                g = self.random_element(rng)
-                if self.line_count_trace(g) != self.class_support_value(g):
-                    failures.append(f"sample {k}: trace != support value")
+            words = np.stack([self.random_element(rng) for _ in range(samples)])
+            trace, _, delta = self._support_batch(words)
+            wrong = np.flatnonzero(trace != 2 * delta * self.q)
+            failures += [f"sample {k}: trace != support value" for k in wrong]
             return sorted(failures)
 
         return run_check("so5", f"q={self.q} sampled", scan, seed)

@@ -282,6 +282,13 @@ def induce(n: int, r: int, cls: SignedCycleType, value) -> int:
     over the conjugates of a class representative in the block subgroup must
     be divisible by its order 2^n r! (n-r)!.
     """
+    if cls.weight != n:
+        raise ValueError(
+            f"weight mismatch: inducing to W_{n} needs weight {n},"
+            f" class has weight {cls.weight}"
+        )
+    if not 0 <= r <= n:
+        raise ValueError(f"r must be in 0..{n}, got {r}")
     total = 0
     for (block1, block2), count in _induction_profile(n, class_representative(cls))[r]:
         total += count * value(block1, block2)

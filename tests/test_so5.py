@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from weylchars.so5 import ClassCLabel, OrthogonalGeometry, is_prime, rank_mod
+from weylchars.so5 import CHUNK_ENTRIES, ClassCLabel, OrthogonalGeometry, is_prime, rank_mod
 
 
 def test_is_prime():
@@ -21,6 +21,39 @@ def test_rank_mod():
     m = np.array([[1, 2], [2, 1]])
     assert rank_mod(m, 3) == 1  # det = -3 = 0 mod 3
     assert rank_mod(m, 5) == 2
+
+
+def kernel_rank(matrix, q):
+    """cols - log_q |{v in F_q^cols : M v = 0}|, the kernel counted over
+    every vector."""
+    cols = matrix.shape[-1]
+    vectors = np.indices((q,) * cols, dtype=np.int64).reshape(cols, -1)
+    size = int(((matrix @ vectors) % q == 0).all(axis=0).sum())
+    dim = 0
+    while q**dim < size:
+        dim += 1
+    assert q**dim == size
+    return cols - dim
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_stacked_rank_mod_matches_kernel_counts(q):
+    rng = np.random.default_rng(q)
+    for rows, cols in ((5, 5), (3, 5)):
+        low = [
+            rng.integers(0, q, (rows, k)) @ rng.integers(0, q, (k, cols)) for k in (1, 1, 2, 3)
+        ]
+        stack = np.stack(
+            [np.zeros((rows, cols), dtype=np.int64), np.eye(rows, cols, dtype=np.int64)]
+            + low
+            + list(rng.integers(0, q, (6, rows, cols)))
+        )
+        ranks = rank_mod(stack, q)
+        assert ranks.tolist() == [kernel_rank(m, q) for m in stack]
+        assert ranks[1] == rows and ranks[0] == 0 and min(ranks) < max(ranks[2:])
+        assert np.array_equal(rank_mod(stack.reshape(3, 4, rows, cols), q), ranks.reshape(3, 4))
+        single = rank_mod(stack[2], q)
+        assert type(single) is int and single == ranks[2]
 
 
 def test_constructor_guards():
@@ -410,6 +443,17 @@ def test_member_labels_match_the_membership_test(geo3):
     rng = random.Random(5)
     for k in rng.sample(range(len(index)), 40):
         assert geo3.in_class_c(elements[index[k]]) == ClassCLabel(*labels[k])
+
+
+def test_support_batch_matches_the_full_scan(geo3):
+    elements, trace, index, eps, delta = geo3.member_labels()
+    assert CHUNK_ENTRIES // (5 * len(geo3.lines)) < len(elements)  # chunked
+    got_trace, got_eps, got_delta = geo3._support_batch(elements)
+    assert np.array_equal(got_trace, trace)
+    assert np.flatnonzero(got_eps).tolist() == index.tolist()
+    assert np.array_equal(got_eps[index], eps) and np.array_equal(got_delta[index], delta)
+    assert not got_delta[got_eps == 0].any()
+    assert np.array_equal(got_trace, 2 * 3 * got_delta)  # the support identity
 
 
 def test_coset_model_guards(geo3):

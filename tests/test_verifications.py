@@ -253,6 +253,11 @@ def test_induced_linear_trace_identity_value():
     assert induced_linear_trace_w4((1, 1), (1, 1), identity) == 6
 
 
+def test_induced_linear_trace_rejects_a_class_of_the_wrong_weight():
+    with pytest.raises(ValueError, match="weight mismatch"):
+        induced_linear_trace_w4((1, 1), (1, 1), SignedCycleType((1,), ()))
+
+
 def _induced_linear_trace_by_elements(kind1, kind2, cls):
     """Reference route: conjugate over all 384 elements of W_4 and evaluate
     each W_2 linear character on the two blocks element by element."""

@@ -201,6 +201,14 @@ def test_induce_counts_the_subsets_a_class_fixes():
                 assert induce(n, r, cls, lambda b1, b2: 1) == fixed, (n, r, cls)
 
 
+def test_induce_rejects_bad_input():
+    with pytest.raises(ValueError, match="weight mismatch"):
+        induce(4, 2, SignedCycleType((1,), ()), lambda b1, b2: 1)
+    for r in (-1, 5):  # -1 would silently read the entry for r = n
+        with pytest.raises(ValueError, match="r must be in 0..4"):
+            induce(4, r, SignedCycleType((1, 1, 1, 1), ()), lambda b1, b2: 1)
+
+
 def test_type_d_membership_matches_flips():
     for w in wn_elements(3):
         flips = sum(1 for v in w if v < 0)
