@@ -34,6 +34,8 @@ of a few MB.
 The coset model of the induced characters uses neither kernel's line
 action: it conjugates the 4-space stabilizer by every transporter and
 scatters the character values onto the conjugates, found by their codes.
+Since x^-1 = x^T, vec(x h x^T) = (x kron x) vec(h): one float32 GEMM per
+stabilizer, its entries (at most 25 (q - 1)^3) exact and reduced by lookup.
 Its per-element partner, ``induced_char(stab, g)``, returns the same pair
 (ind_one, ind_det) at one element the other way round: it conjugates g back
 by the transporter of each coset line g fixes and reads the conjugate's
@@ -543,9 +545,11 @@ class OrthogonalGeometry:
         def lines_of(d):
             return (q**d - 1) // (q - 1)
 
-        members = (fixed.sum(axis=1) == lines_of(1)) & (
-            negated.sum(axis=1) == lines_of(2)
-        )
+        def count(mask):
+            # per-row line counts; q = 3 has 121 lines, so uint8 holds them
+            return mask.sum(axis=1, dtype=np.uint8)
+
+        members = (count(fixed) == lines_of(1)) & (count(negated) == lines_of(2))
         candidates = np.flatnonzero(members)
         # a line is in the kernel when every row of the matrix is orthogonal
         # to it; rows are looked up by code among all vectors of F_q^5
@@ -553,13 +557,10 @@ class OrthogonalGeometry:
         orthogonal = (vectors @ self.lines.T) % q == 0
         plus = (elements[candidates] + np.eye(5, dtype=np.int64)) % q
         kernel_sq = orthogonal[((plus @ plus) % q) @ self._place].all(axis=1)
-        members[candidates] = kernel_sq.sum(axis=1) == lines_of(3)
-        type_plus = self.line_types == 1
-        type_minus = self.line_types == -1
-        trace = 2 * (negated & type_plus[None]).sum(axis=1) - 2 * (
-            negated & type_minus[None]
-        ).sum(axis=1)
-        return elements, fixed, negated, members, trace.astype(np.int64)
+        members[candidates] = count(kernel_sq) == lines_of(3)
+        square = count(negated & (self.line_types == 1)).astype(np.int64)
+        trace = 2 * (square - count(negated & (self.line_types == -1)))
+        return elements, fixed, negated, members, trace
 
     def member_labels(self):
         """The full enumeration, the line-count trace of every element, and
@@ -699,32 +700,49 @@ class OrthogonalGeometry:
         by its code and gets 1 and det(h).  This route never computes an
         element's action on the lines, so it shares no shortcut with the
         line-count trace.
+
+        Since x^-1 = x^T, the row-major vec(x h x^T) is (x kron x) vec(h):
+        one float32 GEMM of the (|H|, 25) stack of vec(h) against the
+        transporters' Kronecker products gives every conjugate.  Its entries
+        are sums of 25 products of residues, at most 25 (q - 1)^3 (1,600 at
+        MAX_CODED_Q, the largest q ``_matrix_codes`` accepts): exact in
+        float32 and int16, and reduced mod q by a residue table that long.
+        The conjugates' codes are sorted before the lookup among the sorted
+        element codes.
         """
         q = self.q
+        codes = self._matrix_codes(elements)
+        order = np.argsort(codes)
+        sorted_codes = codes[order]
+        # also reduces the base-line images, at most 5 (q - 1)^2
+        residue = (np.arange(25 * (q - 1) ** 3 + 1) % q).astype(np.uint8)
         base_vec = self.lines[stab.base_index]
-        images = (elements @ base_vec) % q
-        det_plus = (images == base_vec).all(axis=1)
-        det_minus = (images == (-base_vec) % q).all(axis=1)
+        image_codes = residue[elements @ base_vec] @ self._place
+        det_plus = image_codes == base_vec @ self._place
+        det_minus = image_codes == ((-base_vec) % q) @ self._place
         subgroup = np.flatnonzero(det_plus | det_minus)
         if len(subgroup) != stab.order:
             raise RuntimeError(
                 f"base-line stabilizer has {len(subgroup)} elements, expected {stab.order}"
             )
         det_is_plus = det_plus[subgroup]
-        x = stab.transporters[:, None]
-        conjugates = (x @ elements[subgroup][None] @ self.inverse(x)) % q
-        codes = self._matrix_codes(elements)
-        order = np.argsort(codes)
-        sorted_codes = codes[order]
-        wanted = self._matrix_codes(conjugates).reshape(len(x), -1)
+        x = stab.transporters.astype(np.float32)
+        # kron[(j, l), (a, i, k)] = x_a[i, j] x_a[k, l]
+        kron = np.einsum("aij,akl->jlaik", x, x).reshape(25, -1)
+        products = elements[subgroup].reshape(-1, 25).astype(np.float32) @ kron
+        # one code per (h, x), h-major
+        wanted = self._matrix_codes(residue.take(products.astype(np.int16)))
+        query = np.argsort(wanted)
+        wanted = wanted[query]
         position = np.minimum(np.searchsorted(sorted_codes, wanted), len(codes) - 1)
         if (sorted_codes[position] != wanted).any():
             raise RuntimeError("a conjugate of the stabilizer is not a group element")
         where = order[position]
-        ind_one = np.bincount(where.ravel(), minlength=len(elements))
-        ind_det = np.bincount(
-            where[:, det_is_plus].ravel(), minlength=len(elements)
-        ) - np.bincount(where[:, ~det_is_plus].ravel(), minlength=len(elements))
+        plus = np.repeat(det_is_plus, len(x))[query]
+        ind_one = np.bincount(where, minlength=len(elements))
+        ind_det = np.bincount(where[plus], minlength=len(elements)) - np.bincount(
+            where[~plus], minlength=len(elements)
+        )
         return ind_one, ind_det
 
     def verify_sampled(self, samples: int = 200, seed: int = 0) -> CheckRecord:

@@ -500,3 +500,37 @@ def test_verify_reports_broken_labels(geo3, monkeypatch):
         f"element {index[2]}: trace {trace[index[2]]} != {-2 * delta[2] * 3}"
         in record.counterexamples
     )
+
+
+def shift_coset_model(geo, monkeypatch, i, one, det):
+    """Make the split stabilizer's coset model add ``one`` to ind(1) and
+    ``det`` to ind(det) at element i."""
+    original = geo._coset_model_batch
+    split = geo.stabilizer(split=True)
+
+    def shifted(stab, elements):
+        ind_one, ind_det = original(stab, elements)
+        if stab is split:
+            ind_one[i] += one
+            ind_det[i] += det
+        return ind_one, ind_det
+
+    monkeypatch.setattr(geo, "_coset_model_batch", shifted)
+
+
+def test_verify_reports_a_coset_model_mismatch(geo3, monkeypatch):
+    trace = geo3.member_labels()[1]
+    shift_coset_model(geo3, monkeypatch, 7, 0, 1)
+    record = geo3.verify(seed=0)
+    assert record.status == "fail"
+    assert record.counterexamples == (
+        f"element 7: coset model {trace[7] - 1} != line count {trace[7]}",
+    )
+
+
+def test_verify_reports_a_wrong_induced_dimension(geo3, monkeypatch):
+    # shifting ind(1) and ind(det) together leaves the virtual trace alone
+    shift_coset_model(geo3, monkeypatch, 0, 1, 1)
+    record = geo3.verify(seed=0)
+    assert record.status == "fail"
+    assert record.counterexamples == ("induced dimension != coset count at the identity",)
