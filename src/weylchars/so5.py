@@ -26,16 +26,20 @@ q^2 + 1.  Two kernels carry the per-element work:
   entries; a conjugacy class is the closure of one element under
   conjugation by the same generators.
 
-Sampled and single elements skip the tables: ``_support_batch`` reads the
-eigenlines of a stack of matrices off ``((g -+ 1) @ lines.T) % q == 0``
-and runs the three rank tests below as one stacked ``rank_mod``, in chunks
-of a few MB.
+Over the full enumeration, the batched scan finds the kernel of (g + 1)^2
+as the AND of packed bitsets: each vector of F_q^5 has its orthogonal lines
+as one row of bits.  Sampled and single elements skip the tables:
+``_support_batch`` reads the eigenlines of a stack of matrices off the
+product of the rows of g -+ 1 with the lines, one narrow-integer einsum
+(int16 up to q = 81) reduced in place mod q, and runs the three rank tests
+below as one stacked ``rank_mod``, in chunks of a few MB.
 
 The coset model of the induced characters uses neither kernel's line
 action: it conjugates the 4-space stabilizer by every transporter and
 scatters the character values onto the conjugates, found by their codes.
-Since x^-1 = x^T, vec(x h x^T) = (x kron x) vec(h): one float32 GEMM per
-stabilizer, its entries (at most 25 (q - 1)^3) exact and reduced by lookup.
+Since x^-1 = x^T, vec(x h x^T) = (x kron x) vec(h): a float32 GEMM per
+stabilizer, in row blocks of a few MB, its entries (at most 25 (q - 1)^3)
+exact and reduced by lookup.
 Its per-element partner, ``induced_char(stab, g)``, returns the same pair
 (ind_one, ind_det) at one element the other way round: it conjugates g back
 by the transporter of each coset line g fixes and reads the conjugate's
@@ -68,7 +72,7 @@ from .report import CheckRecord, run_check
 
 FULL_ENUMERATION_Q = 3
 MAX_CODED_Q = 5  # largest q with q^25 and (q * #lines)^5 < 2^63: int64 codes
-CHUNK_ENTRIES = 2**19  # int64 entries per chunk of (chunk, 5, #lines) products: 4 MB
+CHUNK_ENTRIES = 2**19  # products per chunk of eigenline masks or coset GEMM block
 
 
 def is_prime(n: int) -> bool:
@@ -414,24 +418,31 @@ class OrthogonalGeometry:
         2 * delta * q is the class-function value.
 
         The lines g fixes (negates) are those every row of g - 1 (g + 1) is
-        orthogonal to; the three rank tests run as one stacked ``rank_mod``.
-        The stack goes in chunks whose (chunk, 5, #lines) products hold
-        about CHUNK_ENTRIES entries.
+        orthogonal to: the rows of both, mod q, go through one integer einsum
+        against the C-contiguous transposed lines, in the narrowest signed
+        dtype that holds 5 (q - 1)^2 (int16 up to q = 81; no int64 and no
+        BLAS), reduced in place mod q.  The three rank tests run as one
+        stacked ``rank_mod``.  The stack goes in chunks whose (chunk, 5,
+        #lines) products per sign hold about CHUNK_ENTRIES entries.
         """
         q = self.q
         eye = np.eye(5, dtype=np.int64)
         matrices = np.asarray(matrices, dtype=np.int64) % q
         trace, eps, delta = np.zeros((3, len(matrices)), dtype=np.int64)
+        # products of residues are at most 5 (q - 1)^2: int16 up to q = 81
+        narrow = np.min_scalar_type(-5 * (q - 1) ** 2)
+        lines_t = np.ascontiguousarray(self.lines.T, dtype=narrow)
         size = max(1, CHUNK_ENTRIES // (5 * len(self.lines)))
         for start in range(0, len(matrices), size):
             part = slice(start, start + size)
             g = matrices[part]
-            fixed, negated = (
-                (((g + sign * eye) @ self.lines.T) % q == 0).all(axis=1) for sign in (-1, 1)
-            )
+            minus, plus = g - eye, g + eye
+            rows = (np.stack([minus, plus]) % q).astype(narrow).reshape(-1, 5)
+            products = np.einsum("ij,jl->il", rows, lines_t)
+            products %= q
+            fixed, negated = (products == 0).reshape(2, len(g), 5, -1).all(axis=2)
             trace[part] = 2 * (negated @ self.line_types)
-            plus = g + eye
-            ranks = rank_mod(np.concatenate([g - eye, plus, plus @ plus]), q)
+            ranks = rank_mod(np.concatenate([minus, plus, plus @ plus]), q)
             members = (ranks.reshape(3, -1) == [[4], [3], [2]]).all(axis=0)
             eps[part][members], delta[part][members] = self._labels(
                 fixed[members], negated[members], strict=True
@@ -534,7 +545,11 @@ class OrthogonalGeometry:
         meets (q^d - 1)/(q - 1) lines.  The eigenlines of 1 and -1 are
         masks on the signed line tables; (g + 1)^2 is formed only for the
         elements that pass the first two rank tests (17,820 of 51,840 at
-        q = 3).
+        q = 3), from g + 1 with only the diagonal bumped and reduced, and
+        its entries (at most 5 (q - 1)^2) reduced by a residue table.  Each
+        row of F_q^5 has its orthogonal lines as one packed bitset (16 bytes
+        at q = 3); the kernel of (g + 1)^2 is the AND of its five rows'
+        bitsets, and its lines are counted by ``np.bitwise_count``.
         """
         q = self.q
         elements = self.enumerate_group()
@@ -554,10 +569,15 @@ class OrthogonalGeometry:
         # a line is in the kernel when every row of the matrix is orthogonal
         # to it; rows are looked up by code among all vectors of F_q^5
         vectors = np.indices((q,) * 5, dtype=np.int64).reshape(5, -1).T
-        orthogonal = (vectors @ self.lines.T) % q == 0
-        plus = (elements[candidates] + np.eye(5, dtype=np.int64)) % q
-        kernel_sq = orthogonal[((plus @ plus) % q) @ self._place].all(axis=1)
-        members[candidates] = count(kernel_sq) == lines_of(3)
+        orthogonal = np.packbits((vectors @ self.lines.T) % q == 0, axis=1)
+        plus = elements[candidates]
+        diagonal = np.arange(5)
+        plus[:, diagonal, diagonal] = (plus[:, diagonal, diagonal] + 1) % q
+        residue = (np.arange(5 * (q - 1) ** 2 + 1) % q).astype(np.uint8)
+        kernel_sq = np.bitwise_and.reduce(
+            orthogonal[residue[plus @ plus] @ self._place], axis=1
+        )
+        members[candidates] = np.bitwise_count(kernel_sq).sum(axis=1) == lines_of(3)
         square = count(negated & (self.line_types == 1)).astype(np.int64)
         trace = 2 * (square - count(negated & (self.line_types == -1)))
         return elements, fixed, negated, members, trace
@@ -702,13 +722,15 @@ class OrthogonalGeometry:
         line-count trace.
 
         Since x^-1 = x^T, the row-major vec(x h x^T) is (x kron x) vec(h):
-        one float32 GEMM of the (|H|, 25) stack of vec(h) against the
-        transporters' Kronecker products gives every conjugate.  Its entries
-        are sums of 25 products of residues, at most 25 (q - 1)^3 (1,600 at
-        MAX_CODED_Q, the largest q ``_matrix_codes`` accepts): exact in
-        float32 and int16, and reduced mod q by a residue table that long.
-        The conjugates' codes are sorted before the lookup among the sorted
-        element codes.
+        a float32 GEMM of the (|H|, 25) stack of vec(h) against the
+        transporters' Kronecker products gives every conjugate.  It runs in
+        row blocks of the stack with about CHUNK_ENTRIES outputs each (3 per
+        stabilizer at q = 3), each block coded before the next, so the codes
+        keep the h-major order.  The entries are sums of 25 products of
+        residues, at most 25 (q - 1)^3 (1,600 at MAX_CODED_Q, the largest q
+        ``_matrix_codes`` accepts): exact in float32 and int16, and reduced
+        mod q by a residue table that long.  The conjugates' codes are sorted
+        before the lookup among the sorted element codes.
         """
         q = self.q
         codes = self._matrix_codes(elements)
@@ -729,9 +751,15 @@ class OrthogonalGeometry:
         x = stab.transporters.astype(np.float32)
         # kron[(j, l), (a, i, k)] = x_a[i, j] x_a[k, l]
         kron = np.einsum("aij,akl->jlaik", x, x).reshape(25, -1)
-        products = elements[subgroup].reshape(-1, 25).astype(np.float32) @ kron
+        vec_h = elements[subgroup].reshape(-1, 25).astype(np.float32)
+        block = max(1, CHUNK_ENTRIES // kron.shape[1])
         # one code per (h, x), h-major
-        wanted = self._matrix_codes(residue.take(products.astype(np.int16)))
+        wanted = np.concatenate(
+            [
+                self._matrix_codes(residue.take((rows @ kron).astype(np.int16)))
+                for rows in np.split(vec_h, range(block, len(vec_h), block))
+            ]
+        )
         query = np.argsort(wanted)
         wanted = wanted[query]
         position = np.minimum(np.searchsorted(sorted_codes, wanted), len(codes) - 1)

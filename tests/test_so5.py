@@ -433,6 +433,27 @@ def test_scatter_coset_model_matches_the_line_route(geo3):
         assert int(got[0][0]) == len(stab.line_indices)
 
 
+def test_coset_model_runs_in_blocks(geo3, monkeypatch):
+    elements = geo3.enumerate_group()
+    coded = []
+    original = geo3._matrix_codes
+
+    def spy(matrices):
+        codes = original(matrices)
+        coded.append(len(codes))
+        return codes
+
+    monkeypatch.setattr(geo3, "_matrix_codes", spy)
+    for split in (True, False):
+        stab = geo3.stabilizer(split)
+        coded.clear()
+        geo3._coset_model_batch(stab, elements)
+        # the element codes first, then one call per block of conjugates
+        assert coded[0] == len(elements) and len(coded) >= 3
+        assert sum(coded[1:]) == stab.order * len(stab.transporters)
+        assert max(coded[1:]) * 25 <= CHUNK_ENTRIES
+
+
 def test_member_labels_match_the_membership_test(geo3):
     elements, trace, index, eps, delta = geo3.member_labels()
     assert index.tolist() == np.flatnonzero(geo3._batched_scan()[3]).tolist()
@@ -454,6 +475,38 @@ def test_support_batch_matches_the_full_scan(geo3):
     assert np.array_equal(got_eps[index], eps) and np.array_equal(got_delta[index], delta)
     assert not got_delta[got_eps == 0].any()
     assert np.array_equal(got_trace, 2 * 3 * got_delta)  # the support identity
+
+
+def twisted_member(geo):
+    """s E(e, a) for s = diag(1, -1, -1, -1, -1) and the Eichler transformation
+    x -> x + (x.e) a - (x.a) e - (a.a)/2 (x.e) e, with e isotropic and a
+    anisotropic and perpendicular to e, both in the hyperplane s negates:
+    its unipotent part has Jordan blocks 3, 1, 1, so it lies in the twisted
+    class at every odd q."""
+    q = geo.q
+    hyper = geo.lines[geo.lines[:, 0] == 0]
+    norms = (hyper * hyper).sum(axis=1) % q
+    e = hyper[norms == 0][0]
+    a = next(v for v, n in zip(hyper, norms) if n and v @ e % q == 0)
+    half = int(a @ a) * pow(2, q - 2, q)
+    eichler = np.eye(5, dtype=np.int64) + np.outer(a, e) - np.outer(e, a) - half * np.outer(e, e)
+    return (np.diag([1, -1, -1, -1, -1]) @ eichler) % q
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_support_batch_masks_match_the_int64_products(q):
+    geo = OrthogonalGeometry(q=q)
+    rng = random.Random(q)
+    words = np.stack([geo.random_element(rng) for _ in range(8)] + [twisted_member(geo)])
+    h = np.stack([geo.random_element(rng) for _ in words])
+    stack = np.concatenate([words, (geo.inverse(h) @ words @ h) % q])
+    if q >= 11:
+        assert CHUNK_ENTRIES // (5 * len(geo.lines)) < len(stack)  # chunked (3 at q = 13)
+    trace, eps, _ = geo._support_batch(stack)
+    plus = stack + np.eye(5, dtype=np.int64)
+    negated = np.stack([((p @ geo.lines.T) % q == 0).all(axis=0) for p in plus])
+    assert np.array_equal(trace, 2 * (negated @ geo.line_types))
+    assert eps[[8, 17]].all() and trace[[8, 17]].all()
 
 
 def test_coset_model_guards(geo3):
