@@ -255,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse reads a value of "--" (--n=--) as []
+            parser.error(f"argument --{name}: expected one value")
     try:
         if args.command == "trace":
             return _cmd_trace(args)

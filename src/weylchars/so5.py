@@ -26,13 +26,11 @@ q^2 + 1.  Two kernels carry the per-element work:
   entries; a conjugacy class is the closure of one element under
   conjugation by the same generators.
 
-Over the full enumeration, the batched scan finds the kernel of (g + 1)^2
-as the AND of packed bitsets: each vector of F_q^5 has its orthogonal lines
-as one row of bits.  Sampled and single elements skip the tables:
-``_support_batch`` reads the eigenlines of a stack of matrices off the
-product of the rows of g -+ 1 with the lines, one narrow-integer einsum
-(int16 up to q = 81) reduced in place mod q, and runs the three rank tests
-below as one stacked ``rank_mod``, in chunks of a few MB.
+Both kernels decide the twisted class (below) by kernel line counts in one
+shared tail, ``_twisted_class``, and differ only in where the kernels come
+from: ``_batched_scan`` reads them off the tables and packed orthogonal-line
+bitsets, ``_support_batch`` off one narrow-integer einsum of matrix rows
+against the lines (int16 up to q = 81), for sampled and single elements.
 
 The coset model of the induced characters uses neither kernel's line
 action: it conjugates the 4-space stabilizer by every transporter and
@@ -50,6 +48,9 @@ part negates a hyperplane (minus the semisimple part is then a reflection)
 and whose unipotent part has Jordan blocks of sizes 3, 1, 1.  Concretely:
 
     rank(g - 1) = 4,  rank(g + 1) = 3,  rank((g + 1)^2) = 2.
+
+A d-dimensional kernel meets (q^d - 1)/(q - 1) lines, so these read: g fixes
+exactly 1 line, negates exactly q + 1, and (g + 1)^2 kills q^2 + q + 1.
 
 For such g the fixed space is one anisotropic line (type epsilon) and the
 (-1)-eigenspace is a plane whose non-degenerate lines all share one type
@@ -93,30 +94,6 @@ def _first_occurrences(values):
     return np.sort(np.minimum.reduceat(order, starts))
 
 
-def rank_mod(matrix, q: int):
-    """Rank over F_q by Gaussian elimination on a copy: an int for one
-    matrix, an array of ranks for a stack, eliminated all at once."""
-    m = np.array(matrix, dtype=np.int64) % q
-    stack = m.reshape(-1, *m.shape[-2:])
-    count, rows, cols = stack.shape
-    rank = np.zeros(count, dtype=np.int64)
-    inverse = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
-    for col in range(cols):
-        # the first row at or below each matrix's rank with a nonzero entry
-        free = (stack[:, :, col] != 0) & (np.arange(rows) >= rank[:, None])
-        which = np.flatnonzero(free.any(axis=1))
-        sub, top, each = stack[which], rank[which], np.arange(len(which))
-        pivot = free[which].argmax(axis=1)
-        row = (sub[each, pivot] * inverse[sub[each, pivot, col]][:, None]) % q
-        sub[each, pivot] = sub[each, top]
-        sub[each, top] = row
-        factor = sub[:, :, col].copy()
-        factor[each, top] = 0
-        stack[which] = (sub - factor[:, :, None] * row[:, None]) % q
-        rank[which] += 1
-    return int(rank[0]) if m.ndim == 2 else rank.reshape(m.shape[:-2])
-
-
 @dataclass(frozen=True)
 class ClassCLabel:
     """Rational label of the twisted class: fixed-line type and plane type."""
@@ -138,6 +115,16 @@ class LineStabilizer:
     order: int
     line_indices: tuple[int, ...]
     transporters: np.ndarray = field(repr=False)
+
+
+def _label_failures(name, members, eps, delta):
+    """Failures for the members whose label ``_labels`` left broken, each
+    named by ``name`` and its index."""
+    no_eps = np.flatnonzero(members & (eps == 0))
+    no_delta = np.flatnonzero(members & (eps != 0) & (delta == 0))
+    return [f"{name} {i}: fixed line not anisotropic" for i in no_eps] + [
+        f"{name} {i}: mixed (-1)-plane types" for i in no_delta
+    ]
 
 
 class OrthogonalGeometry:
@@ -392,72 +379,82 @@ class OrthogonalGeometry:
         scalar = np.where(line == np.arange(len(line)), scalar, 0)
         return np.where(scalar > q // 2, scalar - q, scalar)
 
-    def _labels(self, fixed, negated, strict=False):
+    def _labels(self, fixed, negated):
         """(eps, delta) of twisted-class members from their masks of fixed
-        and negated lines: the type of the fixed line, and the type the
-        (-1)-plane's non-degenerate lines share.  A 0 (isotropic fixed line;
-        mixed or absent plane types) means this implementation, not the
-        input, is broken; ``strict`` raises then, and when the fixed lines
-        are not exactly one."""
+        and negated lines: the fixed line's type and the type the (-1)-plane's
+        non-degenerate lines share; a 0 marks this implementation broken."""
         types = self.line_types
         eps = types[fixed.argmax(axis=1)]
         has_plus = (negated & (types == 1)).any(axis=1)
         has_minus = (negated & (types == -1)).any(axis=1)
-        if strict and (has_plus & has_minus).any():
-            raise RuntimeError(
-                "lines of both types in the (-1)-plane: bug in the"
-                " membership test"
-            )
-        if strict and ((fixed.sum(axis=1) != 1) | (eps == 0) | ~(has_plus | has_minus)).any():
-            raise RuntimeError("degenerate eigenline structure: bug")
         return eps, np.where(has_plus == has_minus, 0, np.where(has_plus, 1, -1))
 
-    def _support_batch(self, matrices):
-        """Line-count trace and twisted-class label (eps, delta) of every
-        matrix in a (k, 5, 5) stack, with (0, 0) off the class, so that
-        2 * delta * q is the class-function value.
+    def _twisted_class(self, fixed, negated, kernel_sq_lines):
+        """(trace, members, eps, delta) of a batch from its (k, #lines) masks
+        of fixed and negated lines, by the one membership rule: 1 fixed line,
+        q + 1 negated, and q^2 + q + 1 lines in the kernel of (g + 1)^2,
+        counted by ``kernel_sq_lines(candidates)`` for those rows only.  eps
+        and delta are 0 off the class; a 0 on a member marks a broken label.
+        Per-row counts take the narrowest dtype holding #lines (uint8 at q = 3).
+        """
+        q = self.q
+        narrow = np.min_scalar_type(fixed.shape[1])
 
-        The lines g fixes (negates) are those every row of g - 1 (g + 1) is
-        orthogonal to: the rows of both, mod q, go through one integer einsum
-        against the C-contiguous transposed lines, in the narrowest signed
-        dtype that holds 5 (q - 1)^2 (int16 up to q = 81; no int64 and no
-        BLAS), reduced in place mod q.  The three rank tests run as one
-        stacked ``rank_mod``.  The stack goes in chunks whose (chunk, 5,
-        #lines) products per sign hold about CHUNK_ENTRIES entries.
+        def count(mask):
+            return mask.sum(axis=1, dtype=narrow)
+
+        members = (count(fixed) == 1) & (count(negated) == q + 1)
+        candidates = np.flatnonzero(members)
+        members[candidates] = kernel_sq_lines(candidates) == q**2 + q + 1
+        square = count(negated & (self.line_types == 1)).astype(np.int64)
+        trace = 2 * (square - count(negated & (self.line_types == -1)))
+        eps, delta = np.zeros((2, len(members)), dtype=np.int64)
+        eps[members], delta[members] = self._labels(fixed[members], negated[members])
+        return trace, members, eps, delta
+
+    def _support_batch(self, matrices):
+        """``_twisted_class`` of every matrix in a (k, 5, 5) stack.
+
+        A line is in a matrix's kernel when every row is orthogonal to it:
+        the rows of g -+ 1, then of (g + 1)^2 for the candidates, go mod q
+        through an integer einsum against the transposed lines in the
+        narrowest signed dtype holding 5 (q - 1)^2 (no int64, no BLAS),
+        reduced in place mod q, in chunks of about CHUNK_ENTRIES per sign.
         """
         q = self.q
         eye = np.eye(5, dtype=np.int64)
         matrices = np.asarray(matrices, dtype=np.int64) % q
-        trace, eps, delta = np.zeros((3, len(matrices)), dtype=np.int64)
         # products of residues are at most 5 (q - 1)^2: int16 up to q = 81
         narrow = np.min_scalar_type(-5 * (q - 1) ** 2)
         lines_t = np.ascontiguousarray(self.lines.T, dtype=narrow)
-        size = max(1, CHUNK_ENTRIES // (5 * len(self.lines)))
-        for start in range(0, len(matrices), size):
-            part = slice(start, start + size)
-            g = matrices[part]
-            minus, plus = g - eye, g + eye
-            rows = (np.stack([minus, plus]) % q).astype(narrow).reshape(-1, 5)
+
+        def kernels(stack):
+            rows = (stack % q).astype(narrow).reshape(-1, 5)
             products = np.einsum("ij,jl->il", rows, lines_t)
             products %= q
-            fixed, negated = (products == 0).reshape(2, len(g), 5, -1).all(axis=2)
-            trace[part] = 2 * (negated @ self.line_types)
-            ranks = rank_mod(np.concatenate([minus, plus, plus @ plus]), q)
-            members = (ranks.reshape(3, -1) == [[4], [3], [2]]).all(axis=0)
-            eps[part][members], delta[part][members] = self._labels(
-                fixed[members], negated[members], strict=True
+            return (products == 0).reshape(len(stack), 5, len(self.lines)).all(axis=1)
+
+        size = max(1, CHUNK_ENTRIES // (5 * len(self.lines)))
+        parts = []
+        for g in np.split(matrices, range(size, len(matrices), size)):
+            plus = g + eye
+            fixed, negated = np.split(kernels(np.concatenate([g - eye, plus])), 2)
+            parts.append(
+                self._twisted_class(
+                    fixed, negated, lambda c: kernels(plus[c] @ plus[c]).sum(axis=1)
+                )
             )
-        return trace, eps, delta
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def in_class_c(self, g):
-        """Twisted-class membership test; a label or None.  Raises where
-        ``_labels`` finds this implementation broken."""
-        _, eps, delta = self._support_batch(np.asarray(g)[None])
-        return ClassCLabel(int(eps[0]), int(delta[0])) if eps[0] else None
+        """Twisted-class membership test: the label of a member (a 0 in it
+        marks this implementation broken), None otherwise."""
+        _, members, eps, delta = self._support_batch(np.asarray(g)[None])
+        return ClassCLabel(int(eps[0]), int(delta[0])) if members[0] else None
 
     def class_support_value(self, g) -> int:
         """2 * delta * q on the twisted class, 0 elsewhere."""
-        return 2 * int(self._support_batch(np.asarray(g)[None])[2][0]) * self.q
+        return 2 * int(self._support_batch(np.asarray(g)[None])[3][0]) * self.q
 
     def line_count_trace(self, g) -> int:
         """Twice the square-type count minus twice the non-square-type count
@@ -492,8 +489,8 @@ class OrthogonalGeometry:
         raise RuntimeError("no anisotropic line")
 
     def stabilizer(self, split: bool) -> LineStabilizer:
-        """Stabilizer of a 4-space with split (or non-split) restricted form,
-        with transporters to every coset."""
+        """Stabilizer of a 4-space on which the form is split (or
+        non-split), with transporters to every coset."""
         if split in self._stabilizers:
             return self._stabilizers[split]
         elements = self.enumerate_group()
@@ -539,59 +536,32 @@ class OrthogonalGeometry:
     # --- batched verification ---
 
     def _batched_scan(self):
-        """Vectorized per-element data over the full enumeration.
+        """``_twisted_class`` of the full enumeration, in its order.
 
-        Kernel dimensions are read off line counts: a d-dimensional kernel
-        meets (q^d - 1)/(q - 1) lines.  The eigenlines of 1 and -1 are
-        masks on the signed line tables; (g + 1)^2 is formed only for the
-        elements that pass the first two rank tests (17,820 of 51,840 at
-        q = 3), from g + 1 with only the diagonal bumped and reduced, and
-        its entries (at most 5 (q - 1)^2) reduced by a residue table.  Each
-        row of F_q^5 has its orthogonal lines as one packed bitset (16 bytes
-        at q = 3); the kernel of (g + 1)^2 is the AND of its five rows'
-        bitsets, and its lines are counted by ``np.bitwise_count``.
+        The eigenlines of 1 and -1 are masks on the signed line tables.
+        (g + 1)^2 is formed only for the candidates (17,820 of 51,840 at
+        q = 3) and reduced by a residue table; its kernel is the AND of the
+        packed orthogonal-line bitsets of its five rows (16 bytes each at
+        q = 3), counted by ``np.bitwise_count``.
         """
         q = self.q
         elements = self.enumerate_group()
         on_line = np.arange(len(self.lines), dtype=self._tables.dtype) * q
-        fixed = self._tables == on_line + 1
-        negated = self._tables == on_line + (q - 1)
-
-        def lines_of(d):
-            return (q**d - 1) // (q - 1)
-
-        def count(mask):
-            # per-row line counts; q = 3 has 121 lines, so uint8 holds them
-            return mask.sum(axis=1, dtype=np.uint8)
-
-        members = (count(fixed) == lines_of(1)) & (count(negated) == lines_of(2))
-        candidates = np.flatnonzero(members)
-        # a line is in the kernel when every row of the matrix is orthogonal
-        # to it; rows are looked up by code among all vectors of F_q^5
+        # rows are looked up by code among all vectors of F_q^5
         vectors = np.indices((q,) * 5, dtype=np.int64).reshape(5, -1).T
         orthogonal = np.packbits((vectors @ self.lines.T) % q == 0, axis=1)
-        plus = elements[candidates]
         diagonal = np.arange(5)
-        plus[:, diagonal, diagonal] = (plus[:, diagonal, diagonal] + 1) % q
         residue = (np.arange(5 * (q - 1) ** 2 + 1) % q).astype(np.uint8)
-        kernel_sq = np.bitwise_and.reduce(
-            orthogonal[residue[plus @ plus] @ self._place], axis=1
-        )
-        members[candidates] = np.bitwise_count(kernel_sq).sum(axis=1) == lines_of(3)
-        square = count(negated & (self.line_types == 1)).astype(np.int64)
-        trace = 2 * (square - count(negated & (self.line_types == -1)))
-        return elements, fixed, negated, members, trace
 
-    def member_labels(self):
-        """The full enumeration, the line-count trace of every element, and
-        the index and (eps, delta) label of every twisted-class member, all
-        from one batched scan; a label holds a 0 where ``_labels`` finds
-        this implementation broken.
-        """
-        elements, fixed, negated, members, trace = self._batched_scan()
-        index = np.flatnonzero(members)
-        eps, delta = self._labels(fixed[index], negated[index])
-        return elements, trace, index, eps, delta
+        def kernel_sq_lines(candidates):
+            plus = elements[candidates]
+            plus[:, diagonal, diagonal] = (plus[:, diagonal, diagonal] + 1) % q
+            rows = orthogonal[residue[plus @ plus] @ self._place]
+            return np.bitwise_count(np.bitwise_and.reduce(rows, axis=1)).sum(axis=1)
+
+        return self._twisted_class(
+            self._tables == on_line + 1, self._tables == on_line + (q - 1), kernel_sq_lines
+        )
 
     def conjugacy_class_size(self, g) -> int:
         """Orbit size under conjugation by the generators."""
@@ -635,30 +605,27 @@ class OrthogonalGeometry:
     def _verify_counterexamples(self, seed: int):
         q = self.q
         failures = self._census_failures()
-        elements, trace, member_idx, eps, delta = self.member_labels()
+        elements = self.enumerate_group()
+        trace, members, eps, delta = self._batched_scan()
         if len(elements) != self.group_order_formula():
             failures.append(f"group order {len(elements)}")
 
         # support identity, batched
-        for i in member_idx[eps == 0]:
-            failures.append(f"element {i}: fixed line not anisotropic")
-        for i in member_idx[(eps != 0) & (delta == 0)]:
-            failures.append(f"element {i}: mixed (-1)-plane types")
-        ok = (eps != 0) & (delta != 0)
-        labelled, eps, delta = member_idx[ok], eps[ok], delta[ok]
+        failures += _label_failures("element", members, eps, delta)
+        labelled = np.flatnonzero((eps != 0) & (delta != 0))
+        eps, delta = eps[labelled], delta[labelled]
         wrong = trace[labelled] != 2 * delta * q
-        for i, d in zip(labelled[wrong], delta[wrong]):
-            failures.append(f"element {i}: trace {trace[i]} != {2 * d * q}")
+        failures += [
+            f"element {i}: trace {trace[i]} != {2 * d * q}"
+            for i, d in zip(labelled[wrong], delta[wrong])
+        ]
         labels = {
             (e, d): labelled[(eps == e) & (delta == d)]
             for e, d in set(zip(eps.tolist(), delta.tolist()))
         }
         if sorted(labels) != [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
             failures.append(f"labels realized: {sorted(labels)}")
-        off_class = trace != 0
-        off_class[member_idx] = False
-        bad = np.flatnonzero(off_class)
-        for i in bad[:5]:
+        for i in np.flatnonzero((trace != 0) & ~members)[:5]:
             failures.append(f"element {i}: nonzero trace {trace[i]} off the class")
         if int(trace.sum()) != 0:
             failures.append(f"virtual character pairs with trivial: {trace.sum()}")
@@ -667,9 +634,7 @@ class OrthogonalGeometry:
         for label, idx_list in sorted(labels.items()):
             size = self.conjugacy_class_size(elements[idx_list[0]])
             if size != len(idx_list):
-                failures.append(
-                    f"label {label}: orbit {size} != set size {len(idx_list)}"
-                )
+                failures.append(f"label {label}: orbit {size} != set size {len(idx_list)}")
 
         # coset model against the line-count trace, every element
         split_stab = self.stabilizer(split=True)
@@ -677,24 +642,23 @@ class OrthogonalGeometry:
         sp_one, sp_det = self._coset_model_batch(split_stab, elements)
         ns_one, ns_det = self._coset_model_batch(nonsplit_stab, elements)
         coset_trace = (sp_one - sp_det) - (ns_one - ns_det)
-        mismatch = np.where(coset_trace != trace)[0]
-        for i in mismatch[:5]:
-            failures.append(
-                f"element {i}: coset model {coset_trace[i]} != line count {trace[i]}"
-            )
-        if int(sp_one[0]) != len(split_stab.line_indices) or int(
-            ns_one[0]
-        ) != len(nonsplit_stab.line_indices):
+        for i in np.flatnonzero(coset_trace != trace)[:5]:
+            failures.append(f"element {i}: coset model {coset_trace[i]} != line count {trace[i]}")
+        cosets = (len(split_stab.line_indices), len(nonsplit_stab.line_indices))
+        if (sp_one[0], ns_one[0]) != cosets:
             failures.append("induced dimension != coset count at the identity")
 
         # the table-free route and the per-element coset model against the
         # scan, plus conjugation invariance of the labels
         rng = random.Random(seed)
-        sample = [int(member_idx[rng.randrange(len(member_idx))]) for _ in range(8)]
+        member_idx = np.flatnonzero(members)
+        sample = []
+        if len(member_idx):
+            sample = [int(member_idx[rng.randrange(len(member_idx))]) for _ in range(8)]
         sample += [rng.randrange(len(elements)) for _ in range(8)]
         h = np.stack([self.random_element(rng) for _ in sample])
         g = elements[sample]
-        free_trace, free_eps, free_delta = (
+        free_trace, _, free_eps, free_delta = (
             part.reshape(2, -1)
             for part in self._support_batch(np.concatenate([g, (self.inverse(h) @ g @ h) % q]))
         )
@@ -783,7 +747,8 @@ class OrthogonalGeometry:
             failures = self._census_failures()
             rng = random.Random(seed)
             words = np.stack([self.random_element(rng) for _ in range(samples)])
-            trace, _, delta = self._support_batch(words)
+            trace, members, eps, delta = self._support_batch(words)
+            failures += _label_failures("sample", members, eps, delta)
             wrong = np.flatnonzero(trace != 2 * delta * self.q)
             failures += [f"sample {k}: trace != support value" for k in wrong]
             return sorted(failures)

@@ -356,6 +356,66 @@ def test_verify_argv_fuzz(capsys, monkeypatch):
     exits_with_a_documented_code()
 
 
+def test_double_dash_value_is_a_usage_error(capsys):
+    # argparse hands an option value of "--" over as an empty list
+    for argv in (
+        ["trace", "sn", "--beta=1", "--cycles=--"],
+        ["table", "wn", "--n=--"],
+        ["verify", "lemma26", "--seed=--"],
+        ["verify", "lemma26", "--output=--"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and ": expected one value" in err, (argv, err)
+
+
+def int_list_token():
+    """A comma-separated list of 0..4 small integers, or a junk token."""
+    numbers = st.lists(st.integers(-2, 6), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+    junk = st.sampled_from(["x", "1,,2", " 3 ", "1.5", "--", str(WN_ENTRY_LIMIT), str(10**15)])
+    return numbers | junk
+
+
+@st.composite
+def trace_table_argv(draw):
+    """trace argv (sn, wn or a junk group, each row or cycle flag absent or
+    a token) or table argv (the same groups, --n in -2..6, no format, csv or
+    a junk one), with sizes small enough to run in well under a second."""
+    if draw(st.booleans()):
+        group = draw(st.sampled_from(["sn", "wn", "xn"]))
+        flags = ("--beta", "--cycles") if group == "sn" else ("--top", "--bottom", "--pos", "--neg")
+        argv = ["trace", group]
+        for flag in flags:
+            token = draw(st.none() | int_list_token())
+            if token is not None:
+                argv.append(f"{flag}={token}")
+        return argv
+    group = draw(st.sampled_from(["sn", "wn", "xn"]))
+    argv = ["table", group, "--n", str(draw(st.integers(-2, 6)))]
+    return argv + draw(st.sampled_from([[], ["--format", "csv"], ["--format", "tsv"]]))
+
+
+def test_trace_and_table_argv_fuzz(capsys):
+    seen = {}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(trace_table_argv())
+    def exits_with_a_documented_code(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a token or a missing flag
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2), (argv, err)
+        assert "Traceback" not in err and "internal error" not in err, (argv, err)
+        seen.setdefault((argv[0], code), argv)
+
+    exits_with_a_documented_code()
+    # both commands both run and get rejected
+    assert sorted(seen) == [("table", 0), ("table", 2), ("trace", 0), ("trace", 2)], seen
+
+
 def test_parser_is_reused_and_keeps_no_state(capsys):
     assert build_parser() is build_parser()
     build_parser.cache_clear()

@@ -5,11 +5,37 @@ import random
 import numpy as np
 import pytest
 
-from weylchars.so5 import CHUNK_ENTRIES, ClassCLabel, OrthogonalGeometry, is_prime, rank_mod
+import weylchars.cli
+from weylchars.so5 import CHUNK_ENTRIES, ClassCLabel, OrthogonalGeometry, is_prime
 
 
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def rank_mod(matrix, q: int):
+    """Rank over F_q by Gaussian elimination on a copy: an int for one
+    matrix, an array of ranks for a stack, eliminated all at once.  The
+    reference the library's kernel line counts are checked against."""
+    m = np.array(matrix, dtype=np.int64) % q
+    stack = m.reshape(-1, *m.shape[-2:])
+    count, rows, cols = stack.shape
+    rank = np.zeros(count, dtype=np.int64)
+    inverse = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
+    for col in range(cols):
+        # the first row at or below each matrix's rank with a nonzero entry
+        free = (stack[:, :, col] != 0) & (np.arange(rows) >= rank[:, None])
+        which = np.flatnonzero(free.any(axis=1))
+        sub, top, each = stack[which], rank[which], np.arange(len(which))
+        pivot = free[which].argmax(axis=1)
+        row = (sub[each, pivot] * inverse[sub[each, pivot, col]][:, None]) % q
+        sub[each, pivot] = sub[each, top]
+        sub[each, top] = row
+        factor = sub[:, :, col].copy()
+        factor[each, top] = 0
+        stack[which] = (sub - factor[:, :, None] * row[:, None]) % q
+        rank[which] += 1
+    return int(rank[0]) if m.ndim == 2 else rank.reshape(m.shape[:-2])
 
 
 def test_rank_mod():
@@ -287,7 +313,8 @@ def test_closure_enumerates_the_group(geo3):
 
 
 def test_class_orbits_cover_the_scanned_members(geo3):
-    elements, _, _, members, _ = geo3._batched_scan()
+    elements = geo3.enumerate_group()
+    members = geo3._batched_scan()[1]
     representatives = {}
     for i in np.where(members)[0]:
         label = geo3.in_class_c(elements[i])
@@ -411,16 +438,20 @@ def test_table_closure_matches_the_matrix_closure(geo3):
 
 
 def test_scan_matches_the_full_rank_scan(geo3):
-    elements, fixed, negated, members, trace = geo3._batched_scan()
-    ref_elements, ref_fixed, ref_negated, ref_members, ref_trace, rank_tests = (
-        scan_by_products(geo3)
-    )
+    trace, members, eps, delta = geo3._batched_scan()
+    _, ref_fixed, ref_negated, ref_members, ref_trace, rank_tests = scan_by_products(geo3)
     assert int((rank_tests[0] & rank_tests[1]).sum()) == 17820  # the candidates
-    assert elements is ref_elements
-    for got, want in ((fixed, ref_fixed), (negated, ref_negated), (members, ref_members)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert members.dtype == bool and np.array_equal(members, ref_members)
     assert int(members.sum()) == 5760
     assert trace.dtype == np.int64 and np.array_equal(trace, ref_trace)
+    # the labels, read off the product masks: the fixed line's type, and the
+    # one type among the negated lines' nonzero types
+    types = geo3.line_types
+    assert np.array_equal(eps[members], types[ref_fixed[members].argmax(axis=1)])
+    plane_types = [set(types[row].tolist()) - {0} for row in ref_negated[members]]
+    assert all(len(t) == 1 for t in plane_types)
+    assert delta[members].tolist() == [t.pop() for t in plane_types]
+    assert not eps[~members].any() and not delta[~members].any()
 
 
 def test_scatter_coset_model_matches_the_line_route(geo3):
@@ -455,8 +486,11 @@ def test_coset_model_runs_in_blocks(geo3, monkeypatch):
 
 
 def test_member_labels_match_the_membership_test(geo3):
-    elements, trace, index, eps, delta = geo3.member_labels()
-    assert index.tolist() == np.flatnonzero(geo3._batched_scan()[3]).tolist()
+    elements = geo3.enumerate_group()
+    trace, members, eps, delta = geo3._batched_scan()
+    index = np.flatnonzero(members)
+    assert np.array_equal(np.flatnonzero(eps), index)
+    eps, delta = eps[index], delta[index]
     labels = list(zip(eps.tolist(), delta.tolist()))
     assert sorted(set(labels)) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     assert all(labels.count(label) == 1440 for label in set(labels))
@@ -467,13 +501,13 @@ def test_member_labels_match_the_membership_test(geo3):
 
 
 def test_support_batch_matches_the_full_scan(geo3):
-    elements, trace, index, eps, delta = geo3.member_labels()
+    elements = geo3.enumerate_group()
+    scan = geo3._batched_scan()
     assert CHUNK_ENTRIES // (5 * len(geo3.lines)) < len(elements)  # chunked
-    got_trace, got_eps, got_delta = geo3._support_batch(elements)
-    assert np.array_equal(got_trace, trace)
-    assert np.flatnonzero(got_eps).tolist() == index.tolist()
-    assert np.array_equal(got_eps[index], eps) and np.array_equal(got_delta[index], delta)
-    assert not got_delta[got_eps == 0].any()
+    batch = geo3._support_batch(elements)
+    for got, want in zip(batch, scan):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    got_trace, _, _, got_delta = batch
     assert np.array_equal(got_trace, 2 * 3 * got_delta)  # the support identity
 
 
@@ -493,20 +527,41 @@ def twisted_member(geo):
     return (np.diag([1, -1, -1, -1, -1]) @ eichler) % q
 
 
-@pytest.mark.parametrize("q", [5, 7, 11, 13])
-def test_support_batch_masks_match_the_int64_products(q):
-    geo = OrthogonalGeometry(q=q)
+def word_stack(geo):
+    """Eight seeded words and ``twisted_member``, then their conjugates by
+    nine more words: the twisted member sits at rows 8 and 17."""
+    q = geo.q
     rng = random.Random(q)
     words = np.stack([geo.random_element(rng) for _ in range(8)] + [twisted_member(geo)])
     h = np.stack([geo.random_element(rng) for _ in words])
-    stack = np.concatenate([words, (geo.inverse(h) @ words @ h) % q])
+    return np.concatenate([words, (geo.inverse(h) @ words @ h) % q])
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_support_batch_masks_match_the_int64_products(q):
+    geo = OrthogonalGeometry(q=q)
+    stack = word_stack(geo)
     if q >= 11:
         assert CHUNK_ENTRIES // (5 * len(geo.lines)) < len(stack)  # chunked (3 at q = 13)
-    trace, eps, _ = geo._support_batch(stack)
+    trace, _, eps, _ = geo._support_batch(stack)
     plus = stack + np.eye(5, dtype=np.int64)
     negated = np.stack([((p @ geo.lines.T) % q == 0).all(axis=0) for p in plus])
     assert np.array_equal(trace, 2 * (negated @ geo.line_types))
     assert eps[[8, 17]].all() and trace[[8, 17]].all()
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_support_batch_members_match_the_rank_tests(q):
+    geo = OrthogonalGeometry(q=q)
+    stack = word_stack(geo)
+    eye = np.eye(5, dtype=np.int64)
+    plus = stack + eye
+    ranks = [rank_mod(m, q) for m in (stack - eye, plus, plus @ plus)]
+    expected = (ranks[0] == 4) & (ranks[1] == 3) & (ranks[2] == 2)
+    _, members, eps, delta = geo._support_batch(stack)
+    assert expected[[8, 17]].all()
+    assert np.array_equal(members, expected)
+    assert np.array_equal(eps != 0, expected) and np.array_equal(delta != 0, expected)
 
 
 def test_coset_model_guards(geo3):
@@ -536,23 +591,69 @@ def test_coded_kernels_reject_what_they_cannot_code():
 
 
 def test_verify_reports_broken_labels(geo3, monkeypatch):
-    original = geo3.member_labels
-    elements, trace, index, eps, delta = original()
+    trace, members, eps, delta = geo3._batched_scan()
+    index = np.flatnonzero(members)
 
     def corrupted():
         bad_eps, bad_delta = eps.copy(), delta.copy()
-        bad_eps[0], bad_delta[1], bad_delta[2] = 0, 0, -delta[2]
-        return elements, trace, index, bad_eps, bad_delta
+        bad_eps[index[0]], bad_delta[index[1]], bad_delta[index[2]] = 0, 0, -delta[index[2]]
+        return trace, members, bad_eps, bad_delta
 
-    monkeypatch.setattr(geo3, "member_labels", corrupted)
+    monkeypatch.setattr(geo3, "_batched_scan", corrupted)
     record = geo3.verify(seed=0)
     assert record.status == "fail"
     assert f"element {index[0]}: fixed line not anisotropic" in record.counterexamples
     assert f"element {index[1]}: mixed (-1)-plane types" in record.counterexamples
     assert (
-        f"element {index[2]}: trace {trace[index[2]]} != {-2 * delta[2] * 3}"
+        f"element {index[2]}: trace {trace[index[2]]} != {-2 * delta[index[2]] * 3}"
         in record.counterexamples
     )
+
+
+def scan_without_members(original):
+    """A stand-in for ``_batched_scan`` that keeps the trace and reports no
+    twisted-class member."""
+
+    def scan(*args):
+        trace, members, eps, delta = original(*args)
+        return trace, np.zeros_like(members), np.zeros_like(eps), np.zeros_like(delta)
+
+    return scan
+
+
+def test_verify_fails_without_members(geo3, monkeypatch, capsys):
+    monkeypatch.setattr(geo3, "_batched_scan", scan_without_members(geo3._batched_scan))
+    record = geo3.verify(seed=0)
+    assert record.status == "fail"
+    assert "labels realized: []" in record.counterexamples
+    # the CLI builds its own geometry: a failed check, exit 1, not an error
+    original = OrthogonalGeometry._batched_scan
+    monkeypatch.setattr(OrthogonalGeometry, "_batched_scan", scan_without_members(original))
+    assert weylchars.cli.main(["verify", "so5", "--no-timing"]) == 1
+    out = capsys.readouterr().out
+    assert "status: fail" in out and "  - labels realized: []\n" in out
+
+
+def test_sampled_check_reports_broken_labels(monkeypatch):
+    geo = OrthogonalGeometry(q=5)
+    original = geo._labels
+    zeroed = []
+
+    def first_eps_zeroed(fixed, negated):
+        # the batch runs in chunks, one call each: zero only the first member's eps
+        eps, delta = original(fixed, negated)
+        if len(eps) and not zeroed:
+            eps[0] = 0
+            zeroed.append(True)
+        return eps, delta
+
+    rng = random.Random(0)
+    words = np.stack([geo.random_element(rng) for _ in range(200)])
+    first = int(np.flatnonzero(geo._support_batch(words)[1])[0])
+    monkeypatch.setattr(geo, "_labels", first_eps_zeroed)
+    record = geo.verify_sampled(samples=200, seed=0)
+    assert record.status == "fail"
+    assert record.counterexamples == (f"sample {first}: fixed line not anisotropic",)
 
 
 def shift_coset_model(geo, monkeypatch, i, one, det):
@@ -572,7 +673,7 @@ def shift_coset_model(geo, monkeypatch, i, one, det):
 
 
 def test_verify_reports_a_coset_model_mismatch(geo3, monkeypatch):
-    trace = geo3.member_labels()[1]
+    trace = geo3._batched_scan()[0]
     shift_coset_model(geo3, monkeypatch, 7, 0, 1)
     record = geo3.verify(seed=0)
     assert record.status == "fail"
