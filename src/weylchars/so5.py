@@ -24,20 +24,25 @@ q^2 + 1.  Two kernels carry the per-element work:
   (products of reflection pairs, so determinants stay 1, with both spinor
   classes covered), and its matrices are read back off the basis-line
   entries; a conjugacy class is the closure of one element under
-  conjugation by the same generators.
+  conjugation by the same generators.  Each level of new tables is written
+  straight into one buffer, which doubles only on overflow; the enumeration
+  sizes it to the group order, so the group is never held twice.
 
 Both kernels decide the twisted class (below) by kernel line counts in one
 shared tail, ``_twisted_class``, and differ only in where the kernels come
 from: ``_batched_scan`` reads them off the tables and packed orthogonal-line
 bitsets, ``_support_batch`` off one narrow-integer einsum of matrix rows
 against the lines (int16 up to q = 81), for sampled and single elements.
+Both run over row blocks of about CHUNK_ENTRIES entries, so neither holds a
+whole-group mask.
 
 The coset model of the induced characters uses neither kernel's line
 action: it conjugates the 4-space stabilizer by every transporter and
 scatters the character values onto the conjugates, found by their codes.
 Since x^-1 = x^T, vec(x h x^T) = (x kron x) vec(h): a float32 GEMM per
-stabilizer, in row blocks of a few MB, its entries (at most 25 (q - 1)^3)
-exact and reduced by lookup.
+stabilizer, in row blocks of about 1 MB once coded, its entries (at most
+25 (q - 1)^3) exact and reduced by lookup.  The enumeration's codes, which
+it looks the conjugates up in, are sorted once for both stabilizers.
 Its per-element partner, ``induced_char(stab, g)``, returns the same pair
 (ind_one, ind_det) at one element the other way round: it conjugates g back
 by the transporter of each coset line g fixes and reads the conjugate's
@@ -73,7 +78,9 @@ from .report import CheckRecord, run_check
 
 FULL_ENUMERATION_Q = 3
 MAX_CODED_Q = 5  # largest q with q^25 and (q * #lines)^5 < 2^63: int64 codes
-CHUNK_ENTRIES = 2**19  # products per chunk of eigenline masks or coset GEMM block
+# entries per row block: eigenline products, scan table entries, and (a
+# quarter of it) coset GEMM outputs
+CHUNK_ENTRIES = 2**19
 
 
 def is_prime(n: int) -> bool:
@@ -92,6 +99,14 @@ def _first_occurrences(values):
     ordered = values[order]
     starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
     return np.sort(np.minimum.reduceat(order, starts))
+
+
+def _in_row_blocks(size, batch, *arrays):
+    """``batch`` over blocks of ``size`` rows of the arrays, taken in step
+    as views, with each column of its tuple results concatenated in order."""
+    bounds = range(size, len(arrays[0]), size)
+    parts = [batch(*blocks) for blocks in zip(*(np.split(a, bounds) for a in arrays))]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 @dataclass(frozen=True)
@@ -138,6 +153,7 @@ class OrthogonalGeometry:
         self._generators = None
         self._elements = None
         self._tables = None
+        self._element_codes = None
         self._stabilizers = {}
 
     # --- lines ---
@@ -251,22 +267,33 @@ class OrthogonalGeometry:
         """Every element of SO_5(F_q), by BFS closure of the generators.
 
         Guarded to q = 3 (51,840 elements); the count is checked against
-        q^4 (q^2 - 1)(q^4 - 1).  The signed line tables of the elements are
-        kept alongside, in the same order.
+        q^4 (q^2 - 1)(q^4 - 1), which also sizes the closure's table buffer,
+        so a correct enumeration never regrows it.  The signed line tables
+        of the elements are kept alongside, in the same order, and the
+        (N, 5, 5) int64 matrices are written in place, one column per basis
+        line, by gathering the vectors of the tables' basis-line entries.
         """
         if self._elements is not None:
             return self._elements
         if self.q != FULL_ENUMERATION_Q:
             raise ValueError(f"full enumeration is guarded to q={FULL_ENUMERATION_Q}")
         identity = self._signed_tables(np.eye(5, dtype=np.int64)[None])[0]
-        tables = self._closure(identity, self._signed_tables(np.stack(self.generators())))
+        tables = self._closure(
+            identity,
+            self._signed_tables(np.stack(self.generators())),
+            capacity=self.group_order_formula(),
+        )
         if len(tables) != self.group_order_formula():
             raise RuntimeError(
                 f"enumeration produced {len(tables)} elements, expected"
                 f" {self.group_order_formula()}"
             )
-        columns = self._entry_vectors()[tables[:, self._basis]]
-        self._elements = np.ascontiguousarray(columns.transpose(0, 2, 1))
+        # column i of each matrix is the vector of its entry at basis line i
+        vectors = self._entry_vectors()
+        elements = np.empty((len(tables), 5, 5), dtype=np.int64)
+        for column, line in enumerate(self._basis):
+            elements[:, :, column] = vectors[tables[:, line]]
+        self._elements = elements
         self._tables = tables
         return self._elements
 
@@ -305,7 +332,7 @@ class OrthogonalGeometry:
         weights = self._code_weights(self.q, 25)
         return np.asarray(matrices, dtype=np.int64).reshape(-1, 25) @ weights
 
-    def _closure(self, start, rights, lefts=None):
+    def _closure(self, start, rights, lefts=None, capacity=1):
         """Tables of every element reachable from the table ``start`` by
         repeated steps g -> g r (or l g r, with ``lefts``) over the stacked
         tables ``rights`` (and ``lefts``): start first, then in
@@ -319,6 +346,11 @@ class OrthogonalGeometry:
         frontier and against everything seen, by one sort of the seen codes
         followed by the new ones, keeping the first occurrence of each new
         code in step-major order, and only the new elements get full tables.
+
+        The tables live in one buffer of ``capacity`` rows: each step writes
+        its new elements straight after the last level, and the next level
+        reads them back as a view.  The buffer doubles only when a level
+        would overflow it; the result is a view of its filled rows.
         """
         width = self.q * len(self.lines)
         weights = self._code_weights(width, 5)
@@ -331,26 +363,33 @@ class OrthogonalGeometry:
             product = self._compose(tables, rights[step][lines], scaled)
             return product if lefts is None else lefts[step].take(product)
 
-        frontier = start[None]
-        seen = frontier[:, basis] @ weights
-        found = [frontier]
-        while len(frontier):
+        found = np.empty((capacity, len(start)), dtype=start.dtype)
+        found[0] = start
+        seen = start[basis][None] @ weights
+        level, end = 0, 1  # the frontier is found[level:end]
+        while end > level:
+            frontier = found[level:end]
             images = np.concatenate(
                 [image(step, frontier, basis) for step in range(len(rights))]
             )
             image_codes = images @ weights
             first = _first_occurrences(np.concatenate([seen, image_codes]))
             first = first[first >= len(seen)] - len(seen)
-            step_of, row = np.divmod(first, len(frontier))
-            frontier = np.concatenate(
-                [
-                    image(step, frontier.take(row[step_of == step], axis=0), slice(None))
-                    for step in range(len(rights))
-                ]
-            )
             seen = np.concatenate([seen, image_codes[first]])
-            found.append(frontier)
-        return np.concatenate(found)
+            if end + len(first) > len(found):
+                size = len(found)
+                while size < end + len(first):
+                    size *= 2
+                grown = np.empty((size, found.shape[1]), dtype=found.dtype)
+                grown[:end] = found[:end]
+                found, frontier = grown, grown[level:end]
+            step_of, row = np.divmod(first, len(frontier))
+            level = end
+            for step in range(len(rights)):
+                taken = frontier.take(row[step_of == step], axis=0)
+                found[end : end + len(taken)] = image(step, taken, slice(None))
+                end += len(taken)
+        return found[:end]
 
     def inverse(self, g):
         """Inverse of an element, or of each in a stack: the transpose, since
@@ -434,17 +473,14 @@ class OrthogonalGeometry:
             products %= q
             return (products == 0).reshape(len(stack), 5, len(self.lines)).all(axis=1)
 
-        size = max(1, CHUNK_ENTRIES // (5 * len(self.lines)))
-        parts = []
-        for g in np.split(matrices, range(size, len(matrices), size)):
+        def batch(g):
             plus = g + eye
             fixed, negated = np.split(kernels(np.concatenate([g - eye, plus])), 2)
-            parts.append(
-                self._twisted_class(
-                    fixed, negated, lambda c: kernels(plus[c] @ plus[c]).sum(axis=1)
-                )
+            return self._twisted_class(
+                fixed, negated, lambda c: kernels(plus[c] @ plus[c]).sum(axis=1)
             )
-        return tuple(np.concatenate(column) for column in zip(*parts))
+
+        return _in_row_blocks(max(1, CHUNK_ENTRIES // (5 * len(self.lines))), batch, matrices)
 
     def in_class_c(self, g):
         """Twisted-class membership test: the label of a member (a 0 in it
@@ -542,7 +578,9 @@ class OrthogonalGeometry:
         (g + 1)^2 is formed only for the candidates (17,820 of 51,840 at
         q = 3) and reduced by a residue table; its kernel is the AND of the
         packed orthogonal-line bitsets of its five rows (16 bytes each at
-        q = 3), counted by ``np.bitwise_count``.
+        q = 3), counted by ``np.bitwise_count``.  It runs over row blocks of
+        the tables and elements of about CHUNK_ENTRIES table entries each
+        (4,332 rows at q = 3), so no whole-group mask is ever held.
         """
         q = self.q
         elements = self.enumerate_group()
@@ -553,15 +591,19 @@ class OrthogonalGeometry:
         diagonal = np.arange(5)
         residue = (np.arange(5 * (q - 1) ** 2 + 1) % q).astype(np.uint8)
 
-        def kernel_sq_lines(candidates):
-            plus = elements[candidates]
-            plus[:, diagonal, diagonal] = (plus[:, diagonal, diagonal] + 1) % q
-            rows = orthogonal[residue[plus @ plus] @ self._place]
-            return np.bitwise_count(np.bitwise_and.reduce(rows, axis=1)).sum(axis=1)
+        def batch(tables, block):
+            def kernel_sq_lines(candidates):
+                plus = block[candidates]
+                plus[:, diagonal, diagonal] = (plus[:, diagonal, diagonal] + 1) % q
+                rows = orthogonal[residue[plus @ plus] @ self._place]
+                return np.bitwise_count(np.bitwise_and.reduce(rows, axis=1)).sum(axis=1)
 
-        return self._twisted_class(
-            self._tables == on_line + 1, self._tables == on_line + (q - 1), kernel_sq_lines
-        )
+            return self._twisted_class(
+                tables == on_line + 1, tables == on_line + (q - 1), kernel_sq_lines
+            )
+
+        size = max(1, CHUNK_ENTRIES // len(self.lines))
+        return _in_row_blocks(size, batch, self._tables, elements)
 
     def conjugacy_class_size(self, g) -> int:
         """Orbit size under conjugation by the generators."""
@@ -673,6 +715,20 @@ class OrthogonalGeometry:
                 failures.append(f"element {i}: label not conjugation invariant")
         return sorted(failures)
 
+    def _sorted_codes(self, elements):
+        """(order, sorted codes) of a stack of matrices: their
+        ``_matrix_codes`` sorted, and the permutation that sorts them.  The
+        enumeration's are kept from the first call on it, since ``verify``
+        passes it once per stabilizer."""
+        if elements is self._elements and self._element_codes is not None:
+            return self._element_codes
+        codes = self._matrix_codes(elements)
+        order = np.argsort(codes)
+        lookup = order, codes[order]
+        if elements is self._elements:
+            self._element_codes = lookup
+        return lookup
+
     def _coset_model_batch(self, stab: LineStabilizer, elements):
         """ind(1) and ind(det) at every group element, by the definition of
         induction.
@@ -688,18 +744,19 @@ class OrthogonalGeometry:
         Since x^-1 = x^T, the row-major vec(x h x^T) is (x kron x) vec(h):
         a float32 GEMM of the (|H|, 25) stack of vec(h) against the
         transporters' Kronecker products gives every conjugate.  It runs in
-        row blocks of the stack with about CHUNK_ENTRIES outputs each (3 per
-        stabilizer at q = 3), each block coded before the next, so the codes
-        keep the h-major order.  The entries are sums of 25 products of
-        residues, at most 25 (q - 1)^3 (1,600 at MAX_CODED_Q, the largest q
-        ``_matrix_codes`` accepts): exact in float32 and int16, and reduced
-        mod q by a residue table that long.  The conjugates' codes are sorted
-        before the lookup among the sorted element codes.
+        row blocks of the stack with about CHUNK_ENTRIES / 4 outputs each
+        (10 per stabilizer at q = 3), a quarter because ``_matrix_codes``
+        widens a block to int64, each block coded before the next, so the
+        codes keep the h-major order.  The entries are sums of 25 products
+        of residues, at most 25 (q - 1)^3 (1,600 at MAX_CODED_Q, the largest
+        q ``_matrix_codes`` accepts): exact in float32 and int16, and
+        reduced mod q by a residue table that long.  The conjugates' codes
+        are sorted before the lookup among the sorted element codes, which
+        ``_sorted_codes`` keeps for the enumeration, so they are coded and
+        sorted once for both stabilizers.
         """
         q = self.q
-        codes = self._matrix_codes(elements)
-        order = np.argsort(codes)
-        sorted_codes = codes[order]
+        order, sorted_codes = self._sorted_codes(elements)
         # also reduces the base-line images, at most 5 (q - 1)^2
         residue = (np.arange(25 * (q - 1) ** 3 + 1) % q).astype(np.uint8)
         base_vec = self.lines[stab.base_index]
@@ -716,7 +773,7 @@ class OrthogonalGeometry:
         # kron[(j, l), (a, i, k)] = x_a[i, j] x_a[k, l]
         kron = np.einsum("aij,akl->jlaik", x, x).reshape(25, -1)
         vec_h = elements[subgroup].reshape(-1, 25).astype(np.float32)
-        block = max(1, CHUNK_ENTRIES // kron.shape[1])
+        block = max(1, CHUNK_ENTRIES // (4 * kron.shape[1]))
         # one code per (h, x), h-major
         wanted = np.concatenate(
             [
@@ -726,7 +783,7 @@ class OrthogonalGeometry:
         )
         query = np.argsort(wanted)
         wanted = wanted[query]
-        position = np.minimum(np.searchsorted(sorted_codes, wanted), len(codes) - 1)
+        position = np.minimum(np.searchsorted(sorted_codes, wanted), len(elements) - 1)
         if (sorted_codes[position] != wanted).any():
             raise RuntimeError("a conjugate of the stabilizer is not a group element")
         where = order[position]

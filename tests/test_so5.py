@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import weylchars.cli
+import weylchars.so5
 from weylchars.so5 import CHUNK_ENTRIES, ClassCLabel, OrthogonalGeometry, is_prime
 
 
@@ -115,6 +117,20 @@ def test_enumeration_guard():
     geo = OrthogonalGeometry(q=5)
     with pytest.raises(ValueError):
         geo.enumerate_group()
+
+
+def test_enumeration_order_check_fires_both_ways(monkeypatch):
+    # too few generators leave the table buffer mostly empty; a reflection
+    # (det -1) closes to O_5, twice the buffer the enumeration sized
+    geo = OrthogonalGeometry(q=3)
+    gens = geo.generators()
+    reflection = geo.reflection([1, 0, 0, 0, 0])
+    for chosen, count in ((gens[:2], 4), (gens + [reflection], 103680)):
+        geo = OrthogonalGeometry(q=3)
+        monkeypatch.setattr(geo, "generators", lambda chosen=chosen: chosen)
+        with pytest.raises(RuntimeError) as raised:
+            geo.enumerate_group()
+        assert str(raised.value) == f"enumeration produced {count} elements, expected 51840"
 
 
 def fixed_line_scalar(geo, g, line_vec):
@@ -312,6 +328,15 @@ def test_closure_enumerates_the_group(geo3):
     assert (forms == np.eye(5, dtype=np.int64)).all()
 
 
+def test_closure_regrows_its_buffer_to_the_same_tables(geo3):
+    # from one row the buffer doubles at every overflowing level
+    identity = geo3._signed_tables(np.eye(5, dtype=np.int64)[None])[0]
+    gens = geo3._signed_tables(np.stack(geo3.generators()))
+    tables = geo3._closure(identity, gens)
+    assert tables.dtype == geo3._tables.dtype and np.array_equal(tables, geo3._tables)
+    assert len(tables.base) == 2**16  # the first power of 2 past 51,840
+
+
 def test_class_orbits_cover_the_scanned_members(geo3):
     elements = geo3.enumerate_group()
     members = geo3._batched_scan()[1]
@@ -454,6 +479,24 @@ def test_scan_matches_the_full_rank_scan(geo3):
     assert not eps[~members].any() and not delta[~members].any()
 
 
+def test_scan_blocks_that_do_not_divide_the_group(geo3, monkeypatch):
+    scan = geo3._batched_scan()
+    rows = 4097  # 51,840 = 12 * 4,097 + 2,676
+    monkeypatch.setattr(weylchars.so5, "CHUNK_ENTRIES", rows * len(geo3.lines) + 5)
+    blocks = []
+    original = geo3._twisted_class
+
+    def spy(fixed, negated, kernel_sq_lines):
+        blocks.append(len(fixed))
+        return original(fixed, negated, kernel_sq_lines)
+
+    monkeypatch.setattr(geo3, "_twisted_class", spy)
+    blocked = geo3._batched_scan()
+    assert blocks == [rows] * 12 + [2676]
+    for got, want in zip(blocked, scan):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_scatter_coset_model_matches_the_line_route(geo3):
     elements = geo3.enumerate_group()
     for split in (True, False):
@@ -479,10 +522,42 @@ def test_coset_model_runs_in_blocks(geo3, monkeypatch):
         stab = geo3.stabilizer(split)
         coded.clear()
         geo3._coset_model_batch(stab, elements)
-        # the element codes first, then one call per block of conjugates
-        assert coded[0] == len(elements) and len(coded) >= 3
-        assert sum(coded[1:]) == stab.order * len(stab.transporters)
-        assert max(coded[1:]) * 25 <= CHUNK_ENTRIES
+        # one call per block of conjugates (after the element codes, unless
+        # kept), a quarter of CHUNK_ENTRIES outputs each, since coding widens
+        # to int64
+        blocks = [n for n in coded if n != len(elements)]
+        assert len(blocks) == 10 and sum(blocks) == stab.order * len(stab.transporters)
+        assert max(blocks) * 25 * 4 <= CHUNK_ENTRIES
+
+
+def test_the_enumeration_is_coded_once(monkeypatch):
+    geo = OrthogonalGeometry(q=3)
+    coded = []
+    original = geo._matrix_codes
+
+    def spy(matrices):
+        coded.append(len(matrices))
+        return original(matrices)
+
+    monkeypatch.setattr(geo, "_matrix_codes", spy)
+    for _ in range(2):
+        assert geo.verify(seed=0).ok
+    # both checks' coset models, two stabilizers each, share one sorted
+    # lookup; then 10 blocks of conjugates per stabilizer
+    assert coded.count(51840) == 1 and len(coded) == 1 + 4 * 10
+
+
+def test_verify_peak_memory():
+    # a fresh geometry's whole check, enumeration included, by tracemalloc
+    # (numpy reports its buffers to it); whole-group temporaries took 41.9 MiB
+    tracemalloc.start()
+    try:
+        record = OrthogonalGeometry(q=3).verify(seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.ok
+    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_member_labels_match_the_membership_test(geo3):
@@ -621,17 +696,81 @@ def scan_without_members(original):
     return scan
 
 
-def test_verify_fails_without_members(geo3, monkeypatch, capsys):
-    monkeypatch.setattr(geo3, "_batched_scan", scan_without_members(geo3._batched_scan))
+def assert_verify_fails_with(geo3, monkeypatch, capsys, name, wrap, expected):
+    """Replace method ``name`` by ``wrap(original)``, first on geo3 and then
+    on the class, since the CLI builds its own geometry: ``verify`` must fail
+    with ``expected`` among its counterexamples, and ``weylchars verify so5``
+    must print it in a failed record and exit 1, not as an error.  Returns
+    what the CLI printed."""
+    monkeypatch.setattr(geo3, name, wrap(getattr(geo3, name)))
     record = geo3.verify(seed=0)
     assert record.status == "fail"
-    assert "labels realized: []" in record.counterexamples
-    # the CLI builds its own geometry: a failed check, exit 1, not an error
-    original = OrthogonalGeometry._batched_scan
-    monkeypatch.setattr(OrthogonalGeometry, "_batched_scan", scan_without_members(original))
+    assert expected in record.counterexamples
+    monkeypatch.setattr(OrthogonalGeometry, name, wrap(getattr(OrthogonalGeometry, name)))
     assert weylchars.cli.main(["verify", "so5", "--no-timing"]) == 1
     out = capsys.readouterr().out
-    assert "status: fail" in out and "  - labels realized: []\n" in out
+    assert "status: fail" in out and f"  - {expected}\n" in out
+    return out
+
+
+def edited_scan(edit):
+    """A wrapper for ``_batched_scan`` that hands copies of the scan's four
+    arrays to ``edit`` and returns its result."""
+
+    def wrap(original):
+        def scan(*args):
+            return edit(*(part.copy() for part in original(*args)))
+
+        return scan
+
+    return wrap
+
+
+def test_verify_fails_without_members(geo3, monkeypatch, capsys):
+    assert_verify_fails_with(
+        geo3, monkeypatch, capsys, "_batched_scan", scan_without_members, "labels realized: []"
+    )
+
+
+def test_verify_reports_a_nonzero_trace_off_the_class(geo3, monkeypatch, capsys):
+    i = int(np.flatnonzero(~geo3._batched_scan()[1])[0])
+
+    def edit(trace, members, eps, delta):
+        trace[i] = 2
+        return trace, members, eps, delta
+
+    assert_verify_fails_with(
+        geo3, monkeypatch, capsys, "_batched_scan", edited_scan(edit),
+        f"element {i}: nonzero trace 2 off the class",
+    )
+
+
+def test_verify_reports_a_trace_that_pairs_with_trivial(geo3, monkeypatch, capsys):
+    # one member's label and trace flipped together: the support identity
+    # still holds there, and no trace moves off the class
+    trace, members = geo3._batched_scan()[:2]
+    m = int(np.flatnonzero(members)[0])
+
+    def edit(trace, members, eps, delta):
+        trace[m], delta[m] = -trace[m], -delta[m]
+        return trace, members, eps, delta
+
+    assert_verify_fails_with(
+        geo3, monkeypatch, capsys, "_batched_scan", edited_scan(edit),
+        f"virtual character pairs with trivial: {-2 * trace[m]}",
+    )
+
+
+def test_verify_reports_a_wrong_orbit_size(geo3, monkeypatch, capsys):
+    def one_more(original):
+        return lambda *args: original(*args) + 1
+
+    out = assert_verify_fails_with(
+        geo3, monkeypatch, capsys, "conjugacy_class_size", one_more,
+        "label (-1, -1): orbit 1441 != set size 1440",
+    )
+    for label in ("(-1, 1)", "(1, -1)", "(1, 1)"):
+        assert f"  - label {label}: orbit 1441 != set size 1440\n" in out
 
 
 def test_sampled_check_reports_broken_labels(monkeypatch):
