@@ -15,18 +15,19 @@ q^2 + 1.  Two kernels carry the per-element work:
   ``line_action(g)`` is its fixed-line part.  Tables compose by lookups in
   ``scaled[c, e]``, the entry of c times the vector of entry e: where h
   maps x_l to c_h x_m, (gh) holds ``scaled[c_h, g[m]]``.
-* ``_closure(start, rights, lefts)`` is a breadth-first closure over whole
-  frontiers of tables.  Each element is coded as one int64, its five
-  basis-line entries as digits in base q * #lines ((q * #lines)^5 < 2^63
-  for q <= 5); they fix the matrix.  A frontier is deduplicated by one sort
-  of codes before any full table is composed.  The group is the closure of
-  the identity under right multiplication by a small generating set
+* ``_closure(start, rights)`` is the enumeration's breadth-first closure
+  over whole frontiers of tables.  Each element is coded as one int64, its
+  25 matrix entries as base-q digits (q^25 < 2^63 for q <= 5); the
+  basis-line entries are the matrix's columns, so an image is coded by five
+  lookups, one per basis line, before any full table is composed, and a
+  frontier is deduplicated by one sort of codes.  The group is the closure
+  of the identity under right multiplication by a small generating set
   (products of reflection pairs, so determinants stay 1, with both spinor
   classes covered), and its matrices are read back off the basis-line
-  entries; a conjugacy class is the closure of one element under
-  conjugation by the same generators.  Each level of new tables is written
-  straight into one buffer, which doubles only on overflow; the enumeration
-  sizes it to the group order, so the group is never held twice.
+  entries.  Each level of new tables is written straight into one buffer of
+  |G| rows, so the group is never held twice.  A conjugacy class's size is
+  |G| / |C(g)|, the centralizer counted on the tables: h commutes with g
+  when gh and hg have the same entries at the five basis lines.
 
 Both kernels decide the twisted class (below) by kernel line counts in one
 shared tail, ``_twisted_class``, and differ only in where the kernels come
@@ -41,8 +42,8 @@ action: it conjugates the 4-space stabilizer by every transporter and
 scatters the character values onto the conjugates, found by their codes.
 Since x^-1 = x^T, vec(x h x^T) = (x kron x) vec(h): a float32 GEMM per
 stabilizer, in row blocks of about 1 MB once coded, its entries (at most
-25 (q - 1)^3) exact and reduced by lookup.  The enumeration's codes, which
-it looks the conjugates up in, are sorted once for both stabilizers.
+25 (q - 1)^3) exact and reduced by lookup, and looked up among the
+enumeration's codes, which ``enumerate_group`` sorts once.
 Its per-element partner, ``induced_char(stab, g)``, returns the same pair
 (ind_one, ind_det) at one element the other way round: it conjugates g back
 by the transporter of each coset line g fixes and reads the conjugate's
@@ -77,7 +78,7 @@ import numpy as np
 from .report import CheckRecord, run_check
 
 FULL_ENUMERATION_Q = 3
-MAX_CODED_Q = 5  # largest q with q^25 and (q * #lines)^5 < 2^63: int64 codes
+MAX_CODED_Q = 5  # largest q with q^25 < 2^63: int64 element codes
 # entries per row block: eigenline products, scan table entries, and (a
 # quarter of it) coset GEMM outputs
 CHUNK_ENTRIES = 2**19
@@ -267,22 +268,19 @@ class OrthogonalGeometry:
         """Every element of SO_5(F_q), by BFS closure of the generators.
 
         Guarded to q = 3 (51,840 elements); the count is checked against
-        q^4 (q^2 - 1)(q^4 - 1), which also sizes the closure's table buffer,
-        so a correct enumeration never regrows it.  The signed line tables
-        of the elements are kept alongside, in the same order, and the
-        (N, 5, 5) int64 matrices are written in place, one column per basis
-        line, by gathering the vectors of the tables' basis-line entries.
+        q^4 (q^2 - 1)(q^4 - 1), too many by the closure and too few here.
+        The signed line tables of the elements are kept alongside, in the
+        same order, and their ``_matrix_codes``, from the closure, sorted
+        once as (order, sorted codes) in ``_element_codes``.  The (N, 5, 5)
+        int64 matrices are written in place, one column per basis line, by
+        gathering the vectors of the tables' basis-line entries.
         """
         if self._elements is not None:
             return self._elements
         if self.q != FULL_ENUMERATION_Q:
             raise ValueError(f"full enumeration is guarded to q={FULL_ENUMERATION_Q}")
         identity = self._signed_tables(np.eye(5, dtype=np.int64)[None])[0]
-        tables = self._closure(
-            identity,
-            self._signed_tables(np.stack(self.generators())),
-            capacity=self.group_order_formula(),
-        )
+        tables, codes = self._closure(identity, self._signed_tables(np.stack(self.generators())))
         if len(tables) != self.group_order_formula():
             raise RuntimeError(
                 f"enumeration produced {len(tables)} elements, expected"
@@ -293,6 +291,8 @@ class OrthogonalGeometry:
         elements = np.empty((len(tables), 5, 5), dtype=np.int64)
         for column, line in enumerate(self._basis):
             elements[:, :, column] = vectors[tables[:, line]]
+        order = np.argsort(codes)
+        self._element_codes = order, codes[order]
         self._elements = elements
         self._tables = tables
         return self._elements
@@ -321,75 +321,65 @@ class OrthogonalGeometry:
         line_h, scalar_h = np.divmod(h, self.q)
         return scaled.take(scalar_h * scaled.shape[1] + g.take(line_h, axis=-1))
 
-    def _code_weights(self, base: int, digits: int):
-        """Place values of an int64 code of ``digits`` digits in ``base``."""
+    def _code_weights(self):
+        """Place values of the int64 element code: entry (i, j) of a matrix
+        mod q is its base-q digit 5 i + j."""
         if self.q > MAX_CODED_Q:
             raise ValueError(f"int64 codes need q <= {MAX_CODED_Q}")
-        return base ** np.arange(digits, dtype=np.int64)
+        return self.q ** np.arange(25, dtype=np.int64)
 
     def _matrix_codes(self, matrices):
         """One int64 per 5x5 matrix mod q, its entries as base-q digits."""
-        weights = self._code_weights(self.q, 25)
-        return np.asarray(matrices, dtype=np.int64).reshape(-1, 25) @ weights
+        return np.asarray(matrices, dtype=np.int64).reshape(-1, 25) @ self._code_weights()
 
-    def _closure(self, start, rights, lefts=None, capacity=1):
-        """Tables of every element reachable from the table ``start`` by
-        repeated steps g -> g r (or l g r, with ``lefts``) over the stacked
-        tables ``rights`` (and ``lefts``): start first, then in
-        breadth-first discovery order.
+    def _closure(self, start, rights):
+        """(tables, codes) of every element reachable from the table
+        ``start`` by repeated steps g -> g r over the stacked tables
+        ``rights``: start first, then in breadth-first discovery order, each
+        with its ``_matrix_codes`` code.
 
-        Right factors are applied by ``_compose``; each left factor l is
-        first extended to its entry on every signed vector, so that l g is
-        the gather ``extended(l)[g]``.  A frontier's images are first
-        composed only at the five basis lines, whose entries fix the matrix
-        and are its code's digits; the codes are deduplicated, within the
-        frontier and against everything seen, by one sort of the seen codes
-        followed by the new ones, keeping the first occurrence of each new
-        code in step-major order, and only the new elements get full tables.
-
-        The tables live in one buffer of ``capacity`` rows: each step writes
-        its new elements straight after the last level, and the next level
-        reads them back as a view.  The buffer doubles only when a level
-        would overflow it; the result is a view of its filled rows.
+        A frontier's images are first composed only at the five basis lines,
+        whose entries are the matrix's columns: ``columns[j, e]`` is the code
+        of entry e's vector as column j, and an image's code is the sum of
+        its five lookups, accumulated in place.  The codes are deduplicated,
+        within the frontier and against everything seen, by one sort of the
+        seen codes followed by the new ones, keeping the first occurrence of
+        each new code in step-major order, and only the new elements get
+        full tables.  The tables live in one buffer of |G| rows: each step
+        writes its new elements straight after the last level, and the next
+        level reads them back as a view.  A closure that would overflow it
+        has left the group, and raises.
         """
-        width = self.q * len(self.lines)
-        weights = self._code_weights(width, 5)
+        group_order = self.group_order_formula()
+        columns = (self._entry_vectors() @ self._code_weights().reshape(5, 5)).T
         scaled = self._scaled_entries()
-        if lefts is not None:
-            lefts = scaled[:, lefts].transpose(1, 2, 0).reshape(len(lefts), width)
         basis = self._basis
-
-        def image(step, tables, lines):
-            product = self._compose(tables, rights[step][lines], scaled)
-            return product if lefts is None else lefts[step].take(product)
-
-        found = np.empty((capacity, len(start)), dtype=start.dtype)
+        found = np.empty((group_order, len(start)), dtype=start.dtype)
         found[0] = start
-        seen = start[basis][None] @ weights
+        seen = np.array([columns[np.arange(5), start[basis]].sum()])
         level, end = 0, 1  # the frontier is found[level:end]
         while end > level:
             frontier = found[level:end]
             images = np.concatenate(
-                [image(step, frontier, basis) for step in range(len(rights))]
+                [self._compose(frontier, right[basis], scaled) for right in rights]
             )
-            image_codes = images @ weights
+            image_codes = columns[0].take(images[:, 0])
+            for j in range(1, 5):
+                image_codes += columns[j].take(images[:, j])
             first = _first_occurrences(np.concatenate([seen, image_codes]))
             first = first[first >= len(seen)] - len(seen)
             seen = np.concatenate([seen, image_codes[first]])
-            if end + len(first) > len(found):
-                size = len(found)
-                while size < end + len(first):
-                    size *= 2
-                grown = np.empty((size, found.shape[1]), dtype=found.dtype)
-                grown[:end] = found[:end]
-                found, frontier = grown, grown[level:end]
+            if end + len(first) > group_order:
+                raise RuntimeError(
+                    f"enumeration produced over {group_order} elements, expected {group_order}"
+                )
             step_of, row = np.divmod(first, len(frontier))
             level = end
-            for step in range(len(rights)):
+            for step, right in enumerate(rights):
                 taken = frontier.take(row[step_of == step], axis=0)
-                found[end : end + len(taken)] = image(step, taken, slice(None))
+                found[end : end + len(taken)] = self._compose(taken, right, scaled)
                 end += len(taken)
-        return found[:end]
+        return found[:end], seen
 
     def inverse(self, g):
         """Inverse of an element, or of each in a stack: the transpose, since
@@ -606,26 +596,36 @@ class OrthogonalGeometry:
         return _in_row_blocks(size, batch, self._tables, elements)
 
     def conjugacy_class_size(self, g) -> int:
-        """Orbit size under conjugation by the generators."""
-        gens = np.stack(self.generators())
-        orbit = self._closure(
-            self._signed_tables(np.asarray(g)[None])[0],
-            self._signed_tables(gens),
-            self._signed_tables(self.inverse(gens)),
-        )
-        return len(orbit)
+        """|G| / |C(g)|, the centralizer counted over the enumeration's
+        tables (so guarded to q = 3 with it).
+
+        h commutes with g when gh and hg agree at every basis line b: where
+        h maps x_b to c_h x_m, (gh)[b] = ``scaled[c_h, g[m]]``, and where g
+        maps it to c_g x_n, (hg)[b] = ``scaled[c_g, h[n]]``.  Only the rows
+        that still agree go on to the next line.
+        """
+        self.enumerate_group()
+        g = self._signed_tables(np.asarray(g)[None])[0]
+        scaled = self._scaled_entries()
+        rows = np.arange(len(self._tables))
+        for b in self._basis:
+            line_g, scalar_g = divmod(int(g[b]), self.q)
+            gh = self._compose(g, self._tables[rows, b], scaled)
+            hg = scaled[scalar_g].take(self._tables[rows, line_g])
+            rows = rows[gh == hg]
+        return len(self._tables) // len(rows)
 
     def verify(self, seed: int = 0) -> CheckRecord:
         """Full element-by-element verification at q = 3.
 
-        Checks: group order; line census; the support identity (the
-        line-count trace equals the class-function value everywhere, and is
-        nonzero exactly on the membership test); all four labels occur and
-        each label set is a single conjugacy class; the coset-model virtual
-        character agrees with the line-count trace everywhere; the virtual
-        character pairs to zero with the trivial one; batched and
-        per-element routes agree on a seeded sample, with labels invariant
-        under conjugation.
+        Checks (the group order is checked by the enumeration): line
+        census; the support identity (the line-count trace equals the
+        class-function value everywhere, and is nonzero exactly on the
+        membership test); all four labels occur and each label set is a
+        single conjugacy class; the coset-model virtual character agrees
+        with the line-count trace everywhere; the virtual character pairs to
+        zero with the trivial one; batched and per-element routes agree on a
+        seeded sample, with labels invariant under conjugation.
         """
 
         def scan():
@@ -649,8 +649,6 @@ class OrthogonalGeometry:
         failures = self._census_failures()
         elements = self.enumerate_group()
         trace, members, eps, delta = self._batched_scan()
-        if len(elements) != self.group_order_formula():
-            failures.append(f"group order {len(elements)}")
 
         # support identity, batched
         failures += _label_failures("element", members, eps, delta)
@@ -681,8 +679,8 @@ class OrthogonalGeometry:
         # coset model against the line-count trace, every element
         split_stab = self.stabilizer(split=True)
         nonsplit_stab = self.stabilizer(split=False)
-        sp_one, sp_det = self._coset_model_batch(split_stab, elements)
-        ns_one, ns_det = self._coset_model_batch(nonsplit_stab, elements)
+        sp_one, sp_det = self._coset_model_batch(split_stab)
+        ns_one, ns_det = self._coset_model_batch(nonsplit_stab)
         coset_trace = (sp_one - sp_det) - (ns_one - ns_det)
         for i in np.flatnonzero(coset_trace != trace)[:5]:
             failures.append(f"element {i}: coset model {coset_trace[i]} != line count {trace[i]}")
@@ -715,28 +713,14 @@ class OrthogonalGeometry:
                 failures.append(f"element {i}: label not conjugation invariant")
         return sorted(failures)
 
-    def _sorted_codes(self, elements):
-        """(order, sorted codes) of a stack of matrices: their
-        ``_matrix_codes`` sorted, and the permutation that sorts them.  The
-        enumeration's are kept from the first call on it, since ``verify``
-        passes it once per stabilizer."""
-        if elements is self._elements and self._element_codes is not None:
-            return self._element_codes
-        codes = self._matrix_codes(elements)
-        order = np.argsort(codes)
-        lookup = order, codes[order]
-        if elements is self._elements:
-            self._element_codes = lookup
-        return lookup
-
-    def _coset_model_batch(self, stab: LineStabilizer, elements):
+    def _coset_model_batch(self, stab: LineStabilizer):
         """ind(1) and ind(det) at every group element, by the definition of
         induction.
 
         The subgroup H and det on it come from the matrices' action on the
         base line.  An element g lies in the stabilizer of the coset line of
         transporter x exactly when g = x h x^-1 with h in H, and then adds
-        det(h) there; so each conjugate x h x^-1 is found among ``elements``
+        det(h) there; so each conjugate x h x^-1 is found in the enumeration
         by its code and gets 1 and det(h).  This route never computes an
         element's action on the lines, so it shares no shortcut with the
         line-count trace.
@@ -752,11 +736,11 @@ class OrthogonalGeometry:
         q ``_matrix_codes`` accepts): exact in float32 and int16, and
         reduced mod q by a residue table that long.  The conjugates' codes
         are sorted before the lookup among the sorted element codes, which
-        ``_sorted_codes`` keeps for the enumeration, so they are coded and
-        sorted once for both stabilizers.
+        the enumeration keeps in ``_element_codes``.
         """
         q = self.q
-        order, sorted_codes = self._sorted_codes(elements)
+        elements = self.enumerate_group()
+        order, sorted_codes = self._element_codes
         # also reduces the base-line images, at most 5 (q - 1)^2
         residue = (np.arange(25 * (q - 1) ** 3 + 1) % q).astype(np.uint8)
         base_vec = self.lines[stab.base_index]
@@ -783,7 +767,7 @@ class OrthogonalGeometry:
         )
         query = np.argsort(wanted)
         wanted = wanted[query]
-        position = np.minimum(np.searchsorted(sorted_codes, wanted), len(elements) - 1)
+        position = np.minimum(np.searchsorted(sorted_codes, wanted), len(sorted_codes) - 1)
         if (sorted_codes[position] != wanted).any():
             raise RuntimeError("a conjugate of the stabilizer is not a group element")
         where = order[position]

@@ -121,11 +121,11 @@ def test_enumeration_guard():
 
 def test_enumeration_order_check_fires_both_ways(monkeypatch):
     # too few generators leave the table buffer mostly empty; a reflection
-    # (det -1) closes to O_5, twice the buffer the enumeration sized
+    # (det -1) closes to O_5, and overflows the buffer of |SO_5| rows
     geo = OrthogonalGeometry(q=3)
     gens = geo.generators()
     reflection = geo.reflection([1, 0, 0, 0, 0])
-    for chosen, count in ((gens[:2], 4), (gens + [reflection], 103680)):
+    for chosen, count in ((gens[:2], "4"), (gens + [reflection], "over 51840")):
         geo = OrthogonalGeometry(q=3)
         monkeypatch.setattr(geo, "generators", lambda chosen=chosen: chosen)
         with pytest.raises(RuntimeError) as raised:
@@ -328,15 +328,6 @@ def test_closure_enumerates_the_group(geo3):
     assert (forms == np.eye(5, dtype=np.int64)).all()
 
 
-def test_closure_regrows_its_buffer_to_the_same_tables(geo3):
-    # from one row the buffer doubles at every overflowing level
-    identity = geo3._signed_tables(np.eye(5, dtype=np.int64)[None])[0]
-    gens = geo3._signed_tables(np.stack(geo3.generators()))
-    tables = geo3._closure(identity, gens)
-    assert tables.dtype == geo3._tables.dtype and np.array_equal(tables, geo3._tables)
-    assert len(tables.base) == 2**16  # the first power of 2 past 51,840
-
-
 def test_class_orbits_cover_the_scanned_members(geo3):
     elements = geo3.enumerate_group()
     members = geo3._batched_scan()[1]
@@ -349,19 +340,22 @@ def test_class_orbits_cover_the_scanned_members(geo3):
     assert len(representatives) == 4
     sizes = [geo3.conjugacy_class_size(g) for g in representatives.values()]
     assert sum(sizes) == int(members.sum()) == 5760
-    # the table closure walks each class in the matrix closure's order
+    # the centralizer count against the orbit under conjugation by the
+    # generators, for the representatives and for non-members
     gens = np.stack(geo3.generators())
-    inverses = np.stack([geo3.inverse(h) for h in gens])
-    for g in representatives.values():
-        orbit = geo3._closure(
-            geo3._signed_tables(g[None])[0],
-            geo3._signed_tables(gens),
-            geo3._signed_tables(inverses),
-        )
-        reference = matrix_closure(
+    inverses = geo3.inverse(gens)
+    non_members = [
+        (np.eye(5, dtype=np.int64), 1),
+        (np.diag([1, 2, 2, 2, 2]), 45),
+        (gens[-1], 5184),  # the 5-cycle
+        (elements[1], 270),
+        (elements[777], 5760),
+    ]
+    for g, size in [(g, 1440) for g in representatives.values()] + non_members:
+        orbit = matrix_closure(
             geo3, g, lambda batch: inverses[:, None] @ batch[None] @ gens[:, None]
         )
-        assert np.array_equal(table_matrices(geo3, orbit), reference)
+        assert geo3.conjugacy_class_size(g) == len(orbit) == size
 
 
 # --- the matrix routes the signed line tables replaced, kept as references ---
@@ -501,14 +495,13 @@ def test_scatter_coset_model_matches_the_line_route(geo3):
     elements = geo3.enumerate_group()
     for split in (True, False):
         stab = geo3.stabilizer(split)
-        got = geo3._coset_model_batch(stab, elements)
+        got = geo3._coset_model_batch(stab)
         want = coset_model_by_lines(geo3, stab, elements)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert int(got[0][0]) == len(stab.line_indices)
 
 
 def test_coset_model_runs_in_blocks(geo3, monkeypatch):
-    elements = geo3.enumerate_group()
     coded = []
     original = geo3._matrix_codes
 
@@ -521,13 +514,11 @@ def test_coset_model_runs_in_blocks(geo3, monkeypatch):
     for split in (True, False):
         stab = geo3.stabilizer(split)
         coded.clear()
-        geo3._coset_model_batch(stab, elements)
-        # one call per block of conjugates (after the element codes, unless
-        # kept), a quarter of CHUNK_ENTRIES outputs each, since coding widens
-        # to int64
-        blocks = [n for n in coded if n != len(elements)]
-        assert len(blocks) == 10 and sum(blocks) == stab.order * len(stab.transporters)
-        assert max(blocks) * 25 * 4 <= CHUNK_ENTRIES
+        geo3._coset_model_batch(stab)
+        # one call per block of conjugates, a quarter of CHUNK_ENTRIES
+        # outputs each, since coding widens to int64
+        assert len(coded) == 10 and sum(coded) == stab.order * len(stab.transporters)
+        assert max(coded) * 25 * 4 <= CHUNK_ENTRIES
 
 
 def test_the_enumeration_is_coded_once(monkeypatch):
@@ -542,9 +533,14 @@ def test_the_enumeration_is_coded_once(monkeypatch):
     monkeypatch.setattr(geo, "_matrix_codes", spy)
     for _ in range(2):
         assert geo.verify(seed=0).ok
-    # both checks' coset models, two stabilizers each, share one sorted
-    # lookup; then 10 blocks of conjugates per stabilizer
-    assert coded.count(51840) == 1 and len(coded) == 1 + 4 * 10
+    # the closure codes the elements itself: both checks' coset models, two
+    # stabilizers each, code only their 10 blocks of conjugates
+    assert len(coded) == 4 * 10 and 51840 not in coded
+    # and its codes are the element codes, sorted once
+    order, codes = geo._element_codes
+    assert codes.dtype == np.int64
+    assert np.array_equal(original(geo.enumerate_group())[order], codes)
+    assert (np.diff(codes) > 0).all()
 
 
 def test_verify_peak_memory():
@@ -639,13 +635,14 @@ def test_support_batch_members_match_the_rank_tests(q):
     assert np.array_equal(eps != 0, expected) and np.array_equal(delta != 0, expected)
 
 
-def test_coset_model_guards(geo3):
+def test_coset_model_guards(geo3, monkeypatch):
     elements = geo3.enumerate_group()
     stab = geo3.stabilizer(split=True)
     wrong = dataclasses.replace(stab, order=stab.order + 1)
     with pytest.raises(RuntimeError, match="base-line stabilizer"):
-        geo3._coset_model_batch(wrong, elements)
-    # drop one element that fixes a coset line but not the base line
+        geo3._coset_model_batch(wrong)
+    # drop the code of one element that fixes a coset line but not the base
+    # line
     coset_lines = list(stab.line_indices)
     dropped = next(
         i
@@ -653,14 +650,17 @@ def test_coset_model_guards(geo3):
         if geo3.line_action(g)[stab.base_index] == 0
         and geo3.line_action(g)[coset_lines].any()
     )
+    order, codes = geo3._element_codes
+    k = int(np.flatnonzero(order == dropped)[0])
+    monkeypatch.setattr(geo3, "_element_codes", (np.delete(order, k), np.delete(codes, k)))
     with pytest.raises(RuntimeError, match="not a group element"):
-        geo3._coset_model_batch(stab, np.delete(elements, dropped, axis=0))
+        geo3._coset_model_batch(stab)
 
 
 def test_coded_kernels_reject_what_they_cannot_code():
     geo = OrthogonalGeometry(q=7)
-    with pytest.raises(ValueError):
-        geo.conjugacy_class_size(np.eye(5, dtype=np.int64))
+    with pytest.raises(ValueError, match="int64 codes need q <= 5"):
+        geo._matrix_codes(np.eye(5, dtype=np.int64)[None])
     with pytest.raises(ValueError):
         geo.line_index([0, 0, 0, 0, 0])
 
@@ -696,26 +696,28 @@ def scan_without_members(original):
     return scan
 
 
-def assert_verify_fails_with(geo3, monkeypatch, capsys, name, wrap, expected):
-    """Replace method ``name`` by ``wrap(original)``, first on geo3 and then
-    on the class, since the CLI builds its own geometry: ``verify`` must fail
-    with ``expected`` among its counterexamples, and ``weylchars verify so5``
-    must print it in a failed record and exit 1, not as an error.  Returns
-    what the CLI printed."""
-    monkeypatch.setattr(geo3, name, wrap(getattr(geo3, name)))
-    record = geo3.verify(seed=0)
+def assert_verify_fails_with(geo, monkeypatch, capsys, name, wrap, expected):
+    """Replace method ``name`` by ``wrap(original)``, first on geo and then
+    on the class, since the CLI builds its own geometry: ``verify`` (at
+    q = 3, else ``verify_sampled`` with the CLI's 200 samples) must fail
+    with ``expected`` among its counterexamples, and ``weylchars verify
+    so5`` at geo's q must print it in a failed record and exit 1, not as an
+    error.  Returns what the CLI printed."""
+    monkeypatch.setattr(geo, name, wrap(getattr(geo, name)))
+    record = geo.verify(seed=0) if geo.q == 3 else geo.verify_sampled(200, seed=0)
     assert record.status == "fail"
     assert expected in record.counterexamples
     monkeypatch.setattr(OrthogonalGeometry, name, wrap(getattr(OrthogonalGeometry, name)))
-    assert weylchars.cli.main(["verify", "so5", "--no-timing"]) == 1
+    q_args = [] if geo.q == 3 else ["--q", str(geo.q)]
+    assert weylchars.cli.main(["verify", "so5", "--no-timing", *q_args]) == 1
     out = capsys.readouterr().out
     assert "status: fail" in out and f"  - {expected}\n" in out
     return out
 
 
-def edited_scan(edit):
-    """A wrapper for ``_batched_scan`` that hands copies of the scan's four
-    arrays to ``edit`` and returns its result."""
+def edited(edit):
+    """A wrapper for ``_batched_scan`` or ``_support_batch`` that hands
+    copies of the four arrays to ``edit`` and returns its result."""
 
     def wrap(original):
         def scan(*args):
@@ -740,7 +742,7 @@ def test_verify_reports_a_nonzero_trace_off_the_class(geo3, monkeypatch, capsys)
         return trace, members, eps, delta
 
     assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "_batched_scan", edited_scan(edit),
+        geo3, monkeypatch, capsys, "_batched_scan", edited(edit),
         f"element {i}: nonzero trace 2 off the class",
     )
 
@@ -756,21 +758,84 @@ def test_verify_reports_a_trace_that_pairs_with_trivial(geo3, monkeypatch, capsy
         return trace, members, eps, delta
 
     assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "_batched_scan", edited_scan(edit),
+        geo3, monkeypatch, capsys, "_batched_scan", edited(edit),
         f"virtual character pairs with trivial: {-2 * trace[m]}",
     )
 
 
-def test_verify_reports_a_wrong_orbit_size(geo3, monkeypatch, capsys):
-    def one_more(original):
-        return lambda *args: original(*args) + 1
+def one_more(original):
+    """A wrapper that adds 1 to what ``original`` returns."""
+    return lambda *args: original(*args) + 1
 
+
+def test_verify_reports_a_wrong_orbit_size(geo3, monkeypatch, capsys):
     out = assert_verify_fails_with(
         geo3, monkeypatch, capsys, "conjugacy_class_size", one_more,
         "label (-1, -1): orbit 1441 != set size 1440",
     )
     for label in ("(-1, 1)", "(1, -1)", "(1, 1)"):
         assert f"  - label {label}: orbit 1441 != set size 1440\n" in out
+
+
+def first_sampled(geo3):
+    """The element ``verify(seed=0)`` samples first, a class member: row 0
+    of its ``_support_batch`` stack, whose conjugate is row 16."""
+    members = np.flatnonzero(geo3._batched_scan()[1])
+    return int(members[random.Random(0).randrange(len(members))])
+
+
+@pytest.mark.parametrize(
+    "part, rows, message",
+    [
+        (0, [0], "per-element trace disagrees"),
+        # the conjugate's delta flips too, so the label stays invariant
+        (3, [0, 16], "support value disagrees"),
+        (2, [16], "label not conjugation invariant"),
+    ],
+    ids=["trace", "support", "label"],
+)
+def test_verify_reports_a_per_element_disagreement(geo3, monkeypatch, capsys, part, rows, message):
+    # negates one of the four arrays of _support_batch at the given rows
+    def edit(*parts):
+        parts[part][rows] *= -1
+        return parts
+
+    assert_verify_fails_with(
+        geo3, monkeypatch, capsys, "_support_batch", edited(edit),
+        f"element {first_sampled(geo3)}: {message}",
+    )
+
+
+def test_verify_reports_a_per_element_coset_model_disagreement(geo3, monkeypatch, capsys):
+    assert_verify_fails_with(
+        geo3, monkeypatch, capsys, "induced_virtual_trace", one_more,
+        f"element {first_sampled(geo3)}: per-element coset model disagrees",
+    )
+
+
+def test_verify_reports_a_wrong_line_census(geo3, monkeypatch, capsys):
+    def one_more_isotropic(original):
+        def census(*args):
+            iso, plus, minus = original(*args)
+            return iso + 1, plus, minus
+
+        return census
+
+    out = assert_verify_fails_with(
+        geo3, monkeypatch, capsys, "line_census", one_more_isotropic, "isotropic line count 41"
+    )
+    assert "  - line total 122\n" in out
+
+
+def test_sampled_check_reports_a_trace_off_the_support_value(monkeypatch, capsys):
+    def edit(trace, members, eps, delta):
+        trace[0] = 2  # the support value is 0 or +-10 at q = 5
+        return trace, members, eps, delta
+
+    assert_verify_fails_with(
+        OrthogonalGeometry(q=5), monkeypatch, capsys, "_support_batch", edited(edit),
+        "sample 0: trace != support value",
+    )
 
 
 def test_sampled_check_reports_broken_labels(monkeypatch):
@@ -801,8 +866,8 @@ def shift_coset_model(geo, monkeypatch, i, one, det):
     original = geo._coset_model_batch
     split = geo.stabilizer(split=True)
 
-    def shifted(stab, elements):
-        ind_one, ind_det = original(stab, elements)
+    def shifted(stab):
+        ind_one, ind_det = original(stab)
         if stab is split:
             ind_one[i] += one
             ind_det[i] += det

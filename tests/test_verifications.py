@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from removal_walk import sp_cycle_type, split_admissible_d
-from weylchars import verifications
+from weylchars import cli, verifications
 from weylchars.report import CheckRecord, all_passed, render_report, run_check
 from weylchars.symbols import BiSymbol, SignedCycleType, perm_sign, signed_cycle_types
 from weylchars.verifications import (
@@ -230,6 +230,92 @@ def test_failed_split_keeps_the_counterexample_text(monkeypatch):
     assert record.counterexamples == ("split top=(0, 2) bottom=(1,): expected 0, got 7",)
     record = check_lemma29(1)
     assert record.counterexamples == ("split top=(0,) bottom=(1,): expected -1, got 7",)
+
+
+def assert_claim_fails_with(capsys, check, argv, expected):
+    """``check()`` must fail with ``expected`` among its counterexamples, and
+    ``weylchars verify`` with ``argv`` must print it in a failed record and
+    exit 1, not as an error."""
+    record = check()
+    assert record.status == "fail"
+    assert expected in record.counterexamples
+    assert cli.main(["verify", *argv, "--no-timing"]) == 1
+    out = capsys.readouterr().out
+    assert "status: fail" in out and f"  - {expected}\n" in out
+
+
+@pytest.mark.parametrize(
+    "claim, computed, m", [("prop211", "multiplicity_bc", 1), ("prop212", "multiplicity_d", 2)]
+)
+def test_prop_checks_report_a_wrong_multiplicity(monkeypatch, capsys, claim, computed, m):
+    monkeypatch.setattr(verifications, computed, lambda m: Fraction(2))
+    check = getattr(verifications, f"check_{claim}")
+    assert_claim_fails_with(
+        capsys, lambda: check(m), [claim, "--m", str(m)], "multiplicity 2 != 1"
+    )
+
+
+def every_split_admissible(monkeypatch):
+    monkeypatch.setattr(verifications, "_admissible", lambda size, m: lambda b: True)
+
+
+def test_lemma27_reports_a_parity_off(monkeypatch, capsys):
+    # at m = 1 the parity is odd, and the bottom row (1,) has no even entry
+    every_split_admissible(monkeypatch)
+    assert_claim_fails_with(
+        capsys, lambda: check_lemma27(1), ["lemma27", "--m", "1"],
+        "split top=(0, 2) bottom=(1,): even-count parity off",
+    )
+
+
+@pytest.mark.parametrize("identity", ["a", "b"])
+def test_lemma210_reports_each_identity(monkeypatch, capsys, identity):
+    # the bottom rows (0, 3) and (1, 2) hold a mirror pair: each breaks both
+    every_split_admissible(monkeypatch)
+    assert_claim_fails_with(
+        capsys, lambda: check_lemma210(1), ["lemma210", "--m", "1"],
+        f"split top=(1, 2) bottom=(0, 3): identity ({identity}) fails",
+    )
+
+
+IDENTITY_W4 = SignedCycleType((1, 1, 1, 1), ())
+
+
+@pytest.mark.parametrize(
+    "kinds, shift, message",
+    [
+        (
+            ((-1, -1), (-1, -1)), 1,
+            "epsilon=(-1, -1)x(-1, -1) class=SignedCycleType(pos=(1, 1, 1, 1), neg=()):"
+            " odd value 7",
+        ),
+        # 8 is even, so only the 6/2/0 pattern fires
+        (
+            ((1, 1), (1, 1)), 2,
+            "trivial epsilon class=SignedCycleType(pos=(1, 1, 1, 1), neg=()): expected 6, got 8",
+        ),
+    ],
+    ids=["odd", "trivial"],
+)
+def test_lemma217_reports_a_wrong_induced_value(monkeypatch, capsys, kinds, shift, message):
+    original = verifications.induced_linear_trace_w4
+
+    def shifted(kind1, kind2, cls):
+        return original(kind1, kind2, cls) + shift * ((kind1, kind2) == kinds and cls == IDENTITY_W4)
+
+    monkeypatch.setattr(verifications, "induced_linear_trace_w4", shifted)
+    assert_claim_fails_with(capsys, check_lemma217, ["lemma217"], message)
+
+
+def test_lemma217_reports_an_odd_symbol_value(monkeypatch, capsys):
+    original = verifications.mn_trace_wn
+    monkeypatch.setattr(
+        verifications, "mn_trace_wn", lambda sym, cls: original(sym, cls) + (cls == IDENTITY_W4)
+    )
+    assert_claim_fails_with(
+        capsys, check_lemma217, ["lemma217"],
+        "symbol (1,2);(2) class=SignedCycleType(pos=(1, 1, 1, 1), neg=()): odd value 7",
+    )
 
 
 def test_split_weight_and_type_d_guards(monkeypatch):
