@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from functools import cache
+from math import factorial, lcm
 from operator import mul
 
 from .symbols import (
@@ -68,40 +69,28 @@ def young_perm_char(blocks, cycles) -> int:
     ``blocks`` is a composition (labeled block sizes, zeros allowed); a block
     of size b must receive cycles of total length exactly b.  This is the
     value of the permutation character of the Young subgroup with those
-    block sizes.
+    block sizes.  The cycles are placed one at a time, longest first, into
+    every block with room left, memoized on (cycles placed, room left).
     """
     blocks = tuple(int(b) for b in blocks)
-    cycles = tuple(sorted(int(c) for c in cycles))
+    cycles = tuple(sorted((int(c) for c in cycles), reverse=True))
+    if min(cycles, default=1) < 1:
+        raise ValueError("cycle lengths must be >= 1")
     if any(b < 0 for b in blocks):
         raise ValueError("block sizes must be non-negative")
     if sum(blocks) != sum(cycles):
         raise ValueError("total block size must equal total cycle length")
-    groups = sorted(set(cycles))
-    mults = [cycles.count(g) for g in groups]
-    memo: dict = {}
 
-    def place(idx, caps):
-        if idx == len(groups):
+    @cache
+    def place(placed, room):
+        if placed == len(cycles):
             return 1
-        key = (idx, caps)
-        if key in memo:
-            return memo[key]
-        length, mult = groups[idx], mults[idx]
-        total = 0
-
-        def spread(j, left, caps_now, ways):
-            nonlocal total
-            if j == len(caps_now):
-                if left == 0:
-                    total += ways * place(idx + 1, caps_now)
-                return
-            for c in range(min(left, caps_now[j] // length) + 1):
-                nxt = caps_now[:j] + (caps_now[j] - c * length,) + caps_now[j + 1 :]
-                spread(j + 1, left - c, nxt, ways * comb(left, c))
-
-        spread(0, mult, caps, 1)
-        memo[key] = total
-        return total
+        c = cycles[placed]
+        return sum(
+            place(placed + 1, room[:j] + (r - c,) + room[j + 1 :])
+            for j, r in enumerate(room)
+            if r >= c
+        )
 
     return place(0, blocks)
 
@@ -116,6 +105,8 @@ def oracle_trace_sn(entries, cycles) -> int:
     """
     entries = tuple(int(x) for x in entries)
     cycles = tuple(sorted(int(c) for c in cycles))
+    if min(cycles, default=1) < 1:
+        raise ValueError("cycle lengths must be >= 1")
     if normalize_beta(entries).is_zero:
         return 0  # zero character; the sum below needs matching weights
     _check_weight(entries, cycles)

@@ -65,7 +65,9 @@ the remaining lines differ by squares.  The class function assigning
 2 * delta * q on this set and 0 elsewhere coincides with the trace of the
 virtual representation induced, with alternating signs, from the trivial
 and determinant characters of the two 4-space stabilizers; ``verify``
-establishes that element by element.
+establishes that element by element.  Both checks compare the line-count
+trace with it by one rule, ``_support_failures``: trace = 2 * delta * q on
+every row, delta being 0 off the class.
 """
 
 from __future__ import annotations
@@ -131,16 +133,6 @@ class LineStabilizer:
     order: int
     line_indices: tuple[int, ...]
     transporters: np.ndarray = field(repr=False)
-
-
-def _label_failures(name, members, eps, delta):
-    """Failures for the members whose label ``_labels`` left broken, each
-    named by ``name`` and its index."""
-    no_eps = np.flatnonzero(members & (eps == 0))
-    no_delta = np.flatnonzero(members & (eps != 0) & (delta == 0))
-    return [f"{name} {i}: fixed line not anisotropic" for i in no_eps] + [
-        f"{name} {i}: mixed (-1)-plane types" for i in no_delta
-    ]
 
 
 class OrthogonalGeometry:
@@ -619,13 +611,14 @@ class OrthogonalGeometry:
         """Full element-by-element verification at q = 3.
 
         Checks (the group order is checked by the enumeration): line
-        census; the support identity (the line-count trace equals the
-        class-function value everywhere, and is nonzero exactly on the
-        membership test); all four labels occur and each label set is a
-        single conjugacy class; the coset-model virtual character agrees
-        with the line-count trace everywhere; the virtual character pairs to
-        zero with the trivial one; batched and per-element routes agree on a
-        seeded sample, with labels invariant under conjugation.
+        census; the support identity, ``_support_failures`` (no broken
+        label, and the line-count trace equals the class-function value
+        2 * delta * q at every element, delta being 0 off the class); all
+        four labels occur and each label set is a single conjugacy class;
+        the coset-model virtual character agrees with the line-count trace
+        everywhere; the virtual character pairs to zero with the trivial
+        one; batched and per-element routes agree on a seeded sample, with
+        labels invariant under conjugation.
         """
 
         def scan():
@@ -644,29 +637,36 @@ class OrthogonalGeometry:
             failures.append(f"line total {iso + plus_lines + minus_lines}")
         return failures
 
+    def _support_failures(self, name, trace, members, eps, delta):
+        """Failures of the support identity on a batch, each named by
+        ``name`` and its row: the members whose label ``_labels`` left
+        broken, then every row whose trace is not 2 * delta * q (delta is 0
+        off the class, so there the trace must be 0)."""
+        support = 2 * self.q * delta
+        no_eps = np.flatnonzero(members & (eps == 0))
+        no_delta = np.flatnonzero(members & (eps != 0) & (delta == 0))
+        wrong = np.flatnonzero(trace != support)
+        return (
+            [f"{name} {i}: fixed line not anisotropic" for i in no_eps]
+            + [f"{name} {i}: mixed (-1)-plane types" for i in no_delta]
+            + [f"{name} {i}: trace {trace[i]} != support value {support[i]}" for i in wrong]
+        )
+
     def _verify_counterexamples(self, seed: int):
         q = self.q
         failures = self._census_failures()
         elements = self.enumerate_group()
         trace, members, eps, delta = self._batched_scan()
 
-        # support identity, batched
-        failures += _label_failures("element", members, eps, delta)
+        failures += self._support_failures("element", trace, members, eps, delta)
         labelled = np.flatnonzero((eps != 0) & (delta != 0))
         eps, delta = eps[labelled], delta[labelled]
-        wrong = trace[labelled] != 2 * delta * q
-        failures += [
-            f"element {i}: trace {trace[i]} != {2 * d * q}"
-            for i, d in zip(labelled[wrong], delta[wrong])
-        ]
         labels = {
             (e, d): labelled[(eps == e) & (delta == d)]
             for e, d in set(zip(eps.tolist(), delta.tolist()))
         }
         if sorted(labels) != [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
             failures.append(f"labels realized: {sorted(labels)}")
-        for i in np.flatnonzero((trace != 0) & ~members)[:5]:
-            failures.append(f"element {i}: nonzero trace {trace[i]} off the class")
         if int(trace.sum()) != 0:
             failures.append(f"virtual character pairs with trivial: {trace.sum()}")
 
@@ -779,8 +779,9 @@ class OrthogonalGeometry:
         return ind_one, ind_det
 
     def verify_sampled(self, samples: int = 200, seed: int = 0) -> CheckRecord:
-        """Reduced check for q > 3: line census plus the support identity on
-        randomly sampled elements (no full enumeration)."""
+        """Reduced check for q > 3: line census plus the support identity,
+        the same ``_support_failures`` as ``verify``, on randomly sampled
+        elements (no full enumeration)."""
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
 
@@ -788,10 +789,6 @@ class OrthogonalGeometry:
             failures = self._census_failures()
             rng = random.Random(seed)
             words = np.stack([self.random_element(rng) for _ in range(samples)])
-            trace, members, eps, delta = self._support_batch(words)
-            failures += _label_failures("sample", members, eps, delta)
-            wrong = np.flatnonzero(trace != 2 * delta * self.q)
-            failures += [f"sample {k}: trace != support value" for k in wrong]
-            return sorted(failures)
+            return sorted(failures + self._support_failures("sample", *self._support_batch(words)))
 
         return run_check("so5", f"q={self.q} sampled", scan, seed)

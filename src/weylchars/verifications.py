@@ -7,7 +7,11 @@ of a bi-symbol and evaluating at the matching class gives closed-form
 traces; summing them with alternating signs over all splits gives the
 multiplicity of the distinguished constituent, which must come out to
 exactly 1.  Each check enumerates every split and reports counterexamples
-rather than stopping at the first.
+rather than stopping at the first.  Each rule is written once: Lemmas 2.6
+and 2.9 share one split-trace comparison, ``_trace_failures`` (a sign on
+admissible splits, 0 on the rest), and differ only in the sign, a constant
+for 2.6 and one read off the bottom bitset for 2.9; Propositions 2.11 and
+2.12 share one multiplicity check, ``_multiplicity_check``.
 
 A split is a pair of row bitsets (``bc_splits``, ``d_splits``): bit x is
 set when x is an entry.  A bitset needs no sorting and the rows are
@@ -171,23 +175,28 @@ def _signed_split_sum(splits, size: int, m: int, cls: SignedCycleType) -> int:
     return total
 
 
+def _trace_failures(splits, size: int, m: int, cls: SignedCycleType, on_admissible):
+    """A failure for each split of {0..size-1} with m bottom entries whose
+    trace at cls is not ``on_admissible(bottom)`` when admissible, 0
+    otherwise."""
+    trace = _split_trace(cls, size, m)
+    admissible = _admissible(size, m)
+    for t, b in splits:
+        expected = on_admissible(b) if admissible(b) else 0
+        got = trace(t, b)
+        if got != expected:
+            yield f"split {_split_text(t, b)}: expected {expected}, got {got}"
+
+
 def check_lemma26(m: int) -> CheckRecord:
     """Every split traces to (-1)^((m^2+m)/2) at the even-cycle class when
     admissible, and to 0 otherwise."""
     params = claim_params("lemma26", m)
     cls = even_negative_cycles(m)
-    expected_good = (-1) ** ((m * m + m) // 2)
-
-    def scan():
-        trace = _split_trace(cls, 2 * m + 1, m)
-        admissible = _admissible(2 * m + 1, m)
-        for t, b in bc_splits(m):
-            expected = expected_good if admissible(b) else 0
-            got = trace(t, b)
-            if got != expected:
-                yield f"split {_split_text(t, b)}: expected {expected}, got {got}"
-
-    return run_check("lemma26", params, scan)
+    sign = (-1) ** ((m * m + m) // 2)
+    return run_check(
+        "lemma26", params, lambda: _trace_failures(bc_splits(m), 2 * m + 1, m, cls, lambda b: sign)
+    )
 
 
 def check_lemma27(m: int) -> CheckRecord:
@@ -212,20 +221,10 @@ def check_lemma29(m: int) -> CheckRecord:
     params = claim_params("lemma29", m)
     cls = odd_negative_cycles(m)
 
-    def scan():
-        trace = _split_trace(cls, 2 * m, m)
-        admissible = _admissible(2 * m, m)
-        for t, b in d_splits(m):
-            if admissible(b):
-                n_high = (b >> m).bit_count()
-                expected = (-1) ** (n_high + m * (m - 1) // 2)
-            else:
-                expected = 0
-            got = trace(t, b)
-            if got != expected:
-                yield f"split {_split_text(t, b)}: expected {expected}, got {got}"
+    def sign(b):
+        return (-1) ** ((b >> m).bit_count() + m * (m - 1) // 2)
 
-    return run_check("lemma29", params, scan)
+    return run_check("lemma29", params, lambda: _trace_failures(d_splits(m), 2 * m, m, cls, sign))
 
 
 def check_lemma210(m_prime: int) -> CheckRecord:
@@ -289,26 +288,24 @@ def multiplicity_d(m: int) -> Fraction:
     return Fraction(multiplicity_sum_d(m), 2**m)
 
 
-def check_prop211(m: int) -> CheckRecord:
-    params = claim_params("prop211", m)
+def _multiplicity_check(claim: str, m: int, multiplicity) -> CheckRecord:
+    """The claim's record: ``multiplicity(m)`` must be exactly 1."""
+    params = claim_params(claim, m)
 
     def scan():
-        value = multiplicity_bc(m)
+        value = multiplicity(m)
         if value != 1:
             yield f"multiplicity {value} != 1"
 
-    return run_check("prop211", params, scan)
+    return run_check(claim, params, scan)
+
+
+def check_prop211(m: int) -> CheckRecord:
+    return _multiplicity_check("prop211", m, multiplicity_bc)
 
 
 def check_prop212(m: int) -> CheckRecord:
-    params = claim_params("prop212", m)
-
-    def scan():
-        value = multiplicity_d(m)
-        if value != 1:
-            yield f"multiplicity {value} != 1"
-
-    return run_check("prop212", params, scan)
+    return _multiplicity_check("prop212", m, multiplicity_d)
 
 
 # --- induction from the block subgroup W_2 x W_2 of W_4 ---

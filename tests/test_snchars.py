@@ -57,6 +57,40 @@ def test_young_perm_char_zero_blocks():
         young_perm_char((2, 1), (2, 2))
 
 
+def young_perm_char_by_assignments(blocks, cycles):
+    """Count every assignment of the cycles to the blocks whose block sums
+    are the block sizes."""
+    count = 0
+    for where in itertools.product(range(len(blocks)), repeat=len(cycles)):
+        sums = [0] * len(blocks)
+        for block, length in zip(where, cycles):
+            sums[block] += length
+        count += sums == list(blocks)
+    return count
+
+
+def test_young_perm_char_matches_a_count_of_assignments():
+    for n in range(7):
+        for k in (1, 2, 3):
+            for blocks in itertools.product(range(n + 1), repeat=k):
+                if sum(blocks) != n:
+                    continue
+                for cycles in partitions(n):
+                    expected = young_perm_char_by_assignments(blocks, cycles)
+                    assert young_perm_char(blocks, cycles) == expected, (blocks, cycles)
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_cycle_lengths_below_one_are_rejected(bad):
+    with pytest.raises(ValueError, match="cycle lengths must be >= 1"):
+        young_perm_char((2, 2), (bad, 4 - bad))
+    with pytest.raises(ValueError, match="cycle lengths must be >= 1"):
+        oracle_trace_sn((1, 3), (bad, 3 - bad))
+    # a zero symbol is no way round the check
+    with pytest.raises(ValueError, match="cycle lengths must be >= 1"):
+        oracle_trace_sn((1, 1), (bad, 2 - bad))
+
+
 def test_oracle_trivialities():
     for cls in partitions(6):
         assert oracle_trace_sn((6,), cls) == 1

@@ -679,10 +679,9 @@ def test_verify_reports_broken_labels(geo3, monkeypatch):
     assert record.status == "fail"
     assert f"element {index[0]}: fixed line not anisotropic" in record.counterexamples
     assert f"element {index[1]}: mixed (-1)-plane types" in record.counterexamples
-    assert (
-        f"element {index[2]}: trace {trace[index[2]]} != {-2 * delta[index[2]] * 3}"
-        in record.counterexamples
-    )
+    # a broken delta also breaks the support identity there
+    for i, support in ((index[1], 0), (index[2], -2 * delta[index[2]] * 3)):
+        assert f"element {i}: trace {trace[i]} != support value {support}" in record.counterexamples
 
 
 def scan_without_members(original):
@@ -743,7 +742,7 @@ def test_verify_reports_a_nonzero_trace_off_the_class(geo3, monkeypatch, capsys)
 
     assert_verify_fails_with(
         geo3, monkeypatch, capsys, "_batched_scan", edited(edit),
-        f"element {i}: nonzero trace 2 off the class",
+        f"element {i}: trace 2 != support value 0",
     )
 
 
@@ -829,12 +828,12 @@ def test_verify_reports_a_wrong_line_census(geo3, monkeypatch, capsys):
 
 def test_sampled_check_reports_a_trace_off_the_support_value(monkeypatch, capsys):
     def edit(trace, members, eps, delta):
-        trace[0] = 2  # the support value is 0 or +-10 at q = 5
+        trace[0] = 2  # seed 0's first sample lies off the class: support value 0
         return trace, members, eps, delta
 
     assert_verify_fails_with(
         OrthogonalGeometry(q=5), monkeypatch, capsys, "_support_batch", edited(edit),
-        "sample 0: trace != support value",
+        "sample 0: trace 2 != support value 0",
     )
 
 
