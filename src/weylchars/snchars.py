@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
-from operator import mul
+from operator import index, mul
 
 from .symbols import (
     BiSymbol,
@@ -72,8 +72,8 @@ def young_perm_char(blocks, cycles) -> int:
     block sizes.  The cycles are placed one at a time, longest first, into
     every block with room left, memoized on (cycles placed, room left).
     """
-    blocks = tuple(int(b) for b in blocks)
-    cycles = tuple(sorted((int(c) for c in cycles), reverse=True))
+    blocks = tuple(index(b) for b in blocks)
+    cycles = tuple(sorted((index(c) for c in cycles), reverse=True))
     if min(cycles, default=1) < 1:
         raise ValueError("cycle lengths must be >= 1")
     if any(b < 0 for b in blocks):
@@ -103,8 +103,8 @@ def oracle_trace_sn(entries, cycles) -> int:
     block vanish).  The zero, sign and sorting rules of the symbol calculus
     all fall out of the sum, so raw unsorted sequences are fine.
     """
-    entries = tuple(int(x) for x in entries)
-    cycles = tuple(sorted(int(c) for c in cycles))
+    entries = tuple(index(x) for x in entries)
+    cycles = tuple(sorted(index(c) for c in cycles))
     if min(cycles, default=1) < 1:
         raise ValueError("cycle lengths must be >= 1")
     if normalize_beta(entries).is_zero:

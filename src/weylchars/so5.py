@@ -18,9 +18,11 @@ q^2 + 1.  Two kernels carry the per-element work:
 * ``_closure(start, rights)`` is the enumeration's breadth-first closure
   over whole frontiers of tables.  Each element is coded as one int64, its
   25 matrix entries as base-q digits (q^25 < 2^63 for q <= 5); the
-  basis-line entries are the matrix's columns, so an image is coded by five
-  lookups, one per basis line, before any full table is composed, and a
-  frontier is deduplicated by one sort of codes.  The group is the closure
+  basis-line entries are the matrix's columns, so an image is coded before
+  any full table is composed, by five lookups in digit tables built once per
+  generator and basis line, on the frontier's entries at the few lines the
+  generators send basis lines to.  A frontier is deduplicated by one sort of
+  (code, index) keys packed into int64.  The group is the closure
   of the identity under right multiplication by a small generating set
   (products of reflection pairs, so determinants stay 1, with both spinor
   classes covered), and its matrices are read back off the basis-line
@@ -95,13 +97,26 @@ def is_prime(n: int) -> bool:
 def _first_occurrences(values):
     """Index of the first occurrence of each distinct value, ascending.
 
-    An unstable sort groups equal values; the least index in each group is
-    its first occurrence.
+    Each value is packed with its index into one int64 key, ``value << bits
+    | index``, so one sort of the keys groups equal values with the least
+    index first in each run, and each run's first key holds its first
+    occurrence.  The keys fit in int64 only when every value fits in
+    63 - bits bits and a sign; a wider value raises.
     """
-    order = values.argsort()
-    ordered = values[order]
-    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-    return np.sort(np.minimum.reduceat(order, starts))
+    bits = max(len(values) - 1, 1).bit_length()
+    limit = 1 << (63 - bits)
+    if values.max(initial=0) >= limit or values.min(initial=0) < -limit:
+        raise ValueError(f"values need more than {63 - bits} bits beside {bits} index bits")
+    keys = values << bits
+    keys |= np.arange(len(values))
+    keys.sort()
+    heads = keys >> bits
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(heads[1:], heads[:-1], out=starts[1:])
+    keep = np.zeros(len(values), dtype=bool)
+    keep[keys[starts] & ((1 << bits) - 1)] = True
+    return np.flatnonzero(keep)
 
 
 def _in_row_blocks(size, batch, *arrays):
@@ -330,37 +345,49 @@ class OrthogonalGeometry:
         ``rights``: start first, then in breadth-first discovery order, each
         with its ``_matrix_codes`` code.
 
-        A frontier's images are first composed only at the five basis lines,
-        whose entries are the matrix's columns: ``columns[j, e]`` is the code
-        of entry e's vector as column j, and an image's code is the sum of
-        its five lookups, accumulated in place.  The codes are deduplicated,
-        within the frontier and against everything seen, by one sort of the
-        seen codes followed by the new ones, keeping the first occurrence of
-        each new code in step-major order, and only the new elements get
-        full tables.  The tables live in one buffer of |G| rows: each step
-        writes its new elements straight after the last level, and the next
-        level reads them back as a view.  A closure that would overflow it
-        has left the group, and raises.
+        A frontier's images are first coded without composing any table.
+        The code is the sum of one digit per basis line j, since the
+        basis-line entries are the matrix's columns: ``columns[j, e]`` is the
+        code of entry e's vector as column j.  Right r maps x_j to c x_m, so
+        g r holds ``scaled[c, g[m]]`` at j, and its digit is one lookup in
+        ``digits[r, j] = columns[j][scaled[c]]``, a table built once per
+        (r, j).  Each level copies the frontier's entries at the few distinct
+        lines m once, line-major (row ``where[r, j]`` for the m of (r, j)),
+        and sums five lookups per step into an (R, k) block, step-major.
+        The codes are deduplicated, within the frontier and against
+        everything seen, by ``_first_occurrences`` of the seen codes followed
+        by the new ones, keeping the first occurrence of each new code in
+        step-major order, and only the new elements get full tables.  The
+        tables live in one buffer of |G| rows: each step writes its new
+        elements straight after the last level, and the next level reads
+        them back as a view.  A closure that would overflow it has left the
+        group, and raises.
         """
         group_order = self.group_order_formula()
         columns = (self._entry_vectors() @ self._code_weights().reshape(5, 5)).T
         scaled = self._scaled_entries()
         basis = self._basis
+        line, scalar = np.divmod(rights[:, basis].astype(np.intp), self.q)
+        needed = np.flatnonzero(np.bincount(line.ravel()))  # the distinct m, ascending
+        where = np.searchsorted(needed, line)
+        digits = columns[np.arange(5)[:, None], scaled[scalar]]  # (R, 5, q * #lines)
         found = np.empty((group_order, len(start)), dtype=start.dtype)
         found[0] = start
         seen = np.array([columns[np.arange(5), start[basis]].sum()])
         level, end = 0, 1  # the frontier is found[level:end]
         while end > level:
             frontier = found[level:end]
-            images = np.concatenate(
-                [self._compose(frontier, right[basis], scaled) for right in rights]
-            )
-            image_codes = columns[0].take(images[:, 0])
-            for j in range(1, 5):
-                image_codes += columns[j].take(images[:, j])
+            entries = frontier.T[needed].astype(np.intp)
+            block = np.empty((len(rights), len(frontier)), dtype=np.int64)
+            for r, codes in enumerate(block):
+                digits[r, 0].take(entries[where[r, 0]], out=codes)
+                for j in range(1, 5):
+                    codes += digits[r, j].take(entries[where[r, j]])
+            image_codes = block.ravel()
             first = _first_occurrences(np.concatenate([seen, image_codes]))
             first = first[first >= len(seen)] - len(seen)
             seen = np.concatenate([seen, image_codes[first]])
+            del entries, block, image_codes  # not held through the table writes
             if end + len(first) > group_order:
                 raise RuntimeError(
                     f"enumeration produced over {group_order} elements, expected {group_order}"

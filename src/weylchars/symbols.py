@@ -17,7 +17,7 @@ types are immutable; nothing here is memoized (the trace memos of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lt
+from operator import index, lt
 
 
 def perm_sign(perm) -> int:
@@ -59,7 +59,7 @@ def normalize_beta(entries) -> NormalizedBeta:
     otherwise the sign of the sorting permutation together with the sorted
     entries.  Total function, idempotent on canonical sequences.
     """
-    entries = tuple(map(int, entries))
+    entries = tuple(map(index, entries))
     if len(set(entries)) != len(entries) or (entries and min(entries) < 0):
         return ZERO_BETA
     ordered = tuple(sorted(entries))
@@ -71,7 +71,7 @@ def normalize_beta(entries) -> NormalizedBeta:
 
 def shift_beta(entries, d: int = 1) -> tuple[int, ...]:
     """Prepend 0 and increment all entries, d times.  Preserves the weight."""
-    entries = tuple(int(x) for x in entries)
+    entries = tuple(index(x) for x in entries)
     for _ in range(d):
         entries = (0,) + tuple(x + 1 for x in entries)
     return entries
@@ -83,7 +83,7 @@ def reduce_beta(entries) -> tuple[int, ...]:
     Inverse of shift_beta: strips a leading 0 and decrements while possible.
     The weight-0 symbol in any presentation reduces to the empty sequence.
     """
-    entries = tuple(map(int, entries))
+    entries = tuple(map(index, entries))
     if not all(map(lt, entries, entries[1:])):
         raise ValueError("reduce_beta expects a strictly increasing sequence")
     if entries and entries[0] < 0:
@@ -104,7 +104,7 @@ def beta_weight(entries) -> int:
 def partition_to_beta(parts) -> tuple[int, ...]:
     """Minimal beta-sequence of a weakly increasing partition: drops the
     zero parts, then adds i-1 to the i-th part.  ``shift_beta`` pads it."""
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(index(p) for p in parts)
     if any(parts[i] > parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError("partition parts must be weakly increasing")
     if any(p < 0 for p in parts):
@@ -115,7 +115,7 @@ def partition_to_beta(parts) -> tuple[int, ...]:
 
 def beta_to_partition(entries) -> tuple[int, ...]:
     """Partition (weakly increasing, no zero parts) of a canonical sequence."""
-    entries = tuple(int(x) for x in entries)
+    entries = tuple(index(x) for x in entries)
     norm = normalize_beta(entries)
     if norm.is_zero or norm.entries != entries:
         raise ValueError("beta_to_partition expects a canonical sequence")
@@ -143,8 +143,8 @@ class BiSymbol:
     bottom: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "top", tuple(map(int, self.top)))
-        object.__setattr__(self, "bottom", tuple(map(int, self.bottom)))
+        object.__setattr__(self, "top", tuple(map(index, self.top)))
+        object.__setattr__(self, "bottom", tuple(map(index, self.bottom)))
 
     @property
     def weight(self) -> int:
@@ -196,8 +196,8 @@ class SignedCycleType:
     neg: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "pos", tuple(sorted(int(k) for k in self.pos)))
-        object.__setattr__(self, "neg", tuple(sorted(int(k) for k in self.neg)))
+        object.__setattr__(self, "pos", tuple(sorted(index(k) for k in self.pos)))
+        object.__setattr__(self, "neg", tuple(sorted(index(k) for k in self.neg)))
         if any(k < 1 for k in self.pos + self.neg):
             raise ValueError("cycle lengths must be >= 1")
 

@@ -111,6 +111,32 @@ MUTANTS = (
         so5_tests("test_enumeration_order_check_fires_both_ways"),
     ),
     Mutant(
+        SO5, "codes += digits[r, j].take(entries[where[r, j]])",
+        "codes += digits[r, j].take(entries[where[r, 0]])",
+        so5_tests(
+            "test_enumeration_order_check_fires_both_ways", "test_the_enumeration_is_coded_once"
+        ),
+    ),
+    Mutant(
+        SO5, "bits = max(len(values) - 1, 1).bit_length()",
+        "bits = max(len(values) - 1, 1).bit_length() - 1",
+        so5_tests(
+            "test_first_occurrences_guard",
+            "test_first_occurrences_match_a_dict[1000]",
+            "test_first_occurrences_match_a_dict[70000]",
+            "test_enumeration_order_check_fires_both_ways",
+        ),
+    ),
+    Mutant(
+        SO5, "np.not_equal(heads[1:], heads[:-1], out=starts[1:])",
+        "np.not_equal(keys[1:], keys[:-1], out=starts[1:])",
+        so5_tests(
+            "test_first_occurrences_guard",
+            "test_first_occurrences_match_a_dict[4097]",
+            "test_enumeration_order_check_fires_both_ways",
+        ),
+    ),
+    Mutant(
         SO5, "rows = rows[gh == hg]", "rows = rows[gh == gh]",
         so5_tests("test_class_orbits_cover_the_scanned_members"),
     ),

@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from removal_walk import sn_trace_in_order
@@ -89,6 +90,30 @@ def test_cycle_lengths_below_one_are_rejected(bad):
     # a zero symbol is no way round the check
     with pytest.raises(ValueError, match="cycle lengths must be >= 1"):
         oracle_trace_sn((1, 1), (bad, 2 - bad))
+
+
+SN_CALLS = [
+    (mn_trace_sn, (1, 3), (1, 1, 1)),
+    (oracle_trace_sn, (1, 3), (1, 1, 1)),
+    (young_perm_char, (2, 1), (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("fraction", [1.9, 1.5])
+@pytest.mark.parametrize("trace, first, cycles", SN_CALLS)
+def test_fractional_input_is_rejected(trace, first, cycles, fraction):
+    # a truncating coercion would read (1.9, 1.9, 1.9) as the class (1, 1, 1)
+    with pytest.raises(TypeError):
+        trace(first, (fraction,) * 3)
+    with pytest.raises(TypeError):
+        trace((fraction,) + first[1:], cycles)
+
+
+@pytest.mark.parametrize("trace, first, cycles", SN_CALLS)
+def test_numpy_integer_input_acts_as_ints(trace, first, cycles):
+    want = trace(first, cycles)
+    got = trace(np.array(first, dtype=np.int64), np.array(cycles, dtype=np.int64))
+    assert type(got) is int and got == want
 
 
 def test_oracle_trivialities():

@@ -8,7 +8,13 @@ import pytest
 
 import weylchars.cli
 import weylchars.so5
-from weylchars.so5 import CHUNK_ENTRIES, ClassCLabel, OrthogonalGeometry, is_prime
+from weylchars.so5 import (
+    CHUNK_ENTRIES,
+    ClassCLabel,
+    OrthogonalGeometry,
+    _first_occurrences,
+    is_prime,
+)
 
 
 def test_is_prime():
@@ -541,6 +547,45 @@ def test_the_enumeration_is_coded_once(monkeypatch):
     assert codes.dtype == np.int64
     assert np.array_equal(original(geo.enumerate_group())[order], codes)
     assert (np.diff(codes) > 0).all()
+
+
+def first_occurrences_by_dict(values):
+    first = {}
+    for i, v in enumerate(values.tolist()):
+        first.setdefault(v, i)
+    return sorted(first.values())
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1000, 4097, 70000])
+def test_first_occurrences_match_a_dict(size):
+    rng = np.random.default_rng(size)
+    bits = max(size - 1, 1).bit_length()
+    top = 2 ** (63 - bits)
+    pool = np.concatenate([rng.integers(-top, top, 50), [top - 1, top - 2, -top, -top + 1, 0]])
+    # heavy repeats, then a seen prefix: the distinct pool values first,
+    # followed by draws that mostly repeat them
+    for values in (
+        rng.choice(pool, size),
+        np.concatenate([np.unique(pool), rng.choice(pool, size)])[:size],
+        rng.integers(0, 3**25, size),
+    ):
+        got = _first_occurrences(values.astype(np.int64))
+        assert got.dtype == np.intp
+        assert got.tolist() == first_occurrences_by_dict(values)
+    assert _first_occurrences(np.zeros(0, dtype=np.int64)).tolist() == []
+
+
+@pytest.mark.parametrize("value", [2**46, -(2**46) - 1])
+def test_first_occurrences_guard(value):
+    # 100,000 indices take 17 bits, leaving 46 bits and a sign for values
+    values = np.zeros(100_000, dtype=np.int64)
+    values[7] = 2**46 - 1
+    values[8] = -(2**46)
+    assert _first_occurrences(values).tolist() == [0, 7, 8]
+    values[9] = value
+    with pytest.raises(ValueError) as raised:
+        _first_occurrences(values)
+    assert str(raised.value) == "values need more than 46 bits beside 17 index bits"
 
 
 def test_verify_peak_memory():

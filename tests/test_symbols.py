@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from weylchars.symbols import (
@@ -157,3 +158,33 @@ def test_class_counts():
     for n in range(6):
         assert len(signed_cycle_types(n)) == len(list(bipartitions(n)))
     assert len(signed_cycle_types(4)) == 20
+
+
+# each entry point that coerces its integers, with an argument list whose
+# first sequence is the one made fractional
+SYMBOL_CALLS = [
+    (normalize_beta, ((2, 0, 1),)),
+    (shift_beta, ((0, 2),)),
+    (reduce_beta, ((0, 1, 3),)),
+    (partition_to_beta, ((1, 2, 2),)),
+    (beta_to_partition, ((1, 3),)),
+    (BiSymbol, ((0, 2), (1,))),
+    (lambda top, bottom: BiSymbol(bottom, top), ((1,), (0, 2))),
+    (SignedCycleType, ((1, 3), (2,))),
+    (lambda neg, pos: SignedCycleType(pos, neg), ((2,), (1, 3))),
+]
+
+
+@pytest.mark.parametrize("call, args", SYMBOL_CALLS)
+@pytest.mark.parametrize("fraction", [1.9, 1.5])
+def test_fractional_entries_are_rejected(call, args, fraction):
+    first, *rest = args
+    with pytest.raises(TypeError):
+        call((fraction,) + first[1:], *rest)
+
+
+@pytest.mark.parametrize("call, args", SYMBOL_CALLS)
+def test_numpy_integer_entries_act_as_ints(call, args):
+    want = call(*args)
+    got = call(*(tuple(np.int64(x) for x in seq) for seq in args))
+    assert got == want and repr(got) == repr(want)
