@@ -28,6 +28,7 @@ from .symbols import (
     BiSymbol,
     SignedCycleType,
     beta_weight,
+    check_weight,
     normalize_beta,
     partition_to_beta,
     partitions,
@@ -40,14 +41,6 @@ _ORACLE_CACHE: dict = {}
 
 def clear_caches():
     _ORACLE_CACHE.clear()
-
-
-def _check_weight(entries, cycles):
-    if beta_weight(entries) != sum(cycles):
-        raise ValueError(
-            f"weight mismatch: symbol {entries} has weight {beta_weight(entries)}"
-            f" but class {cycles} has size {sum(cycles)}"
-        )
 
 
 def mn_trace_sn(entries, cycles) -> int:
@@ -109,7 +102,7 @@ def oracle_trace_sn(entries, cycles) -> int:
         raise ValueError("cycle lengths must be >= 1")
     if normalize_beta(entries).is_zero:
         return 0  # zero character; the sum below needs matching weights
-    _check_weight(entries, cycles)
+    check_weight(beta_weight(entries), sum(cycles))
     key = (entries, cycles)
     val = _ORACLE_CACHE.get(key)
     if val is not None:
@@ -182,19 +175,14 @@ SN_TABLE_LIMIT = 8
 
 
 def character_table_sn(n: int) -> CharacterTable:
-    """Character table of S_n: rows keyed by minimal beta-sequences."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > SN_TABLE_LIMIT:
-        raise ValueError(f"n={n} exceeds the S_n table bound {SN_TABLE_LIMIT}")
-    from .wnchars import _mn, row_bitsets  # wnchars imports this module
+    """Character table of S_n: rows keyed by minimal beta-sequences, each
+    the one-row case of a W_n row at classes of positive cycles."""
+    from .wnchars import check_table_bound, table_entries  # wnchars imports this module
 
-    cols = sorted(partitions(n))
-    rows = [partition_to_beta(p) for p in sorted(partitions(n))]
-    classes = [SignedCycleType(pos=cls).pos for cls in cols]
-    entries = []
-    for beta in rows:  # the one-row case of character_table_wn
-        sign, top, _ = row_bitsets(BiSymbol(beta, ()), n)
-        entries.append(tuple(sign * _mn(top, 0, pos, ()) for pos in classes))
+    check_table_bound("S_n", n, SN_TABLE_LIMIT)
+    cols = tuple(sorted(partitions(n)))
+    rows = tuple(partition_to_beta(p) for p in cols)
+    syms = [BiSymbol(beta, ()) for beta in rows]
+    entries = table_entries(n, syms, [SignedCycleType(pos=p) for p in cols])
     cents = tuple(centralizer_order_sn(cls) for cls in cols)
-    return CharacterTable(f"S{n}", tuple(rows), tuple(cols), tuple(entries), cents)
+    return CharacterTable(f"S{n}", rows, cols, entries, cents)

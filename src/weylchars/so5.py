@@ -11,8 +11,8 @@ q^2 + 1.  Two kernels carry the per-element work:
 * The signed line table of g: for each line l, g maps the representative
   x_l to c * x_m for one line m and one scalar c, stored as the single
   entry ``m * q + c``.  The line-count trace and eigenline labels of the
-  full scan and the group's transitivity on lines are masks on it;
-  ``line_action(g)`` is its fixed-line part.  Tables compose by lookups in
+  full scan, the fixed coset lines of ``induced_char`` and the group's
+  transitivity on lines are masks on it.  Tables compose by lookups in
   ``scaled[c, e]``, the entry of c times the vector of entry e: where h
   maps x_l to c_h x_m, (gh) holds ``scaled[c_h, g[m]]``.
 * ``_closure(start, rights)`` is the enumeration's breadth-first closure
@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -119,9 +120,11 @@ def _first_occurrences(values):
     return np.flatnonzero(keep)
 
 
-def _in_row_blocks(size, batch, *arrays):
-    """``batch`` over blocks of ``size`` rows of the arrays, taken in step
-    as views, with each column of its tuple results concatenated in order."""
+def _in_row_blocks(row_entries, batch, *arrays):
+    """``batch`` over blocks of about CHUNK_ENTRIES entries, ``row_entries``
+    per row (at least one row a block), of the arrays, taken in step as
+    views, with each column of its tuple results concatenated in order."""
+    size = max(1, CHUNK_ENTRIES // row_entries)
     bounds = range(size, len(arrays[0]), size)
     parts = [batch(*blocks) for blocks in zip(*(np.split(a, bounds) for a in arrays))]
     return tuple(np.concatenate(column) for column in zip(*parts))
@@ -154,6 +157,7 @@ class OrthogonalGeometry:
     """SO_5 over F_q, for the form x . y."""
 
     def __init__(self, q: int = 3):
+        q = index(q)  # numpy integers act as ints; 3.0 is a TypeError
         if not is_prime(q) or q == 2:
             raise ValueError("q must be an odd prime")
         self.q = q
@@ -177,6 +181,9 @@ class OrthogonalGeometry:
         self._place = q ** np.arange(4, -1, -1, dtype=np.int64)
         self._line_of_code = np.full(q**5, -1, dtype=np.int64)
         self._line_of_code[self.lines @ self._place] = np.arange(len(self.lines))
+        # x mod q for x up to 25 (q - 1)^3, the largest sum of 25 products of
+        # three residues: the scan and the coset model reduce by lookups in it
+        self._residue = (np.arange(25 * (q - 1) ** 3 + 1) % q).astype(np.uint8)
         self._inverse_mod = np.array(
             [0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64
         )
@@ -415,18 +422,6 @@ class OrthogonalGeometry:
 
     # --- per-element operations ---
 
-    def line_action(self, g):
-        """Scalar of g on every line at once, aligned with ``lines``: the
-        fixed-line part of g's signed line table.
-
-        Fixed lines get it in the symmetric range (-q/2, q/2], moved lines
-        get 0.
-        """
-        q = self.q
-        line, scalar = np.divmod(self._signed_tables(np.asarray(g)[None])[0], q)
-        scalar = np.where(line == np.arange(len(line)), scalar, 0)
-        return np.where(scalar > q // 2, scalar - q, scalar)
-
     def _labels(self, fixed, negated):
         """(eps, delta) of twisted-class members from their masks of fixed
         and negated lines: the fixed line's type and the type the (-1)-plane's
@@ -489,7 +484,7 @@ class OrthogonalGeometry:
                 fixed, negated, lambda c: kernels(plus[c] @ plus[c]).sum(axis=1)
             )
 
-        return _in_row_blocks(max(1, CHUNK_ENTRIES // (5 * len(self.lines))), batch, matrices)
+        return _in_row_blocks(5 * len(self.lines), batch, matrices)
 
     def in_class_c(self, g):
         """Twisted-class membership test: the label of a member (a 0 in it
@@ -561,7 +556,8 @@ class OrthogonalGeometry:
         its scalar there (the total determinant is 1).
         """
         q = self.q
-        fixed = self.line_action(g)[list(stab.line_indices)] != 0
+        coset_lines = np.array(stab.line_indices)
+        fixed = self._signed_tables(np.asarray(g)[None])[0][coset_lines] // q == coset_lines
         x = stab.transporters[fixed]
         conjugates = (self.inverse(x) @ np.asarray(g) @ x) % q
         entries = self._signed_lines(conjugates @ self.lines[stab.base_index])
@@ -598,21 +594,19 @@ class OrthogonalGeometry:
         vectors = np.indices((q,) * 5, dtype=np.int64).reshape(5, -1).T
         orthogonal = np.packbits((vectors @ self.lines.T) % q == 0, axis=1)
         diagonal = np.arange(5)
-        residue = (np.arange(5 * (q - 1) ** 2 + 1) % q).astype(np.uint8)
 
         def batch(tables, block):
             def kernel_sq_lines(candidates):
                 plus = block[candidates]
                 plus[:, diagonal, diagonal] = (plus[:, diagonal, diagonal] + 1) % q
-                rows = orthogonal[residue[plus @ plus] @ self._place]
+                rows = orthogonal[self._residue[plus @ plus] @ self._place]
                 return np.bitwise_count(np.bitwise_and.reduce(rows, axis=1)).sum(axis=1)
 
             return self._twisted_class(
                 tables == on_line + 1, tables == on_line + (q - 1), kernel_sq_lines
             )
 
-        size = max(1, CHUNK_ENTRIES // len(self.lines))
-        return _in_row_blocks(size, batch, self._tables, elements)
+        return _in_row_blocks(len(self.lines), batch, self._tables, elements)
 
     def conjugacy_class_size(self, g) -> int:
         """|G| / |C(g)|, the centralizer counted over the enumeration's
@@ -768,10 +762,8 @@ class OrthogonalGeometry:
         q = self.q
         elements = self.enumerate_group()
         order, sorted_codes = self._element_codes
-        # also reduces the base-line images, at most 5 (q - 1)^2
-        residue = (np.arange(25 * (q - 1) ** 3 + 1) % q).astype(np.uint8)
         base_vec = self.lines[stab.base_index]
-        image_codes = residue[elements @ base_vec] @ self._place
+        image_codes = self._residue[elements @ base_vec] @ self._place
         det_plus = image_codes == base_vec @ self._place
         det_minus = image_codes == ((-base_vec) % q) @ self._place
         subgroup = np.flatnonzero(det_plus | det_minus)
@@ -784,14 +776,11 @@ class OrthogonalGeometry:
         # kron[(j, l), (a, i, k)] = x_a[i, j] x_a[k, l]
         kron = np.einsum("aij,akl->jlaik", x, x).reshape(25, -1)
         vec_h = elements[subgroup].reshape(-1, 25).astype(np.float32)
-        block = max(1, CHUNK_ENTRIES // (4 * kron.shape[1]))
-        # one code per (h, x), h-major
-        wanted = np.concatenate(
-            [
-                self._matrix_codes(residue.take((rows @ kron).astype(np.int16)))
-                for rows in np.split(vec_h, range(block, len(vec_h), block))
-            ]
-        )
+
+        def codes(rows):  # one code per (h, x), h-major
+            return (self._matrix_codes(self._residue.take((rows @ kron).astype(np.int16))),)
+
+        (wanted,) = _in_row_blocks(4 * kron.shape[1], codes, vec_h)
         query = np.argsort(wanted)
         wanted = wanted[query]
         position = np.minimum(np.searchsorted(sorted_codes, wanted), len(sorted_codes) - 1)
@@ -808,7 +797,8 @@ class OrthogonalGeometry:
     def verify_sampled(self, samples: int = 200, seed: int = 0) -> CheckRecord:
         """Reduced check for q > 3: line census plus the support identity,
         the same ``_support_failures`` as ``verify``, on randomly sampled
-        elements (no full enumeration)."""
+        elements (no full enumeration).  Samples with no twisted-class
+        member fail: the identity would then be tested off the class only."""
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
 
@@ -816,6 +806,9 @@ class OrthogonalGeometry:
             failures = self._census_failures()
             rng = random.Random(seed)
             words = np.stack([self.random_element(rng) for _ in range(samples)])
-            return sorted(failures + self._support_failures("sample", *self._support_batch(words)))
+            trace, members, eps, delta = self._support_batch(words)
+            if not members.any():
+                failures.append(f"no sample in the twisted class ({samples} drawn)")
+            return sorted(failures + self._support_failures("sample", trace, members, eps, delta))
 
         return run_check("so5", f"q={self.q} sampled", scan, seed)

@@ -101,6 +101,16 @@ def beta_weight(entries) -> int:
     return sum(entries) - a * (a - 1) // 2
 
 
+def check_weight(symbol_weight: int, class_weight: int):
+    """ValueError unless a symbol's weight matches the weight of its class:
+    the one weight rule of the S_n and W_n traces and the split checks."""
+    if symbol_weight != class_weight:
+        raise ValueError(
+            f"weight mismatch: symbol has weight {symbol_weight},"
+            f" class has weight {class_weight}"
+        )
+
+
 def partition_to_beta(parts) -> tuple[int, ...]:
     """Minimal beta-sequence of a weakly increasing partition: drops the
     zero parts, then adds i-1 to the i-th part.  ``shift_beta`` pads it."""

@@ -42,9 +42,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .report import CheckRecord, run_check
-from .symbols import BiSymbol, SignedCycleType, signed_cycle_types
+from .symbols import BiSymbol, SignedCycleType, check_weight, signed_cycle_types
 from .wnchars import (
-    _check_weight,
     _mn,
     induce,
     mask_row,
@@ -151,10 +150,11 @@ def _split_trace(cls: SignedCycleType, size: int, m: int):
     a function of its two row bitsets.
 
     The rows of a split are disjoint bitsets, so only the shift is left to
-    normalize; and every split of these sizes has one weight, so the
-    weight guard of ``mn_trace_wn`` runs here, once for the whole sweep.
+    normalize; and every split of these sizes has one weight, m (size - m)
+    (that of rows m..size-1 and 0..m-1), so the weight guard of
+    ``mn_trace_wn`` runs here, once for the whole sweep.
     """
-    _check_weight(BiSymbol(tuple(range(m, size)), tuple(range(m))), cls.weight)
+    check_weight(m * (size - m), cls.weight)
     pos, neg = cls.pos, cls.neg
     return lambda top, bottom: _mn(reduce_mask(top), reduce_mask(bottom), pos, neg)
 

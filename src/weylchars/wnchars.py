@@ -15,8 +15,9 @@ one-row case (bottom bitset 0).  The recursion works on row bitsets: an int
 whose bit x is set when x is an entry, shift-minimal (bit 0 clear).  Tuples
 exist only at the API edge: ``row_bitsets`` normalizes a symbol, checks it
 and converts each row with ``row_mask`` and ``reduce_mask`` (``mask_row`` is
-the way back), once per trace in ``mn_trace_wn`` and once per row in the
-tables.  The split checks of ``verifications`` build bitsets and call ``_mn``.
+the way back), once per trace in ``mn_trace_wn`` and once per row in
+``table_entries``, the one table loop, which the S_n tables share.  The
+split checks of ``verifications`` build bitsets and call ``_mn``.
 ``oracle_trace_wn`` evaluates the inducing construction literally on an
 explicitly enumerated group (n <= 5) and is the correctness reference for
 the recursion.
@@ -45,6 +46,7 @@ from .symbols import (
     beta_weight,
     bipartition_to_bisymbol,
     bipartitions,
+    check_weight,
     normalize_bisymbol,
     signed_cycle_types,
 )
@@ -66,14 +68,6 @@ def chi_value(cls: SignedCycleType) -> int:
     return -1 if len(cls.neg) % 2 else 1
 
 
-def _check_weight(sym: BiSymbol, weight: int):
-    if sym.weight != weight:
-        raise ValueError(
-            f"weight mismatch: symbol has weight {sym.weight},"
-            f" class has weight {weight}"
-        )
-
-
 def mn_trace_wn(sym: BiSymbol, cls: SignedCycleType) -> int:
     """Trace of the bi-symbol character at a signed cycle type."""
     sign, top, bottom = row_bitsets(sym, cls.weight)
@@ -89,7 +83,7 @@ def row_bitsets(sym: BiSymbol, weight: int):
     norm = normalize_bisymbol(sym.top, sym.bottom)
     if norm.is_zero:
         return 0, 0, 0
-    _check_weight(sym, weight)
+    check_weight(sym.weight, weight)
     top, bottom = norm.symbol.top, norm.symbol.bottom
     for row in (top, bottom):
         if row and row[-1] >= WN_ENTRY_LIMIT:
@@ -311,7 +305,7 @@ def oracle_trace_wn(sym: BiSymbol, cls: SignedCycleType) -> int:
     if normalize_bisymbol(sym.top, sym.bottom).is_zero:
         return 0
     n = cls.weight
-    _check_weight(sym, n)
+    check_weight(sym.weight, n)
     if n > WN_ORACLE_LIMIT:
         raise ValueError(f"oracle bound exceeded: n={n} > {WN_ORACLE_LIMIT}")
 
@@ -329,18 +323,31 @@ def centralizer_order_wn(cls: SignedCycleType) -> int:
     return 2 ** len(cls.pos + cls.neg) * centralizer_order_sn(cls.pos) * centralizer_order_sn(cls.neg)
 
 
-def character_table_wn(n: int) -> CharacterTable:
-    """Character table of W_n: rows keyed by minimal canonical bi-symbols."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > WN_TABLE_LIMIT:
-        raise ValueError(f"n={n} exceeds the W_n table bound {WN_TABLE_LIMIT}")
-    cols = signed_cycle_types(n)
-    rows = [bipartition_to_bisymbol(bp) for bp in sorted(bipartitions(n))]
-    classes = [(cls.pos, cls.neg) for cls in cols]
+def check_table_bound(group: str, n: int, limit: int):
+    """ValueError unless 0 <= n <= limit, the bound of the ``group`` table."""
+    if not 0 <= n <= limit:
+        raise ValueError(
+            f"n must be >= 0, got {n}" if n < 0 else f"n={n} exceeds the {group} table bound {limit}"
+        )
+
+
+def table_entries(n: int, syms, classes) -> tuple:
+    """Entry rows of the bi-symbols ``syms`` of weight n at the signed
+    classes ``classes``: one normalization per row, then the memo per cell.
+    The S_n tables pass their one-row case, bi-symbols with an empty bottom
+    row at classes of positive cycles."""
+    classes = [(cls.pos, cls.neg) for cls in classes]
     entries = []
-    for sym in rows:  # one normalization per row, then the memo per cell
+    for sym in syms:
         sign, top, bottom = row_bitsets(sym, n)
         entries.append(tuple(sign * _mn(top, bottom, pos, neg) for pos, neg in classes))
+    return tuple(entries)
+
+
+def character_table_wn(n: int) -> CharacterTable:
+    """Character table of W_n: rows keyed by minimal canonical bi-symbols."""
+    check_table_bound("W_n", n, WN_TABLE_LIMIT)
+    cols = tuple(signed_cycle_types(n))
+    rows = tuple(bipartition_to_bisymbol(bp) for bp in sorted(bipartitions(n)))
     cents = tuple(centralizer_order_wn(cls) for cls in cols)
-    return CharacterTable(f"W{n}", tuple(rows), tuple(cols), tuple(entries), cents)
+    return CharacterTable(f"W{n}", rows, cols, table_entries(n, rows, cols), cents)

@@ -33,6 +33,7 @@ COPIED = ("src", "tests", "pyproject.toml")
 Mutant = namedtuple("Mutant", "file old new tests")
 
 SO5 = "src/weylchars/so5.py"
+SYMBOLS = "src/weylchars/symbols.py"
 VERIFICATIONS = "src/weylchars/verifications.py"
 WNCHARS = "src/weylchars/wnchars.py"
 
@@ -71,6 +72,10 @@ MUTANTS = (
             "test_verify_reports_a_nonzero_trace_off_the_class",
             "test_sampled_check_reports_a_trace_off_the_support_value",
         ),
+    ),
+    Mutant(
+        SO5, "if not members.any():", "if False:",
+        so5_tests("test_sampled_check_fails_without_members"),
     ),
     Mutant(
         SO5, "if iso != (q + 1) * (q**2 + 1):", "if False:",
@@ -175,6 +180,18 @@ MUTANTS = (
         VERIFICATIONS, "value = mn_trace_wn(sym, cls)\n            if value % 2:",
         "value = mn_trace_wn(sym, cls)\n            if False:",
         verification_tests("test_lemma217_reports_an_odd_symbol_value"),
+    ),
+    # --- the shared weight rule and table bound ---
+    Mutant(
+        SYMBOLS, "if symbol_weight != class_weight:", "if False:",
+        tuple(
+            f"tests/test_symbols.py::test_one_weight_rule[{case}]"
+            for case in ("mn_trace_wn", "oracle_trace_wn", "mn_trace_sn", "oracle_trace_sn", "split")
+        ),
+    ),
+    Mutant(
+        WNCHARS, "if not 0 <= n <= limit:", "if not 0 <= n:",
+        ("tests/test_snchars.py::test_table_bound", "tests/test_wnchars.py::test_table_bound"),
     ),
     # --- values: a wrong sign or rule, not a skipped comparison ---
     Mutant(

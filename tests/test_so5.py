@@ -97,6 +97,14 @@ def test_constructor_guards():
         OrthogonalGeometry(q=9)
 
 
+def test_numpy_integer_q_acts_as_an_int():
+    geo = OrthogonalGeometry(np.int64(3))
+    assert type(geo.q) is int
+    assert geo.line_census() == OrthogonalGeometry(3).line_census()
+    with pytest.raises(TypeError):
+        OrthogonalGeometry(3.0)
+
+
 def test_line_types():
     geo = OrthogonalGeometry(q=3)
     assert geo.line_type([1, 0, 0, 0, 0]) == 1  # norm 1, square
@@ -141,7 +149,7 @@ def test_enumeration_order_check_fires_both_ways(monkeypatch):
 
 def fixed_line_scalar(geo, g, line_vec):
     """Scalar of g on a fixed line, None if the line moves, in the symmetric
-    range (-q/2, q/2]: the one-line route ``line_action`` replaced."""
+    range (-q/2, q/2]: the one-line reference for the signed line tables."""
     q = geo.q
     v = np.array(line_vec, dtype=np.int64) % q
     image = (np.array(g) @ v) % q
@@ -152,6 +160,18 @@ def fixed_line_scalar(geo, g, line_vec):
     if ((scalar * v) % q != image).any():
         return None
     return scalar if scalar <= q // 2 else scalar - q
+
+
+def table_fixed_scalars(geo, table, lines):
+    """What a signed line table says of each of the lines: the scalar c of
+    its entry l * q + c when the line l is fixed, in the symmetric range
+    (-q/2, q/2], None when it moves."""
+    q = geo.q
+    out = []
+    for line in lines:
+        image, c = divmod(int(table[line]), q)
+        out.append(None if image != line else c if c <= q // 2 else c - q)
+    return out
 
 
 def test_fixed_line_scalar(geo3):
@@ -292,7 +312,8 @@ def test_q5_line_census():
 
 def test_q5_sampled_verification():
     geo = OrthogonalGeometry(q=5)
-    record = geo.verify_sampled(samples=25, seed=0)
+    # the seed-0 words hold 10 class members in their first 200, none in 25
+    record = geo.verify_sampled(samples=200, seed=0)
     assert record.ok, record.counterexamples[:5]
     assert record.params == "q=5 sampled"
     for samples in (0, -1):
@@ -301,14 +322,14 @@ def test_q5_sampled_verification():
 
 
 @pytest.mark.parametrize("q", [3, 5])
-def test_line_action_matches_fixed_line_scalar(q):
+def test_signed_table_matches_fixed_line_scalar(q):
     geo = OrthogonalGeometry(q=q)
     rng = random.Random(7)
     elements = [np.eye(5, dtype=np.int64)] + [geo.random_element(rng) for _ in range(6)]
-    for g in elements:
-        action = geo.line_action(g)
+    every_line = range(len(geo.lines))
+    for g, table in zip(elements, geo._signed_tables(np.stack(elements))):
         expected = [fixed_line_scalar(geo, g, vec) for vec in geo.lines]
-        assert action.tolist() == [0 if s is None else s for s in expected]
+        assert table_fixed_scalars(geo, table, every_line) == expected
 
 
 def test_signed_tables_widen_past_int16():
@@ -318,11 +339,10 @@ def test_signed_tables_widen_past_int16():
     tables = geo._signed_tables(np.stack([np.eye(5, dtype=np.int64), g]))
     assert tables.dtype == np.int32
     assert tables[0].tolist() == [11 * i + 1 for i in range(len(geo.lines))]
-    action = geo.line_action(g)
-    fixed = np.flatnonzero(action).tolist()
-    for idx in fixed + random.Random(3).sample(range(len(geo.lines)), 200):
-        expected = fixed_line_scalar(geo, g, geo.lines[idx])
-        assert action[idx] == (0 if expected is None else expected)
+    fixed = np.flatnonzero(tables[1] // 11 == np.arange(len(geo.lines))).tolist()
+    chosen = fixed + random.Random(3).sample(range(len(geo.lines)), 200)
+    expected = [fixed_line_scalar(geo, g, geo.lines[idx]) for idx in chosen]
+    assert table_fixed_scalars(geo, tables[1], chosen) == expected
 
 
 def test_closure_enumerates_the_group(geo3):
@@ -681,20 +701,16 @@ def test_support_batch_members_match_the_rank_tests(q):
 
 
 def test_coset_model_guards(geo3, monkeypatch):
-    elements = geo3.enumerate_group()
     stab = geo3.stabilizer(split=True)
     wrong = dataclasses.replace(stab, order=stab.order + 1)
     with pytest.raises(RuntimeError, match="base-line stabilizer"):
         geo3._coset_model_batch(wrong)
-    # drop the code of one element that fixes a coset line but not the base
-    # line
-    coset_lines = list(stab.line_indices)
-    dropped = next(
-        i
-        for i, g in enumerate(elements)
-        if geo3.line_action(g)[stab.base_index] == 0
-        and geo3.line_action(g)[coset_lines].any()
-    )
+    # drop the code of the first element that fixes a coset line but not
+    # the base line, read off its signed line table
+    coset_lines = np.array(stab.line_indices)
+    fixes = geo3._tables[:, coset_lines] // geo3.q == coset_lines
+    moves_base = geo3._tables[:, stab.base_index] // geo3.q != stab.base_index
+    dropped = int(np.flatnonzero(moves_base & fixes.any(axis=1))[0])
     order, codes = geo3._element_codes
     k = int(np.flatnonzero(order == dropped)[0])
     monkeypatch.setattr(geo3, "_element_codes", (np.delete(order, k), np.delete(codes, k)))
@@ -880,6 +896,18 @@ def test_sampled_check_reports_a_trace_off_the_support_value(monkeypatch, capsys
         OrthogonalGeometry(q=5), monkeypatch, capsys, "_support_batch", edited(edit),
         "sample 0: trace 2 != support value 0",
     )
+
+
+def test_sampled_check_fails_without_members(capsys):
+    # the first seed-0 word at q = 5 lies off the twisted class: the support
+    # identity holds on it, and would be tested off the class only
+    expected = "no sample in the twisted class (1 drawn)"
+    record = OrthogonalGeometry(q=5).verify_sampled(samples=1, seed=0)
+    assert (record.status, record.counterexamples) == ("fail", (expected,))
+    argv = ["verify", "so5", "--q", "5", "--samples", "1", "--no-timing"]
+    assert weylchars.cli.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "status: fail" in out and f"  - {expected}\n" in out
 
 
 def test_sampled_check_reports_broken_labels(monkeypatch):

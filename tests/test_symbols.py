@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from weylchars.snchars import mn_trace_sn, oracle_trace_sn
 from weylchars.symbols import (
     BiSymbol,
     SignedCycleType,
@@ -19,6 +20,8 @@ from weylchars.symbols import (
     shift_beta,
     signed_cycle_types,
 )
+from weylchars.verifications import _split_trace, odd_negative_cycles
+from weylchars.wnchars import mn_trace_wn, oracle_trace_wn
 
 
 def test_normalize_examples():
@@ -188,3 +191,25 @@ def test_numpy_integer_entries_act_as_ints(call, args):
     want = call(*args)
     got = call(*(tuple(np.int64(x) for x in seq) for seq in args))
     assert got == want and repr(got) == repr(want)
+
+
+WEIGHT_3_AT_4 = "weight mismatch: symbol has weight 3, class has weight 4"
+
+
+# every trace and the split checks share one weight rule and one message
+@pytest.mark.parametrize(
+    "trace",
+    [
+        lambda: mn_trace_wn(BiSymbol((1, 3), ()), SignedCycleType(pos=(2, 2))),
+        lambda: oracle_trace_wn(BiSymbol((1, 3), ()), SignedCycleType(pos=(2, 2))),
+        lambda: mn_trace_sn((1, 3), (2, 2)),
+        lambda: oracle_trace_sn((1, 3), (2, 2)),
+        # splits of {0..3} with one bottom entry have weight 1 * 3
+        lambda: _split_trace(odd_negative_cycles(2), 4, 1),
+    ],
+    ids=["mn_trace_wn", "oracle_trace_wn", "mn_trace_sn", "oracle_trace_sn", "split"],
+)
+def test_one_weight_rule(trace):
+    with pytest.raises(ValueError) as raised:
+        trace()
+    assert str(raised.value) == WEIGHT_3_AT_4
