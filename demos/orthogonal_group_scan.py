@@ -33,7 +33,8 @@ print("Jordan blocks 3,1,1.  Labels: eps = type of the fixed line,")
 print("delta = shared type of the non-degenerate (-1)-lines.\n")
 _, members, eps, delta = geo._batched_scan()
 by_label = Counter(zip(eps[members].tolist(), delta[members].tolist()))
-member = elements[members.argmax()]
+m = int(members.argmax())
+member = elements[m]
 for label in sorted(by_label):
     print(f"  label (eps={label[0]:+d}, delta={label[1]:+d}): {by_label[label]} elements")
 print(f"  total: {sum(by_label.values())} members")
@@ -44,7 +45,12 @@ label = geo.in_class_c(member)
 print(f"  label: eps={label.eps:+d} delta={label.delta:+d}")
 print(f"  class-function value 2*delta*q : {geo.class_support_value(member):+d}")
 print(f"  line-count trace               : {geo.line_count_trace(member):+d}")
-print(f"  coset-model virtual character  : {geo.induced_virtual_trace(member):+d}")
+# the coset model gives ind(1) and ind(det) at every element; the virtual
+# character is split minus non-split
+sp_one, sp_det = geo._coset_model_batch(geo.stabilizer(split=True))
+ns_one, ns_det = geo._coset_model_batch(geo.stabilizer(split=False))
+coset_trace = (sp_one[m] - sp_det[m]) - (ns_one[m] - ns_det[m])
+print(f"  coset-model virtual character  : {coset_trace:+d}")
 
 print("\n=== the full verification ===")
 record = geo.verify(seed=0)

@@ -11,10 +11,9 @@ q^2 + 1.  Two kernels carry the per-element work:
 * The signed line table of g: for each line l, g maps the representative
   x_l to c * x_m for one line m and one scalar c, stored as the single
   entry ``m * q + c``.  The line-count trace and eigenline labels of the
-  full scan, the fixed coset lines of ``induced_char`` and the group's
-  transitivity on lines are masks on it.  Tables compose by lookups in
-  ``scaled[c, e]``, the entry of c times the vector of entry e: where h
-  maps x_l to c_h x_m, (gh) holds ``scaled[c_h, g[m]]``.
+  full scan and the group's transitivity on lines are masks on it.  Tables
+  compose by lookups in ``scaled[c, e]``, the entry of c times the vector of
+  entry e: where h maps x_l to c_h x_m, (gh) holds ``scaled[c_h, g[m]]``.
 * ``_closure(start, rights)`` is the enumeration's breadth-first closure
   over whole frontiers of tables.  Each element is coded as one int64, its
   25 matrix entries as base-q digits (q^25 < 2^63 for q <= 5); the
@@ -46,10 +45,6 @@ Since x^-1 = x^T, vec(x h x^T) = (x kron x) vec(h): a float32 GEMM per
 stabilizer, in row blocks of about 1 MB once coded, its entries (at most
 25 (q - 1)^3) exact and reduced by lookup, and looked up among the
 enumeration's codes, which ``enumerate_group`` sorts once.
-Its per-element partner, ``induced_char(stab, g)``, returns the same pair
-(ind_one, ind_det) at one element the other way round: it conjugates g back
-by the transporter of each coset line g fixes and reads the conjugate's
-scalar on the base line.
 
 The distinguished twisted class consists of the elements whose semisimple
 part negates a hyperplane (minus the semisimple part is then a reflection)
@@ -501,7 +496,7 @@ class OrthogonalGeometry:
         of lines on which g acts by -1 (types are +1, -1 and 0)."""
         return int(self._support_batch(np.asarray(g)[None])[0][0])
 
-    # --- 4-space stabilizers and the induced virtual character ---
+    # --- 4-space stabilizers ---
 
     def perp_is_split(self, line_vec) -> bool:
         """Whether the perpendicular 4-space of an anisotropic line is split,
@@ -546,33 +541,6 @@ class OrthogonalGeometry:
         stab = LineStabilizer(base, order, indices, elements[first])
         self._stabilizers[split] = stab
         return stab
-
-    def induced_char(self, stab: LineStabilizer, g) -> tuple[int, int]:
-        """(ind(1), ind(det)) at g, induced from the 4-space stabilizer.
-
-        Cosets are modeled by the lines of the stabilizer's type.  For each
-        coset line g fixes, g is conjugated back by the line's transporter x;
-        x^-1 g x fixes the base line, and det on the stabilized 4-space is
-        its scalar there (the total determinant is 1).
-        """
-        q = self.q
-        coset_lines = np.array(stab.line_indices)
-        fixed = self._signed_tables(np.asarray(g)[None])[0][coset_lines] // q == coset_lines
-        x = stab.transporters[fixed]
-        conjugates = (self.inverse(x) @ np.asarray(g) @ x) % q
-        entries = self._signed_lines(conjugates @ self.lines[stab.base_index])
-        on_base = stab.base_index * q
-        det = np.where(entries == on_base + 1, 1, np.where(entries == on_base + q - 1, -1, 0))
-        if not det.all():
-            raise RuntimeError("transported element escaped the subgroup")
-        return len(det), int(det.sum())
-
-    def induced_virtual_trace(self, g) -> int:
-        """Alternating combination ind(1) - ind(det) over the split
-        stabilizer, minus the same over the non-split one."""
-        sp_one, sp_det = self.induced_char(self.stabilizer(split=True), g)
-        ns_one, ns_det = self.induced_char(self.stabilizer(split=False), g)
-        return (sp_one - sp_det) - (ns_one - ns_det)
 
     # --- batched verification ---
 
@@ -709,8 +677,8 @@ class OrthogonalGeometry:
         if (sp_one[0], ns_one[0]) != cosets:
             failures.append("induced dimension != coset count at the identity")
 
-        # the table-free route and the per-element coset model against the
-        # scan, plus conjugation invariance of the labels
+        # the table-free route against the scan, plus conjugation invariance
+        # of the labels
         rng = random.Random(seed)
         member_idx = np.flatnonzero(members)
         sample = []
@@ -728,8 +696,6 @@ class OrthogonalGeometry:
                 failures.append(f"element {i}: per-element trace disagrees")
             if 2 * free_delta[0, k] * q != trace[i]:
                 failures.append(f"element {i}: support value disagrees")
-            if self.induced_virtual_trace(g[k]) != trace[i]:
-                failures.append(f"element {i}: per-element coset model disagrees")
             if (free_eps[1, k], free_delta[1, k]) != (free_eps[0, k], free_delta[0, k]):
                 failures.append(f"element {i}: label not conjugation invariant")
         return sorted(failures)

@@ -57,10 +57,6 @@ MUTANTS = (
         so5_tests("test_verify_reports_a_per_element_disagreement[support]"),
     ),
     Mutant(
-        SO5, "if self.induced_virtual_trace(g[k]) != trace[i]:", "if False:",
-        so5_tests("test_verify_reports_a_per_element_coset_model_disagreement"),
-    ),
-    Mutant(
         SO5,
         "if (free_eps[1, k], free_delta[1, k]) != (free_eps[0, k], free_delta[0, k]):",
         "if False:",
@@ -76,6 +72,18 @@ MUTANTS = (
     Mutant(
         SO5, "if not members.any():", "if False:",
         so5_tests("test_sampled_check_fails_without_members"),
+    ),
+    Mutant(
+        SO5, "if sorted(labels) != [(-1, -1), (-1, 1), (1, -1), (1, 1)]:", "if False:",
+        so5_tests("test_verify_fails_without_members"),
+    ),
+    Mutant(
+        SO5, "members & (eps == 0)", "members & (eps == 2)",
+        so5_tests("test_verify_reports_broken_labels", "test_sampled_check_reports_broken_labels"),
+    ),
+    Mutant(
+        SO5, "(eps != 0) & (delta == 0)", "(eps != 0) & (delta == 2)",
+        so5_tests("test_verify_reports_broken_labels"),
     ),
     Mutant(
         SO5, "if iso != (q + 1) * (q**2 + 1):", "if False:",
@@ -96,7 +104,10 @@ MUTANTS = (
     Mutant(
         SO5, "for i in np.flatnonzero(coset_trace != trace)[:5]:",
         "for i in np.flatnonzero(coset_trace != trace)[:0]:",
-        so5_tests("test_verify_reports_a_coset_model_mismatch"),
+        so5_tests(
+            "test_verify_reports_a_coset_model_mismatch",
+            "test_verify_reports_a_repeated_transporter",
+        ),
     ),
     Mutant(
         SO5, "if (sp_one[0], ns_one[0]) != cosets:", "if False:",
@@ -144,6 +155,13 @@ MUTANTS = (
     Mutant(
         SO5, "rows = rows[gh == hg]", "rows = rows[gh == gh]",
         so5_tests("test_class_orbits_cover_the_scanned_members"),
+    ),
+    # transporter 1 repeated in slot 2 of both stabilizers: it lands on the
+    # wrong line, and the coset model misses a line's conjugates
+    Mutant(
+        SO5, "LineStabilizer(base, order, indices, elements[first])",
+        "LineStabilizer(base, order, indices, elements[np.r_[first[:2], first[1], first[3:]]])",
+        so5_tests("test_stabilizer_cosets", "test_full_verification"),
     ),
     # --- verifications comparisons ---
     Mutant(

@@ -272,17 +272,23 @@ def test_stabilizer_cosets(geo3):
     identity = np.eye(5, dtype=np.int64)
     assert split.transporters.shape == (45, 5, 5)
     assert (split.transporters[0] == identity).all()
-    assert geo3.induced_char(split, identity) == (45, 45)
-    assert geo3.induced_char(nonsplit, identity) == (36, 36)
-    assert geo3.induced_virtual_trace(identity) == 0
+    # transporter k maps the base line to coset line k, read off its own
+    # signed table: a repeated or permuted transporter fails here
+    for stab in (split, nonsplit):
+        landed = geo3._signed_tables(stab.transporters)[:, stab.base_index] // geo3.q
+        assert landed.tolist() == list(stab.line_indices)
 
 
 def test_coset_model_matches_line_count_on_sample(geo3):
+    # the coset model against the table-free per-element route
     elements = geo3.enumerate_group()
+    sp_one, sp_det = geo3._coset_model_batch(geo3.stabilizer(split=True))
+    ns_one, ns_det = geo3._coset_model_batch(geo3.stabilizer(split=False))
     rng = random.Random(42)
     for _ in range(12):
-        g = elements[rng.randrange(len(elements))]
-        assert geo3.induced_virtual_trace(g) == geo3.line_count_trace(g)
+        i = rng.randrange(len(elements))
+        coset_trace = (sp_one[i] - sp_det[i]) - (ns_one[i] - ns_det[i])
+        assert coset_trace == geo3.line_count_trace(elements[i])
 
 
 def test_conjugation_invariance_spot(geo3):
@@ -726,23 +732,22 @@ def test_coded_kernels_reject_what_they_cannot_code():
         geo.line_index([0, 0, 0, 0, 0])
 
 
-def test_verify_reports_broken_labels(geo3, monkeypatch):
-    trace, members, eps, delta = geo3._batched_scan()
+def test_verify_reports_broken_labels(geo3, monkeypatch, capsys):
+    trace, members, _, delta = geo3._batched_scan()
     index = np.flatnonzero(members)
 
-    def corrupted():
-        bad_eps, bad_delta = eps.copy(), delta.copy()
-        bad_eps[index[0]], bad_delta[index[1]], bad_delta[index[2]] = 0, 0, -delta[index[2]]
-        return trace, members, bad_eps, bad_delta
+    def edit(trace, members, eps, delta):
+        eps[index[0]], delta[index[1]], delta[index[2]] = 0, 0, -delta[index[2]]
+        return trace, members, eps, delta
 
-    monkeypatch.setattr(geo3, "_batched_scan", corrupted)
-    record = geo3.verify(seed=0)
-    assert record.status == "fail"
-    assert f"element {index[0]}: fixed line not anisotropic" in record.counterexamples
-    assert f"element {index[1]}: mixed (-1)-plane types" in record.counterexamples
+    out = assert_verify_fails_with(
+        geo3, monkeypatch, capsys, "_batched_scan", edited(edit),
+        f"element {index[0]}: fixed line not anisotropic",
+    )
+    assert f"  - element {index[1]}: mixed (-1)-plane types\n" in out
     # a broken delta also breaks the support identity there
     for i, support in ((index[1], 0), (index[2], -2 * delta[index[2]] * 3)):
-        assert f"element {i}: trace {trace[i]} != support value {support}" in record.counterexamples
+        assert f"  - element {i}: trace {trace[i]} != support value {support}\n" in out
 
 
 def scan_without_members(original):
@@ -866,10 +871,33 @@ def test_verify_reports_a_per_element_disagreement(geo3, monkeypatch, capsys, pa
     )
 
 
-def test_verify_reports_a_per_element_coset_model_disagreement(geo3, monkeypatch, capsys):
+def repeated_transporter(original):
+    """A wrapper for ``stabilizer`` whose split stabilizer holds
+    transporter 1 in slot 2 as well."""
+
+    def stabilizer(*args, split):
+        stab = original(*args, split=split)
+        if not split:
+            return stab
+        transporters = stab.transporters.copy()
+        transporters[2] = transporters[1]
+        return dataclasses.replace(stab, transporters=transporters)
+
+    return stabilizer
+
+
+def test_verify_reports_a_repeated_transporter(geo3, monkeypatch, capsys):
+    # the split coset model then counts coset line 1 twice and line 2 never:
+    # ind(1) - ind(det) gains 2 where g negates line 1 and loses 2 where g
+    # negates line 2, read off the signed tables
+    trace = geo3._batched_scan()[0]
+    lines = np.array(geo3.stabilizer(split=True).line_indices[1:3])
+    negates = geo3._tables[:, lines] == lines * geo3.q + geo3.q - 1
+    shift = 2 * (negates[:, 0].astype(np.int64) - negates[:, 1])
+    i = int(np.flatnonzero(shift)[0])
     assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "induced_virtual_trace", one_more,
-        f"element {first_sampled(geo3)}: per-element coset model disagrees",
+        geo3, monkeypatch, capsys, "stabilizer", repeated_transporter,
+        f"element {i}: coset model {trace[i] + shift[i]} != line count {trace[i]}",
     )
 
 
