@@ -11,24 +11,27 @@ q^2 + 1.  Two kernels carry the per-element work:
 * The signed line table of g: for each line l, g maps the representative
   x_l to c * x_m for one line m and one scalar c, stored as the single
   entry ``m * q + c``.  The line-count trace and eigenline labels of the
-  full scan and the group's transitivity on lines are masks on it.  Tables
-  compose by lookups in ``scaled[c, e]``, the entry of c times the vector of
-  entry e: where h maps x_l to c_h x_m, (gh) holds ``scaled[c_h, g[m]]``.
-* ``_closure(start, rights)`` is the enumeration's breadth-first closure
-  over whole frontiers of tables.  Each element is coded as one int64, its
-  25 matrix entries as base-q digits (q^25 < 2^63 for q <= 5); the
-  basis-line entries are the matrix's columns, so an image is coded before
-  any full table is composed, by five lookups in digit tables built once per
-  generator and basis line, on the frontier's entries at the few lines the
-  generators send basis lines to.  A frontier is deduplicated by one sort of
-  (code, index) keys packed into int64.  The group is the closure
-  of the identity under right multiplication by a small generating set
-  (products of reflection pairs, so determinants stay 1, with both spinor
-  classes covered), and its matrices are read back off the basis-line
-  entries.  Each level of new tables is written straight into one buffer of
-  |G| rows, so the group is never held twice.  A conjugacy class's size is
-  |G| / |C(g)|, the centralizer counted on the tables: h commutes with g
-  when gh and hg have the same entries at the five basis lines.
+  full scan are masks on it.  Tables compose by lookups in ``scaled[c, e]``,
+  the entry of c times the vector of entry e: where h maps x_l to c_h x_m,
+  (gh) holds ``scaled[c_h, g[m]]``.
+* ``enumerate_group`` builds the group as the cosets x H of H, the
+  stabilizer of a base line u of the split type, with one Witt transporter
+  x per line of that type (``_witt_transporters``, which also serves the
+  4-space stabilizers).  H (1,152 elements at q = 3) is the breadth-first
+  ``_closure`` of reflection pairs that keep u's line, over whole
+  frontiers of tables.  Each element is coded as one int64, its 25 matrix
+  entries as base-q digits (q^25 < 2^63 for q <= 5); the basis-line
+  entries are the matrix's columns, so an image is coded before any full
+  table is composed, by five lookups in digit tables built once per
+  generator and basis line.  A frontier is deduplicated by one sort of
+  (code, index) keys packed into int64, and the closure must fill exactly
+  |H| rows.  Left multiplication by x only relabels table entries, so each
+  coset's tables are one gather from x's row of q * #lines entries,
+  written into one buffer of |G| rows; the matrices and codes are read
+  back off the basis-line entries, and the sorted codes must strictly
+  increase.  A conjugacy class's size is |G| / |C(g)|, the centralizer
+  counted on the tables: h commutes with g when gh and hg have the same
+  entries at the five basis lines.
 
 Both kernels decide the twisted class (below) by kernel line counts in one
 shared tail, ``_twisted_class``, and differ only in where the kernels come
@@ -231,15 +234,21 @@ class OrthogonalGeometry:
 
     def reflection(self, vec):
         """Reflection in the hyperplane perpendicular to an anisotropic
-        vector; it depends only on the vector's line, so it is built from the
-        line's representative x as 1 - 2 x x^T / (x . x)."""
+        vector."""
+        return self._reflections(np.asarray(vec)[None])[0]
+
+    def _reflections(self, vectors):
+        """Reflection 1 - 2 x x^T / (x . x) in the hyperplane perpendicular
+        to each row x of a (k, 5) stack of anisotropic vectors; it depends
+        only on the line x spans."""
         q = self.q
-        line = self.line_index(vec)
-        if self.line_types[line] == 0:
+        x = np.asarray(vectors, dtype=np.int64) % q
+        norms = (x * x).sum(axis=1) % q
+        if not norms.all():
             raise ValueError("cannot reflect in an isotropic vector")
-        x = self.lines[line]
-        coeff = (2 * pow(int(self.norms[line]), q - 2, q)) % q
-        return (np.eye(5, dtype=np.int64) - coeff * np.outer(x, x)) % q
+        coeff = 2 * self._inverse_mod[norms]
+        outer = x[:, :, None] * x[:, None, :]
+        return (np.eye(5, dtype=np.int64) - coeff[:, None, None] * outer) % q
 
     def generators(self):
         """Reflection-pair products through a spread of anisotropic vectors,
@@ -247,7 +256,7 @@ class OrthogonalGeometry:
 
         Pairing every reflection with a fixed one keeps determinants at 1;
         spanning both square classes of norms covers both spinor classes.
-        The enumeration's order check is the net under construction here.
+        They drive ``random_element``; the enumeration does not use them.
         """
         if self._generators is not None:
             return self._generators
@@ -274,37 +283,84 @@ class OrthogonalGeometry:
         return q**4 * (q**2 - 1) * (q**4 - 1)
 
     def enumerate_group(self):
-        """Every element of SO_5(F_q), by BFS closure of the generators.
+        """Every element of SO_5(F_q), as the cosets x H of H, the
+        stabilizer of the base line u of the split type, one per Witt
+        transporter x.
 
-        Guarded to q = 3 (51,840 elements); the count is checked against
-        q^4 (q^2 - 1)(q^4 - 1), too many by the closure and too few here.
-        The signed line tables of the elements are kept alongside, in the
-        same order, and their ``_matrix_codes``, from the closure, sorted
-        once as (order, sorted codes) in ``_element_codes``.  The (N, 5, 5)
-        int64 matrices are written in place, one column per basis line, by
-        gathering the vectors of the tables' basis-line entries.
+        Guarded to q = 3 (51,840 elements, |H| = 1,152); the count is
+        checked against q^4 (q^2 - 1)(q^4 - 1).  H is the ``_closure`` of
+        ``_line_stabilizer_generators``, with its order |G| / #lines.  Left
+        multiplication by x only relabels table entries: (x h)[l] is x's
+        entry for the vector of entry h[l], so each coset's tables are one
+        ``take`` from x's relabelling row of q * #lines entries, written
+        into one buffer of |G| rows.  Element 0 is the identity, the base
+        line's transporter times H's first element.  The ``_matrix_codes``
+        of the elements come off their basis-line entries and are sorted
+        once as (order, sorted codes) in ``_element_codes``; sorted codes
+        must strictly increase, so an element repeated across cosets
+        raises.  The (N, 5, 5) int64 matrices are written in place, one
+        column per basis line, by gathering the vectors of the tables'
+        basis-line entries.
         """
         if self._elements is not None:
             return self._elements
         if self.q != FULL_ENUMERATION_Q:
             raise ValueError(f"full enumeration is guarded to q={FULL_ENUMERATION_Q}")
+        indices, transporters = self._witt_transporters(self.split_line_type())
         identity = self._signed_tables(np.eye(5, dtype=np.int64)[None])[0]
-        tables, codes = self._closure(identity, self._signed_tables(np.stack(self.generators())))
+        subgroup = self._closure(
+            identity,
+            self._signed_tables(np.stack(self._line_stabilizer_generators(indices[0]))),
+            self.group_order_formula() // len(indices),
+        )
+        # relabel[k, e]: transporter k's entry for the vector of entry e
+        relabel = self._compose(
+            self._signed_tables(transporters),
+            np.arange(self.q * len(self.lines)),
+            self._scaled_entries(),
+        )
+        tables = np.empty((len(indices) * len(subgroup), len(self.lines)), dtype=subgroup.dtype)
+        subgroup = subgroup.astype(np.intp)
+        for row, coset in zip(relabel, np.split(tables, len(indices))):
+            row.take(subgroup, out=coset)
         if len(tables) != self.group_order_formula():
             raise RuntimeError(
                 f"enumeration produced {len(tables)} elements, expected"
                 f" {self.group_order_formula()}"
             )
-        # column i of each matrix is the vector of its entry at basis line i
-        vectors = self._entry_vectors()
+        # column j of each matrix is the vector of its entry at basis line j
+        vectors, columns = self._entry_vectors(), self._code_columns()
         elements = np.empty((len(tables), 5, 5), dtype=np.int64)
-        for column, line in enumerate(self._basis):
-            elements[:, :, column] = vectors[tables[:, line]]
+        codes = np.zeros(len(tables), dtype=np.int64)
+        for j, line in enumerate(self._basis):
+            entries = tables[:, line].astype(np.intp)
+            elements[:, :, j] = vectors.take(entries, axis=0)
+            codes += columns[j].take(entries)
         order = np.argsort(codes)
-        self._element_codes = order, codes[order]
+        codes = codes[order]
+        if not (np.diff(codes) > 0).all():
+            raise RuntimeError("enumeration repeats an element")
+        self._element_codes = order, codes
         self._elements = elements
         self._tables = tables
         return self._elements
+
+    def _line_stabilizer_generators(self, line):
+        """Generators of H, the stabilizer of an anisotropic line u in
+        SO_5: r_a r_b for the anisotropic lines a of u's perpendicular
+        4-space other than the first, b, and r_u r_b.
+
+        H restricts isomorphically onto O(u^perp), since g u = det(g|u^perp)
+        u.  The reflections r_a generate O(u^perp) (Cartan-Dieudonne), so
+        the pairs, every even word being a product of them and their
+        inverses, generate its SO, and r_u r_b adds the other coset; both
+        norm classes occur among the a.
+        """
+        q = self.q
+        u = self.lines[line]
+        perp = self.lines[((self.lines @ u) % q == 0) & (self.line_types != 0)]
+        mirrors = self._reflections(np.concatenate([perp, u[None]]))
+        return list((mirrors[1:] @ mirrors[0]) % q)
 
     def _signed_tables(self, matrices):
         """Signed line table of each matrix in a (k, 5, 5) array: row i,
@@ -341,39 +397,43 @@ class OrthogonalGeometry:
         """One int64 per 5x5 matrix mod q, its entries as base-q digits."""
         return np.asarray(matrices, dtype=np.int64).reshape(-1, 25) @ self._code_weights()
 
-    def _closure(self, start, rights):
-        """(tables, codes) of every element reachable from the table
-        ``start`` by repeated steps g -> g r over the stacked tables
-        ``rights``: start first, then in breadth-first discovery order, each
-        with its ``_matrix_codes`` code.
+    def _code_columns(self):
+        """``columns[j, e]``, the ``_matrix_codes`` code of entry e's vector
+        as column j of a matrix: the basis-line entries of a table are its
+        matrix's columns, so its code is the sum over basis lines j of
+        ``columns[j, table[basis[j]]]``."""
+        return (self._entry_vectors() @ self._code_weights().reshape(5, 5)).T
 
-        A frontier's images are first coded without composing any table.
-        The code is the sum of one digit per basis line j, since the
-        basis-line entries are the matrix's columns: ``columns[j, e]`` is the
-        code of entry e's vector as column j.  Right r maps x_j to c x_m, so
-        g r holds ``scaled[c, g[m]]`` at j, and its digit is one lookup in
-        ``digits[r, j] = columns[j][scaled[c]]``, a table built once per
-        (r, j).  Each level copies the frontier's entries at the few distinct
-        lines m once, line-major (row ``where[r, j]`` for the m of (r, j)),
-        and sums five lookups per step into an (R, k) block, step-major.
-        The codes are deduplicated, within the frontier and against
-        everything seen, by ``_first_occurrences`` of the seen codes followed
-        by the new ones, keeping the first occurrence of each new code in
-        step-major order, and only the new elements get full tables.  The
-        tables live in one buffer of |G| rows: each step writes its new
-        elements straight after the last level, and the next level reads
-        them back as a view.  A closure that would overflow it has left the
-        group, and raises.
+    def _closure(self, start, rights, order):
+        """Tables of the ``order`` elements reachable from the table
+        ``start`` by repeated steps g -> g r over the stacked tables
+        ``rights``: start first, then in breadth-first discovery order.
+
+        A frontier's images are first coded without composing any table,
+        by the sum of one ``_code_columns`` digit per basis line j.  Right
+        r maps x_j to c x_m, so g r holds ``scaled[c, g[m]]`` at j, and its
+        digit is one lookup in ``digits[r, j] = columns[j][scaled[c]]``, a
+        table built once per (r, j).  Each level copies the frontier's
+        entries at the few distinct lines m once, line-major (row
+        ``where[r, j]`` for the m of (r, j)), and sums five lookups per
+        step into an (R, k) block, step-major.  The codes are deduplicated,
+        within the frontier and against everything seen, by
+        ``_first_occurrences`` of the seen codes followed by the new ones,
+        keeping the first occurrence of each new code in step-major order,
+        and only the new elements get full tables.  The tables live in one
+        buffer of ``order`` rows: each step writes its new elements
+        straight after the last level, and the next level reads them back
+        as a view.  A closure that would overflow the buffer, or stops
+        short of filling it, raises.
         """
-        group_order = self.group_order_formula()
-        columns = (self._entry_vectors() @ self._code_weights().reshape(5, 5)).T
+        columns = self._code_columns()
         scaled = self._scaled_entries()
         basis = self._basis
         line, scalar = np.divmod(rights[:, basis].astype(np.intp), self.q)
         needed = np.flatnonzero(np.bincount(line.ravel()))  # the distinct m, ascending
         where = np.searchsorted(needed, line)
         digits = columns[np.arange(5)[:, None], scaled[scalar]]  # (R, 5, q * #lines)
-        found = np.empty((group_order, len(start)), dtype=start.dtype)
+        found = np.empty((order, len(start)), dtype=start.dtype)
         found[0] = start
         seen = np.array([columns[np.arange(5), start[basis]].sum()])
         level, end = 0, 1  # the frontier is found[level:end]
@@ -389,18 +449,17 @@ class OrthogonalGeometry:
             first = _first_occurrences(np.concatenate([seen, image_codes]))
             first = first[first >= len(seen)] - len(seen)
             seen = np.concatenate([seen, image_codes[first]])
-            del entries, block, image_codes  # not held through the table writes
-            if end + len(first) > group_order:
-                raise RuntimeError(
-                    f"enumeration produced over {group_order} elements, expected {group_order}"
-                )
+            if end + len(first) > order:
+                raise RuntimeError(f"closure produced over {order} elements, expected {order}")
             step_of, row = np.divmod(first, len(frontier))
             level = end
             for step, right in enumerate(rights):
                 taken = frontier.take(row[step_of == step], axis=0)
                 found[end : end + len(taken)] = self._compose(taken, right, scaled)
                 end += len(taken)
-        return found[:end], seen
+        if end != order:
+            raise RuntimeError(f"closure produced {end} elements, expected {order}")
+        return found
 
     def inverse(self, g):
         """Inverse of an element, or of each in a stack: the transpose, since
@@ -525,22 +584,54 @@ class OrthogonalGeometry:
 
     def stabilizer(self, split: bool) -> LineStabilizer:
         """Stabilizer of a 4-space on which the form is split (or
-        non-split), with transporters to every coset."""
-        if split in self._stabilizers:
-            return self._stabilizers[split]
-        elements = self.enumerate_group()
-        line_type = self.split_line_type() if split else -self.split_line_type()
-        indices = tuple(int(i) for i in np.where(self.line_types == line_type)[0])
-        base = indices[0]
-        # the first element taking the base line to each line; element 0,
-        # the identity, is the base line's own transporter
-        reached, first = np.unique(self._tables[:, base] // self.q, return_index=True)
-        if reached.tolist() != list(indices):
-            raise RuntimeError("group is not transitive on lines of one type")
-        order = len(elements) // len(indices)
-        stab = LineStabilizer(base, order, indices, elements[first])
-        self._stabilizers[split] = stab
-        return stab
+        non-split), with a Witt transporter to every coset line; its order
+        is |G| / #lines of the type.  No enumeration is read."""
+        if split not in self._stabilizers:
+            line_type = self.split_line_type() if split else -self.split_line_type()
+            indices, transporters = self._witt_transporters(line_type)
+            self._stabilizers[split] = LineStabilizer(
+                int(indices[0]),
+                self.group_order_formula() // len(indices),
+                tuple(indices.tolist()),
+                transporters,
+            )
+        return self._stabilizers[split]
+
+    def _witt_transporters(self, line_type):
+        """(indices, transporters): the lines of one anisotropic type, in
+        order, and for each line an element of SO_5 taking the first, the
+        base line u, onto it; the base line's own is the identity.
+
+        Witt's theorem, made explicit: the line's representative is scaled
+        to w with w . w = u . u (the norms differ by a square, the types
+        being equal).  The reflection in d = u - w takes u to w; when d is
+        isotropic (u . w = u . u) the one in d = u + w, whose norm is
+        4 u . u, takes u to -w.  The reflection in a, the first anisotropic
+        line perpendicular to w, then fixes w and brings the determinant
+        back to 1.  A transporter that does not land on its line raises.
+        """
+        q = self.q
+        indices = np.flatnonzero(self.line_types == line_type)
+        u = self.lines[indices[0]]
+        root = np.zeros(q, dtype=np.int64)  # root[c * c % q] = c
+        root[np.arange(q) ** 2 % q] = np.arange(q)
+        ratio = self.norms[indices[0]] * self._inverse_mod[self.norms[indices]] % q
+        w = root[ratio][:, None] * self.lines[indices] % q
+        d = (u - w) % q
+        swap = (d * d).sum(axis=1) % q == 0
+        d[swap] = (u + w[swap]) % q
+        perp = ((w @ self.lines.T) % q == 0) & (self.line_types != 0)
+        mirrors = self._reflections(self.lines[perp.argmax(axis=1)])
+        transporters = (mirrors @ self._reflections(d)) % q
+        transporters[0] = np.eye(5, dtype=np.int64)
+        landed = self._signed_lines(transporters @ u) // q
+        wrong = np.flatnonzero(landed != indices)
+        if len(wrong):
+            k = wrong[0]
+            raise RuntimeError(
+                f"transporter {k} takes the base line to line {landed[k]}, not {indices[k]}"
+            )
+        return indices, transporters
 
     # --- batched verification ---
 
@@ -705,7 +796,9 @@ class OrthogonalGeometry:
         induction.
 
         The subgroup H and det on it come from the matrices' action on the
-        base line.  An element g lies in the stabilizer of the coset line of
+        base line, taken over row blocks of the elements of about
+        CHUNK_ENTRIES matrix entries, so no image of the whole group is
+        held.  An element g lies in the stabilizer of the coset line of
         transporter x exactly when g = x h x^-1 with h in H, and then adds
         det(h) there; so each conjugate x h x^-1 is found in the enumeration
         by its code and gets 1 and det(h).  This route never computes an
@@ -729,9 +822,15 @@ class OrthogonalGeometry:
         elements = self.enumerate_group()
         order, sorted_codes = self._element_codes
         base_vec = self.lines[stab.base_index]
-        image_codes = self._residue[elements @ base_vec] @ self._place
-        det_plus = image_codes == base_vec @ self._place
-        det_minus = image_codes == ((-base_vec) % q) @ self._place
+
+        def fixed_or_negated(block):  # of the base line, by each element
+            image_codes = self._residue[block @ base_vec] @ self._place
+            return (
+                image_codes == base_vec @ self._place,
+                image_codes == ((-base_vec) % q) @ self._place,
+            )
+
+        det_plus, det_minus = _in_row_blocks(25, fixed_or_negated, elements)
         subgroup = np.flatnonzero(det_plus | det_minus)
         if len(subgroup) != stab.order:
             raise RuntimeError(

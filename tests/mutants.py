@@ -123,8 +123,16 @@ MUTANTS = (
         so5_tests("test_enumeration_order", "test_the_enumeration_is_coded_once"),
     ),
     Mutant(
-        SO5, "if end + len(first) > group_order:", "if False:",
+        SO5, "if end + len(first) > order:", "if False:",
         so5_tests("test_enumeration_order_check_fires_both_ways"),
+    ),
+    Mutant(
+        SO5, "if end != order:", "if False:",
+        so5_tests("test_enumeration_order_check_fires_both_ways"),
+    ),
+    Mutant(
+        SO5, "if not (np.diff(codes) > 0).all():", "if not (np.diff(codes) >= 0).all():",
+        so5_tests("test_enumeration_distinctness_check"),
     ),
     Mutant(
         SO5, "codes += digits[r, j].take(entries[where[r, j]])",
@@ -156,12 +164,22 @@ MUTANTS = (
         SO5, "rows = rows[gh == hg]", "rows = rows[gh == gh]",
         so5_tests("test_class_orbits_cover_the_scanned_members"),
     ),
-    # transporter 1 repeated in slot 2 of both stabilizers: it lands on the
-    # wrong line, and the coset model misses a line's conjugates
+    # --- the Witt transporters ---
+    # transporter 1 repeated in slot 2: it lands on the wrong line
     Mutant(
-        SO5, "LineStabilizer(base, order, indices, elements[first])",
-        "LineStabilizer(base, order, indices, elements[np.r_[first[:2], first[1], first[3:]]])",
-        so5_tests("test_stabilizer_cosets", "test_full_verification"),
+        SO5, "transporters[0] = np.eye(5, dtype=np.int64)",
+        "transporters[0], transporters[2] = np.eye(5, dtype=np.int64), transporters[1]",
+        so5_tests(
+            "test_stabilizer_cosets",
+            "test_full_verification",
+            "test_witt_transporters[3]",
+            "test_witt_transporters[5]",
+            "test_witt_transporters[7]",
+        ),
+    ),
+    Mutant(
+        SO5, "if len(wrong):", "if False:",
+        so5_tests("test_witt_transporter_landing_check"),
     ),
     # --- verifications comparisons ---
     Mutant(

@@ -134,17 +134,85 @@ def test_enumeration_guard():
 
 
 def test_enumeration_order_check_fires_both_ways(monkeypatch):
-    # too few generators leave the table buffer mostly empty; a reflection
-    # (det -1) closes to O_5, and overflows the buffer of |SO_5| rows
+    # H is closed from the generators of the base line's stabilizer: too few
+    # leave its table buffer short; r_u (det -1, negating the base line u)
+    # closes to the line's stabilizer in O_5, and overflows the |H| rows
     geo = OrthogonalGeometry(q=3)
-    gens = geo.generators()
-    reflection = geo.reflection([1, 0, 0, 0, 0])
-    for chosen, count in ((gens[:2], "4"), (gens + [reflection], "over 51840")):
+    base = geo.stabilizer(split=True).base_index
+    gens = geo._line_stabilizer_generators(base)
+    reflection = geo.reflection(geo.lines[base])
+    for chosen, count in ((gens[:2], "4"), (gens + [reflection], "over 1152")):
         geo = OrthogonalGeometry(q=3)
-        monkeypatch.setattr(geo, "generators", lambda chosen=chosen: chosen)
+        monkeypatch.setattr(geo, "_line_stabilizer_generators", lambda line, chosen=chosen: chosen)
         with pytest.raises(RuntimeError) as raised:
             geo.enumerate_group()
-        assert str(raised.value) == f"enumeration produced {count} elements, expected 51840"
+        assert str(raised.value) == f"closure produced {count} elements, expected 1152"
+
+
+def test_enumeration_distinctness_check(monkeypatch):
+    # transporter 1 in slot 2 as well: the cosets x_1 H and x_2 H coincide,
+    # so the count still reads |G| but the sorted codes repeat
+    geo = OrthogonalGeometry(q=3)
+    original = geo._witt_transporters
+
+    def repeated(line_type):
+        indices, transporters = original(line_type)
+        transporters[2] = transporters[1]
+        return indices, transporters
+
+    monkeypatch.setattr(geo, "_witt_transporters", repeated)
+    with pytest.raises(RuntimeError, match="^enumeration repeats an element$"):
+        geo.enumerate_group()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_witt_transporters(q):
+    # each transporter is in SO_5 and takes the base line to its own line,
+    # checked against the line representatives, with no enumeration
+    geo = OrthogonalGeometry(q=q)
+    for split in (True, False):
+        stab = geo.stabilizer(split)
+        x = stab.transporters
+        assert stab.order * len(stab.line_indices) == geo.group_order_formula()
+        assert ((x.transpose(0, 2, 1) @ x) % q == np.eye(5, dtype=np.int64)).all()
+        assert (np.rint(np.linalg.det(x)).astype(np.int64) % q == 1).all()
+        images = (x @ geo.lines[stab.base_index]) % q
+        reps = geo.lines[list(stab.line_indices)]
+        on_line = [((c * reps) % q == images).all(axis=1) for c in range(1, q)]
+        assert np.logical_or.reduce(on_line).all()
+        assert (x[0] == np.eye(5, dtype=np.int64)).all()
+    assert geo._elements is None
+
+
+def test_line_stabilizer_closures_reach_their_order():
+    # at q = 3, H closes to |G| / #lines for both base lines, and every
+    # element of it maps the base line onto itself
+    geo = OrthogonalGeometry(q=3)
+    identity = geo._signed_tables(np.eye(5, dtype=np.int64)[None])[0]
+    for split, order in ((True, 1152), (False, 1440)):
+        stab = geo.stabilizer(split)
+        gens = geo._signed_tables(np.stack(geo._line_stabilizer_generators(stab.base_index)))
+        subgroup = geo._closure(identity, gens, stab.order)
+        assert stab.order == order == len(subgroup)
+        assert (subgroup[:, stab.base_index] // 3 == stab.base_index).all()
+        matrices = table_matrices(geo, subgroup)
+        assert len(np.unique(matrices.reshape(-1, 25), axis=0)) == order
+
+
+def test_witt_transporter_landing_check(monkeypatch):
+    # with every reflection replaced by the identity, transporter 1 stays on
+    # the base line
+    geo = OrthogonalGeometry(q=3)
+
+    def identities(vectors):
+        return np.tile(np.eye(5, dtype=np.int64), (len(vectors), 1, 1))
+
+    monkeypatch.setattr(geo, "_reflections", identities)
+    indices = np.flatnonzero(geo.line_types == geo.split_line_type())
+    with pytest.raises(RuntimeError) as raised:
+        geo.stabilizer(split=True)
+    expected = f"transporter 1 takes the base line to line {indices[0]}, not {indices[1]}"
+    assert str(raised.value) == expected
 
 
 def fixed_line_scalar(geo, g, line_vec):
@@ -376,12 +444,19 @@ def test_class_orbits_cover_the_scanned_members(geo3):
     # generators, for the representatives and for non-members
     gens = np.stack(geo3.generators())
     inverses = geo3.inverse(gens)
+    # a regular unipotent element: g - 1 has ranks 4, 3, 2, 1, 0 in powers 1-5
+    unipotent = np.array(
+        [[0, 0, 0, 1, 0], [2, 2, 1, 0, 1], [1, 2, 1, 0, 2], [2, 1, 1, 0, 2], [2, 2, 2, 0, 2]]
+    )
+    nilpotent = unipotent - np.eye(5, dtype=np.int64)
+    powers = [np.linalg.matrix_power(nilpotent, k) for k in range(1, 6)]
+    assert [rank_mod(p, 3) for p in powers] == [4, 3, 2, 1, 0]
     non_members = [
         (np.eye(5, dtype=np.int64), 1),
         (np.diag([1, 2, 2, 2, 2]), 45),
         (gens[-1], 5184),  # the 5-cycle
-        (elements[1], 270),
-        (elements[777], 5760),
+        (np.diag([2, 2, 1, 1, 1]), 270),
+        (unipotent, 5760),
     ]
     for g, size in [(g, 1440) for g in representatives.values()] + non_members:
         orbit = matrix_closure(
@@ -484,8 +559,13 @@ def test_table_closure_matches_the_matrix_closure(geo3):
     )
     elements = geo3.enumerate_group()
     assert elements.dtype == reference.dtype
-    assert np.array_equal(elements, reference)
-    assert np.array_equal(table_matrices(geo3, geo3._tables), reference)
+    # the same set: the enumeration's sorted codes, and those of its
+    # matrices, are the reference's sorted codes
+    weights = 3 ** np.arange(25, dtype=np.int64)
+    expected = np.sort(reference.reshape(-1, 25) @ weights)
+    assert np.array_equal(geo3._element_codes[1], expected)
+    assert np.array_equal(np.sort(elements.reshape(-1, 25) @ weights), expected)
+    assert np.array_equal(table_matrices(geo3, geo3._tables), elements)
 
 
 def test_scan_matches_the_full_rank_scan(geo3):
