@@ -45,11 +45,11 @@ label = geo.in_class_c(member)
 print(f"  label: eps={label.eps:+d} delta={label.delta:+d}")
 print(f"  class-function value 2*delta*q : {geo.class_support_value(member):+d}")
 print(f"  line-count trace               : {geo.line_count_trace(member):+d}")
-# the coset model gives ind(1) and ind(det) at every element; the virtual
-# character is split minus non-split
-sp_one, sp_det = geo._coset_model_batch(geo.stabilizer(split=True))
-ns_one, ns_det = geo._coset_model_batch(geo.stabilizer(split=False))
-coset_trace = (sp_one[m] - sp_det[m]) - (ns_one[m] - ns_det[m])
+# the coset model gives V = ind(1) - ind(det) of each 4-space stabilizer at
+# every element; the virtual character is V_split - V_nonsplit
+v_split = geo._coset_model_batch(geo.stabilizer(split=True))
+v_nonsplit = geo._coset_model_batch(geo.stabilizer(split=False))
+coset_trace = v_split[m] - v_nonsplit[m]
 print(f"  coset-model virtual character  : {coset_trace:+d}")
 
 print("\n=== the full verification ===")

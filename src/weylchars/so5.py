@@ -42,9 +42,12 @@ Both run over row blocks of about CHUNK_ENTRIES entries, so neither holds a
 whole-group mask.
 
 The coset model of the induced characters uses neither kernel's line
-action: it conjugates the 4-space stabilizer by every transporter and
-scatters the character values onto the conjugates, found by their codes.
-Since x^-1 = x^T, vec(x h x^T) = (x kron x) vec(h): a float32 GEMM per
+action.  ``verify`` reads only the virtual character V = ind(1) - ind(det)
+of each 4-space stabilizer, and V(g) = 2 #{(x, h) : h in H, h u = -u,
+x h x^-1 = g}: the det -1 half of H (read off H's matrices, H being closed
+once per geometry and shared with the enumeration) is conjugated by every
+transporter, and each conjugate, found by its code, adds 2.  Since
+x^-1 = x^T, vec(x h x^T) = (x kron x) vec(h): a float32 GEMM per
 stabilizer, in row blocks of about 1 MB once coded, its entries (at most
 25 (q - 1)^3) exact and reduced by lookup, and looked up among the
 enumeration's codes, which ``enumerate_group`` sorts once.
@@ -165,6 +168,7 @@ class OrthogonalGeometry:
         self._tables = None
         self._element_codes = None
         self._stabilizers = {}
+        self._subgroups = {}
 
     # --- lines ---
 
@@ -288,9 +292,9 @@ class OrthogonalGeometry:
         transporter x.
 
         Guarded to q = 3 (51,840 elements, |H| = 1,152); the count is
-        checked against q^4 (q^2 - 1)(q^4 - 1).  H is the ``_closure`` of
-        ``_line_stabilizer_generators``, with its order |G| / #lines.  Left
-        multiplication by x only relabels table entries: (x h)[l] is x's
+        checked against q^4 (q^2 - 1)(q^4 - 1).  H's tables are
+        ``_subgroup_tables`` of u, closed once and kept for the coset model.
+        Left multiplication by x only relabels table entries: (x h)[l] is x's
         entry for the vector of entry h[l], so each coset's tables are one
         ``take`` from x's relabelling row of q * #lines entries, written
         into one buffer of |G| rows.  Element 0 is the identity, the base
@@ -307,12 +311,7 @@ class OrthogonalGeometry:
         if self.q != FULL_ENUMERATION_Q:
             raise ValueError(f"full enumeration is guarded to q={FULL_ENUMERATION_Q}")
         indices, transporters = self._witt_transporters(self.split_line_type())
-        identity = self._signed_tables(np.eye(5, dtype=np.int64)[None])[0]
-        subgroup = self._closure(
-            identity,
-            self._signed_tables(np.stack(self._line_stabilizer_generators(indices[0]))),
-            self.group_order_formula() // len(indices),
-        )
+        subgroup = self._subgroup_tables(indices[0])
         # relabel[k, e]: transporter k's entry for the vector of entry e
         relabel = self._compose(
             self._signed_tables(transporters),
@@ -361,6 +360,20 @@ class OrthogonalGeometry:
         perp = self.lines[((self.lines @ u) % q == 0) & (self.line_types != 0)]
         mirrors = self._reflections(np.concatenate([perp, u[None]]))
         return list((mirrors[1:] @ mirrors[0]) % q)
+
+    def _subgroup_tables(self, line):
+        """Signed line tables of H, the stabilizer of an anisotropic line
+        in SO_5: the ``_closure`` of ``_line_stabilizer_generators`` from
+        the identity, of order |G| / #lines of the line's type, closed at
+        most once per line and geometry."""
+        if line not in self._subgroups:
+            count = int((self.line_types == self.line_types[line]).sum())
+            self._subgroups[line] = self._closure(
+                self._signed_tables(np.eye(5, dtype=np.int64)[None])[0],
+                self._signed_tables(np.stack(self._line_stabilizer_generators(line))),
+                self.group_order_formula() // count,
+            )
+        return self._subgroups[line]
 
     def _signed_tables(self, matrices):
         """Signed line table of each matrix in a (k, 5, 5) array: row i,
@@ -585,7 +598,9 @@ class OrthogonalGeometry:
     def stabilizer(self, split: bool) -> LineStabilizer:
         """Stabilizer of a 4-space on which the form is split (or
         non-split), with a Witt transporter to every coset line; its order
-        is |G| / #lines of the type.  No enumeration is read."""
+        is |G| / #lines of the type.  No enumeration is read and H is not
+        closed: ``_subgroup_tables`` closes it when the enumeration or the
+        coset model asks."""
         if split not in self._stabilizers:
             line_type = self.split_line_type() if split else -self.split_line_type()
             indices, transporters = self._witt_transporters(line_type)
@@ -695,10 +710,11 @@ class OrthogonalGeometry:
         label, and the line-count trace equals the class-function value
         2 * delta * q at every element, delta being 0 off the class); all
         four labels occur and each label set is a single conjugacy class;
-        the coset-model virtual character agrees with the line-count trace
-        everywhere; the virtual character pairs to zero with the trivial
-        one; batched and per-element routes agree on a seeded sample, with
-        labels invariant under conjugation.
+        the coset model's V_split - V_nonsplit (``_coset_model_batch``, V =
+        ind(1) - ind(det) of each 4-space stabilizer) equals the line-count
+        trace at every element; the virtual character pairs to zero with
+        the trivial one; batched and per-element routes agree on a seeded
+        sample, with labels invariant under conjugation.
         """
 
         def scan():
@@ -757,16 +773,10 @@ class OrthogonalGeometry:
                 failures.append(f"label {label}: orbit {size} != set size {len(idx_list)}")
 
         # coset model against the line-count trace, every element
-        split_stab = self.stabilizer(split=True)
-        nonsplit_stab = self.stabilizer(split=False)
-        sp_one, sp_det = self._coset_model_batch(split_stab)
-        ns_one, ns_det = self._coset_model_batch(nonsplit_stab)
-        coset_trace = (sp_one - sp_det) - (ns_one - ns_det)
+        coset_trace = self._coset_model_batch(self.stabilizer(split=True))
+        coset_trace -= self._coset_model_batch(self.stabilizer(split=False))
         for i in np.flatnonzero(coset_trace != trace)[:5]:
             failures.append(f"element {i}: coset model {coset_trace[i]} != line count {trace[i]}")
-        cosets = (len(split_stab.line_indices), len(nonsplit_stab.line_indices))
-        if (sp_one[0], ns_one[0]) != cosets:
-            failures.append("induced dimension != coset count at the identity")
 
         # the table-free route against the scan, plus conjugation invariance
         # of the labels
@@ -792,72 +802,58 @@ class OrthogonalGeometry:
         return sorted(failures)
 
     def _coset_model_batch(self, stab: LineStabilizer):
-        """ind(1) and ind(det) at every group element, by the definition of
-        induction.
+        """V = ind(1) - ind(det) at every group element, by the definition
+        of induction.
 
-        The subgroup H and det on it come from the matrices' action on the
-        base line, taken over row blocks of the elements of about
-        CHUNK_ENTRIES matrix entries, so no image of the whole group is
-        held.  An element g lies in the stabilizer of the coset line of
-        transporter x exactly when g = x h x^-1 with h in H, and then adds
-        det(h) there; so each conjugate x h x^-1 is found in the enumeration
-        by its code and gets 1 and det(h).  This route never computes an
-        element's action on the lines, so it shares no shortcut with the
-        line-count trace.
+        An element g lies in the stabilizer of the coset line of
+        transporter x exactly when g = x h x^-1 with h in H, and then adds 1
+        to ind(1) and det(h) to ind(det) there, det(h) being h's scalar on
+        the base line u.  The det 1 conjugates cancel, so V(g) is twice the
+        number of pairs (x, h) with h u = -u and x h x^-1 = g.  H's matrices
+        are read off its ``_subgroup_tables`` at the basis lines; the h with
+        h u = -u must be exactly half of them.  Each conjugate is found in
+        the enumeration by its code, so this route never reads G's line
+        tables or computes a group element's action on the lines: it shares
+        no shortcut with the line-count trace.
 
         Since x^-1 = x^T, the row-major vec(x h x^T) is (x kron x) vec(h):
-        a float32 GEMM of the (|H|, 25) stack of vec(h) against the
+        a float32 GEMM of the (|H| / 2, 25) stack of vec(h) against the
         transporters' Kronecker products gives every conjugate.  It runs in
         row blocks of the stack with about CHUNK_ENTRIES / 4 outputs each
-        (10 per stabilizer at q = 3), a quarter because ``_matrix_codes``
-        widens a block to int64, each block coded before the next, so the
-        codes keep the h-major order.  The entries are sums of 25 products
-        of residues, at most 25 (q - 1)^3 (1,600 at MAX_CODED_Q, the largest
-        q ``_matrix_codes`` accepts): exact in float32 and int16, and
-        reduced mod q by a residue table that long.  The conjugates' codes
-        are sorted before the lookup among the sorted element codes, which
-        the enumeration keeps in ``_element_codes``.
+        (5 per stabilizer at q = 3), a quarter because ``_matrix_codes``
+        widens a block to int64, each block coded before the next.  The
+        entries are sums of 25 products of residues, at most 25 (q - 1)^3
+        (1,600 at MAX_CODED_Q, the largest q ``_matrix_codes`` accepts):
+        exact in float32 and int16, and reduced mod q by a residue table
+        that long.  The conjugates' codes are sorted before the lookup among
+        the sorted element codes, which the enumeration keeps in
+        ``_element_codes``, and counted by one ``bincount``.
         """
         q = self.q
-        elements = self.enumerate_group()
+        self.enumerate_group()
         order, sorted_codes = self._element_codes
-        base_vec = self.lines[stab.base_index]
-
-        def fixed_or_negated(block):  # of the base line, by each element
-            image_codes = self._residue[block @ base_vec] @ self._place
-            return (
-                image_codes == base_vec @ self._place,
-                image_codes == ((-base_vec) % q) @ self._place,
-            )
-
-        det_plus, det_minus = _in_row_blocks(25, fixed_or_negated, elements)
-        subgroup = np.flatnonzero(det_plus | det_minus)
-        if len(subgroup) != stab.order:
+        u = self.lines[stab.base_index]
+        tables = self._subgroup_tables(stab.base_index)
+        matrices = self._entry_vectors()[tables[:, self._basis]].transpose(0, 2, 1)
+        half = matrices[((matrices @ u + u) % q == 0).all(axis=1)]
+        if 2 * len(half) != stab.order:
             raise RuntimeError(
-                f"base-line stabilizer has {len(subgroup)} elements, expected {stab.order}"
+                f"stabilizer has {len(half)} elements of det -1, expected {stab.order} / 2"
             )
-        det_is_plus = det_plus[subgroup]
         x = stab.transporters.astype(np.float32)
         # kron[(j, l), (a, i, k)] = x_a[i, j] x_a[k, l]
         kron = np.einsum("aij,akl->jlaik", x, x).reshape(25, -1)
-        vec_h = elements[subgroup].reshape(-1, 25).astype(np.float32)
+        vec_h = half.reshape(-1, 25).astype(np.float32)
 
-        def codes(rows):  # one code per (h, x), h-major
+        def codes(rows):  # one code per (h, x)
             return (self._matrix_codes(self._residue.take((rows @ kron).astype(np.int16))),)
 
         (wanted,) = _in_row_blocks(4 * kron.shape[1], codes, vec_h)
-        query = np.argsort(wanted)
-        wanted = wanted[query]
+        wanted.sort()
         position = np.minimum(np.searchsorted(sorted_codes, wanted), len(sorted_codes) - 1)
         if (sorted_codes[position] != wanted).any():
             raise RuntimeError("a conjugate of the stabilizer is not a group element")
-        where = order[position]
-        plus = np.repeat(det_is_plus, len(x))[query]
-        ind_one = np.bincount(where, minlength=len(elements))
-        ind_det = np.bincount(where[plus], minlength=len(elements)) - np.bincount(
-            where[~plus], minlength=len(elements)
-        )
-        return ind_one, ind_det
+        return 2 * np.bincount(order[position], minlength=len(order))
 
     def verify_sampled(self, samples: int = 200, seed: int = 0) -> CheckRecord:
         """Reduced check for q > 3: line census plus the support identity,

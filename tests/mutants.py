@@ -109,9 +109,19 @@ MUTANTS = (
             "test_verify_reports_a_repeated_transporter",
         ),
     ),
+    # --- the coset model: the det -1 half of each stabilizer, closed once ---
+    # det +1 in place of det -1: V becomes ind(1) + ind(det)
     Mutant(
-        SO5, "if (sp_one[0], ns_one[0]) != cosets:", "if False:",
-        so5_tests("test_verify_reports_a_wrong_induced_dimension"),
+        SO5, "matrices @ u + u", "matrices @ u - u",
+        so5_tests("test_scatter_coset_model_matches_the_line_route", "test_full_verification"),
+    ),
+    Mutant(
+        SO5, "if 2 * len(half) != stab.order:", "if False:",
+        so5_tests("test_coset_model_guards"),
+    ),
+    Mutant(
+        SO5, "if line not in self._subgroups:", "if True:",
+        so5_tests("test_each_stabilizer_is_closed_once"),
     ),
     # --- the one element code, the closure and the centralizer count ---
     Mutant(

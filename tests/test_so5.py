@@ -181,18 +181,16 @@ def test_witt_transporters(q):
         on_line = [((c * reps) % q == images).all(axis=1) for c in range(1, q)]
         assert np.logical_or.reduce(on_line).all()
         assert (x[0] == np.eye(5, dtype=np.int64)).all()
-    assert geo._elements is None
+    assert geo._elements is None and not geo._subgroups
 
 
 def test_line_stabilizer_closures_reach_their_order():
     # at q = 3, H closes to |G| / #lines for both base lines, and every
     # element of it maps the base line onto itself
     geo = OrthogonalGeometry(q=3)
-    identity = geo._signed_tables(np.eye(5, dtype=np.int64)[None])[0]
     for split, order in ((True, 1152), (False, 1440)):
         stab = geo.stabilizer(split)
-        gens = geo._signed_tables(np.stack(geo._line_stabilizer_generators(stab.base_index)))
-        subgroup = geo._closure(identity, gens, stab.order)
+        subgroup = geo._subgroup_tables(stab.base_index)
         assert stab.order == order == len(subgroup)
         assert (subgroup[:, stab.base_index] // 3 == stab.base_index).all()
         matrices = table_matrices(geo, subgroup)
@@ -350,13 +348,12 @@ def test_stabilizer_cosets(geo3):
 def test_coset_model_matches_line_count_on_sample(geo3):
     # the coset model against the table-free per-element route
     elements = geo3.enumerate_group()
-    sp_one, sp_det = geo3._coset_model_batch(geo3.stabilizer(split=True))
-    ns_one, ns_det = geo3._coset_model_batch(geo3.stabilizer(split=False))
+    split = geo3._coset_model_batch(geo3.stabilizer(split=True))
+    nonsplit = geo3._coset_model_batch(geo3.stabilizer(split=False))
     rng = random.Random(42)
     for _ in range(12):
         i = rng.randrange(len(elements))
-        coset_trace = (sp_one[i] - sp_det[i]) - (ns_one[i] - ns_det[i])
-        assert coset_trace == geo3.line_count_trace(elements[i])
+        assert split[i] - nonsplit[i] == geo3.line_count_trace(elements[i])
 
 
 def test_conjugation_invariance_spot(geo3):
@@ -608,9 +605,11 @@ def test_scatter_coset_model_matches_the_line_route(geo3):
     for split in (True, False):
         stab = geo3.stabilizer(split)
         got = geo3._coset_model_batch(stab)
-        want = coset_model_by_lines(geo3, stab, elements)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        assert int(got[0][0]) == len(stab.line_indices)
+        ind_one, ind_det = coset_model_by_lines(geo3, stab, elements)
+        assert got.dtype == np.int64 and np.array_equal(got, ind_one - ind_det)
+        # ind(1) and ind(det) both count every coset at the identity
+        assert int(ind_one[0]) == int(ind_det[0]) == len(stab.line_indices)
+        assert got[0] == 0
 
 
 def test_coset_model_runs_in_blocks(geo3, monkeypatch):
@@ -627,9 +626,9 @@ def test_coset_model_runs_in_blocks(geo3, monkeypatch):
         stab = geo3.stabilizer(split)
         coded.clear()
         geo3._coset_model_batch(stab)
-        # one call per block of conjugates, a quarter of CHUNK_ENTRIES
-        # outputs each, since coding widens to int64
-        assert len(coded) == 10 and sum(coded) == stab.order * len(stab.transporters)
+        # one call per block of the det -1 half's conjugates, a quarter of
+        # CHUNK_ENTRIES outputs each, since coding widens to int64
+        assert len(coded) == 5 and sum(coded) == stab.order // 2 * len(stab.transporters)
         assert max(coded) * 25 * 4 <= CHUNK_ENTRIES
 
 
@@ -646,14 +645,33 @@ def test_the_enumeration_is_coded_once(monkeypatch):
     for _ in range(2):
         assert geo.verify(seed=0).ok
     # the closure codes the elements itself: both checks' coset models, two
-    # stabilizers each, code only their 10 blocks of conjugates
-    assert len(coded) == 4 * 10 and 51840 not in coded
+    # stabilizers each, code only their 5 blocks of det -1 conjugates
+    assert len(coded) == 4 * 5 and 51840 not in coded
     # and its codes are the element codes, sorted once
     order, codes = geo._element_codes
     assert codes.dtype == np.int64
     assert np.array_equal(original(geo.enumerate_group())[order], codes)
     assert (np.diff(codes) > 0).all()
 
+
+def test_each_stabilizer_is_closed_once(monkeypatch):
+    # stabilizer() closes nothing; the enumeration closes the split H and
+    # the coset model reads it back, and the non-split H is closed by the
+    # first coset model only, however many checks run
+    geo = OrthogonalGeometry(q=3)
+    closed = []
+    original = geo._closure
+
+    def spy(start, rights, order):
+        closed.append(order)
+        return original(start, rights, order)
+
+    monkeypatch.setattr(geo, "_closure", spy)
+    geo.stabilizer(split=True), geo.stabilizer(split=False)
+    assert closed == []
+    for _ in range(2):
+        assert geo.verify(seed=0).ok
+    assert closed == [1152, 1440]
 
 def first_occurrences_by_dict(values):
     first = {}
@@ -789,14 +807,16 @@ def test_support_batch_members_match_the_rank_tests(q):
 def test_coset_model_guards(geo3, monkeypatch):
     stab = geo3.stabilizer(split=True)
     wrong = dataclasses.replace(stab, order=stab.order + 1)
-    with pytest.raises(RuntimeError, match="base-line stabilizer"):
+    with pytest.raises(RuntimeError) as raised:
         geo3._coset_model_batch(wrong)
-    # drop the code of the first element that fixes a coset line but not
-    # the base line, read off its signed line table
+    assert str(raised.value) == "stabilizer has 576 elements of det -1, expected 1153 / 2"
+    # drop the code of the first element that negates a coset line but
+    # moves the base line, read off its signed line table: a det -1
+    # conjugate of the stabilizer
     coset_lines = np.array(stab.line_indices)
-    fixes = geo3._tables[:, coset_lines] // geo3.q == coset_lines
+    negates = geo3._tables[:, coset_lines] == coset_lines * geo3.q + geo3.q - 1
     moves_base = geo3._tables[:, stab.base_index] // geo3.q != stab.base_index
-    dropped = int(np.flatnonzero(moves_base & fixes.any(axis=1))[0])
+    dropped = int(np.flatnonzero(moves_base & negates.any(axis=1))[0])
     order, codes = geo3._element_codes
     k = int(np.flatnonzero(order == dropped)[0])
     monkeypatch.setattr(geo3, "_element_codes", (np.delete(order, k), np.delete(codes, k)))
@@ -1040,35 +1060,27 @@ def test_sampled_check_reports_broken_labels(monkeypatch):
     assert record.counterexamples == (f"sample {first}: fixed line not anisotropic",)
 
 
-def shift_coset_model(geo, monkeypatch, i, one, det):
-    """Make the split stabilizer's coset model add ``one`` to ind(1) and
-    ``det`` to ind(det) at element i."""
+def shift_coset_model(geo, monkeypatch, i, shift):
+    """Make the split stabilizer's coset model add ``shift`` to
+    V = ind(1) - ind(det) at element i."""
     original = geo._coset_model_batch
     split = geo.stabilizer(split=True)
 
     def shifted(stab):
-        ind_one, ind_det = original(stab)
+        virtual = original(stab)
         if stab is split:
-            ind_one[i] += one
-            ind_det[i] += det
-        return ind_one, ind_det
+            virtual[i] += shift
+        return virtual
 
     monkeypatch.setattr(geo, "_coset_model_batch", shifted)
 
 
 def test_verify_reports_a_coset_model_mismatch(geo3, monkeypatch):
     trace = geo3._batched_scan()[0]
-    shift_coset_model(geo3, monkeypatch, 7, 0, 1)
+    shift_coset_model(geo3, monkeypatch, 7, -1)
     record = geo3.verify(seed=0)
     assert record.status == "fail"
     assert record.counterexamples == (
         f"element 7: coset model {trace[7] - 1} != line count {trace[7]}",
     )
 
-
-def test_verify_reports_a_wrong_induced_dimension(geo3, monkeypatch):
-    # shifting ind(1) and ind(det) together leaves the virtual trace alone
-    shift_coset_model(geo3, monkeypatch, 0, 1, 1)
-    record = geo3.verify(seed=0)
-    assert record.status == "fail"
-    assert record.counterexamples == ("induced dimension != coset count at the identity",)
