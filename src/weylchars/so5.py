@@ -11,9 +11,9 @@ q^2 + 1.  Two kernels carry the per-element work:
 * The signed line table of g: for each line l, g maps the representative
   x_l to c * x_m for one line m and one scalar c, stored as the single
   entry ``m * q + c``.  The line-count trace and eigenline labels of the
-  full scan are masks on it.  Tables compose by lookups in ``scaled[c, e]``,
-  the entry of c times the vector of entry e: where h maps x_l to c_h x_m,
-  (gh) holds ``scaled[c_h, g[m]]``.
+  full scan are masks on H's tables (below).  Tables compose by lookups in
+  ``scaled[c, e]``, the entry of c times the vector of entry e: where h
+  maps x_l to c_h x_m, (gh) holds ``scaled[c_h, g[m]]``.
 * ``enumerate_group`` builds the group as the cosets x H of H, the
   stabilizer of a base line u of the split type, with one Witt transporter
   x per line of that type (``_witt_transporters``, which also serves the
@@ -25,21 +25,28 @@ q^2 + 1.  Two kernels carry the per-element work:
   table is composed, by five lookups in digit tables built once per
   generator and basis line.  A frontier is deduplicated by one sort of
   (code, index) keys packed into int64, and the closure must fill exactly
-  |H| rows.  Left multiplication by x only relabels table entries, so each
-  coset's tables are one gather from x's row of q * #lines entries,
-  written into one buffer of |G| rows; the matrices and codes are read
-  back off the basis-line entries, and the sorted codes must strictly
-  increase.  A conjugacy class's size is |G| / |C(g)|, the centralizer
-  counted on the tables: h commutes with g when gh and hg have the same
-  entries at the five basis lines.
+  |H| rows.  Left multiplication by x only relabels table entries, (x h)[l]
+  = ``relabel[k, h[l]]`` with one row of q * #lines entries per
+  transporter, so G's tables (12.4 MB at q = 3, about 14.6 GB at q = 5)
+  are never built: every element's line action is read off H's tables,
+  one coset at a time.  The matrices and codes come off the basis-line
+  entries ``relabel[k, H[:, basis]]``, and the sorted codes must strictly
+  increase.  g = x h fixes or negates x_l exactly when h[l] is the entry
+  of x^-1 x_l or of -x^-1 x_l, so the scan's masks compare H's tables with
+  the table of x^-1.  A conjugacy class's size is |G| / |C(g)|, the
+  centralizer counted on the tables: h commutes with g when gh and hg have
+  the same entries at the five basis lines, read only for the rows still
+  counted.
 
 Both kernels decide the twisted class (below) by kernel line counts in one
 shared tail, ``_twisted_class``, and differ only in where the kernels come
-from: ``_batched_scan`` reads them off the tables and packed orthogonal-line
+from: ``_batched_scan`` reads them off H's tables and packed orthogonal-line
 bitsets, ``_support_batch`` off one narrow-integer einsum of matrix rows
 against the lines (int16 up to q = 81), for sampled and single elements.
-Both run over row blocks of about CHUNK_ENTRIES entries, so neither holds a
-whole-group mask.
+Neither holds a whole-group mask: the sampled batch runs over row blocks
+of about CHUNK_ENTRIES entries, the scan over blocks of whole cosets, at
+least one a block, so its blocks keep to CHUNK_ENTRIES only while one
+coset's masks fit in it (3 cosets a block at q = 3).
 
 The coset model of the induced characters uses neither kernel's line
 action.  ``verify`` reads only the virtual character V = ind(1) - ind(det)
@@ -165,7 +172,7 @@ class OrthogonalGeometry:
         self._init_lines()
         self._generators = None
         self._elements = None
-        self._tables = None
+        self._cosets = None
         self._element_codes = None
         self._stabilizers = {}
         self._subgroups = {}
@@ -294,17 +301,19 @@ class OrthogonalGeometry:
         Guarded to q = 3 (51,840 elements, |H| = 1,152); the count is
         checked against q^4 (q^2 - 1)(q^4 - 1).  H's tables are
         ``_subgroup_tables`` of u, closed once and kept for the coset model.
-        Left multiplication by x only relabels table entries: (x h)[l] is x's
-        entry for the vector of entry h[l], so each coset's tables are one
-        ``take`` from x's relabelling row of q * #lines entries, written
-        into one buffer of |G| rows.  Element 0 is the identity, the base
-        line's transporter times H's first element.  The ``_matrix_codes``
-        of the elements come off their basis-line entries and are sorted
+        Left multiplication by x only relabels table entries: (x h)[l] is
+        ``relabel[k, h[l]]``, transporter k's entry for the vector of entry
+        h[l].  G's tables are never built: the per-element line actions are
+        read off H's tables one coset at a time, and ``_cosets`` keeps H,
+        ``relabel`` and the tables of the inverse transporters for the scan
+        and the centralizer count.  Element 0 is the identity, the base
+        line's transporter times H's first element.  The matrices' columns
+        are the vectors of their entries at the basis lines, ``relabel[k,
+        H[:, basis]]``, written in place into one (N, 5, 5) int64 buffer;
+        their ``_matrix_codes`` are summed from the same entries and sorted
         once as (order, sorted codes) in ``_element_codes``; sorted codes
         must strictly increase, so an element repeated across cosets
-        raises.  The (N, 5, 5) int64 matrices are written in place, one
-        column per basis line, by gathering the vectors of the tables'
-        basis-line entries.
+        raises.
         """
         if self._elements is not None:
             return self._elements
@@ -312,36 +321,32 @@ class OrthogonalGeometry:
             raise ValueError(f"full enumeration is guarded to q={FULL_ENUMERATION_Q}")
         indices, transporters = self._witt_transporters(self.split_line_type())
         subgroup = self._subgroup_tables(indices[0])
-        # relabel[k, e]: transporter k's entry for the vector of entry e
         relabel = self._compose(
             self._signed_tables(transporters),
             np.arange(self.q * len(self.lines)),
             self._scaled_entries(),
         )
-        tables = np.empty((len(indices) * len(subgroup), len(self.lines)), dtype=subgroup.dtype)
-        subgroup = subgroup.astype(np.intp)
-        for row, coset in zip(relabel, np.split(tables, len(indices))):
-            row.take(subgroup, out=coset)
-        if len(tables) != self.group_order_formula():
+        count = len(relabel) * len(subgroup)
+        if count != self.group_order_formula():
             raise RuntimeError(
-                f"enumeration produced {len(tables)} elements, expected"
+                f"enumeration produced {count} elements, expected"
                 f" {self.group_order_formula()}"
             )
-        # column j of each matrix is the vector of its entry at basis line j
         vectors, columns = self._entry_vectors(), self._code_columns()
-        elements = np.empty((len(tables), 5, 5), dtype=np.int64)
-        codes = np.zeros(len(tables), dtype=np.int64)
+        elements = np.empty((count, 5, 5), dtype=np.int64)
+        codes = np.zeros(count, dtype=np.int64)
         for j, line in enumerate(self._basis):
-            entries = tables[:, line].astype(np.intp)
-            elements[:, :, j] = vectors.take(entries, axis=0)
+            entries = relabel[:, subgroup[:, line]].ravel()  # coset-major
+            vectors.take(entries, axis=0, out=elements[:, :, j])
             codes += columns[j].take(entries)
         order = np.argsort(codes)
         codes = codes[order]
         if not (np.diff(codes) > 0).all():
             raise RuntimeError("enumeration repeats an element")
+        back = self._signed_tables(self.inverse(transporters))
+        self._cosets = subgroup, relabel, back
         self._element_codes = order, codes
         self._elements = elements
-        self._tables = tables
         return self._elements
 
     def _line_stabilizer_generators(self, line):
@@ -653,54 +658,68 @@ class OrthogonalGeometry:
     def _batched_scan(self):
         """``_twisted_class`` of the full enumeration, in its order.
 
-        The eigenlines of 1 and -1 are masks on the signed line tables.
-        (g + 1)^2 is formed only for the candidates (17,820 of 51,840 at
-        q = 3) and reduced by a residue table; its kernel is the AND of the
-        packed orthogonal-line bitsets of its five rows (16 bytes each at
-        q = 3), counted by ``np.bitwise_count``.  It runs over row blocks of
-        the tables and elements of about CHUNK_ENTRIES table entries each
-        (4,332 rows at q = 3), so no whole-group mask is ever held.
+        The eigenlines of 1 and -1 are masks on H's tables, one coset x H at
+        a time: g = x h maps x_l to c x_l exactly when h[l] is the entry of
+        c x^-1 x_l, so g's fixed lines are where H equals ``back[k]``, the
+        table of x^-1, and its negated lines where H equals
+        ``scaled[q - 1, back[k]]``.  (g + 1)^2 is formed only for the
+        candidates (17,820 of 51,840 at q = 3) and reduced by a residue
+        table; its kernel is the AND of the packed orthogonal-line bitsets
+        of its five rows (16 bytes each at q = 3), counted by
+        ``np.bitwise_count``.  It runs over blocks of whole cosets, as many
+        as fit in CHUNK_ENTRIES mask entries but at least one, so neither a
+        whole-group mask nor G's tables are ever held.  The bound holds at
+        q = 3 (3 cosets, 418,176 entries a block); at q = 5 one coset's
+        masks alone would be about 24M entries.
         """
         q = self.q
         elements = self.enumerate_group()
-        on_line = np.arange(len(self.lines), dtype=self._tables.dtype) * q
+        subgroup, _, back = self._cosets
         # rows are looked up by code among all vectors of F_q^5
         vectors = np.indices((q,) * 5, dtype=np.int64).reshape(5, -1).T
         orthogonal = np.packbits((vectors @ self.lines.T) % q == 0, axis=1)
         diagonal = np.arange(5)
 
-        def batch(tables, block):
+        def batch(fixing, negating, block):
             def kernel_sq_lines(candidates):
-                plus = block[candidates]
+                plus = block.reshape(-1, 5, 5)[candidates]
                 plus[:, diagonal, diagonal] = (plus[:, diagonal, diagonal] + 1) % q
                 rows = orthogonal[self._residue[plus @ plus] @ self._place]
                 return np.bitwise_count(np.bitwise_and.reduce(rows, axis=1)).sum(axis=1)
 
-            return self._twisted_class(
-                tables == on_line + 1, tables == on_line + (q - 1), kernel_sq_lines
-            )
+            def mask(entries):  # one row per element x h of the block's cosets
+                return (subgroup == entries[:, None]).reshape(-1, len(self.lines))
 
-        return _in_row_blocks(len(self.lines), batch, self._tables, elements)
+            return self._twisted_class(mask(fixing), mask(negating), kernel_sq_lines)
+
+        cosets = elements.reshape(len(back), -1, 5, 5)
+        negating = self._scaled_entries()[q - 1].take(back)
+        return _in_row_blocks(subgroup.size, batch, back, negating, cosets)
 
     def conjugacy_class_size(self, g) -> int:
-        """|G| / |C(g)|, the centralizer counted over the enumeration's
-        tables (so guarded to q = 3 with it).
+        """|G| / |C(g)|, the centralizer counted over the enumeration (so
+        guarded to q = 3 with it).
 
         h commutes with g when gh and hg agree at every basis line b: where
         h maps x_b to c_h x_m, (gh)[b] = ``scaled[c_h, g[m]]``, and where g
         maps it to c_g x_n, (hg)[b] = ``scaled[c_g, h[n]]``.  Only the rows
-        that still agree go on to the next line.
+        that still agree go on to the next line, and only their table
+        entries are read: row k |H| + j is x_k h_j, whose entry at a line is
+        ``relabel[k, H[j, line]]``.
         """
-        self.enumerate_group()
+        elements = self.enumerate_group()
+        subgroup, relabel, _ = self._cosets
         g = self._signed_tables(np.asarray(g)[None])[0]
         scaled = self._scaled_entries()
-        rows = np.arange(len(self._tables))
+        rows = np.arange(len(elements))
         for b in self._basis:
             line_g, scalar_g = divmod(int(g[b]), self.q)
-            gh = self._compose(g, self._tables[rows, b], scaled)
-            hg = scaled[scalar_g].take(self._tables[rows, line_g])
+            k, j = np.divmod(rows, len(subgroup))
+            k *= relabel.shape[1]  # relabel[k, e] is relabel.take(k * width + e)
+            gh = self._compose(g, relabel.take(k + subgroup[j, b]), scaled)
+            hg = scaled[scalar_g].take(relabel.take(k + subgroup[j, line_g]))
             rows = rows[gh == hg]
-        return len(self._tables) // len(rows)
+        return len(elements) // len(rows)
 
     def verify(self, seed: int = 0) -> CheckRecord:
         """Full element-by-element verification at q = 3.

@@ -174,6 +174,19 @@ MUTANTS = (
         SO5, "rows = rows[gh == hg]", "rows = rows[gh == gh]",
         so5_tests("test_class_orbits_cover_the_scanned_members"),
     ),
+    # the scan reads g = x h's eigenlines off H against x's table, not x^-1's
+    Mutant(
+        SO5, "back = self._signed_tables(self.inverse(transporters))",
+        "back = self._signed_tables(transporters)",
+        so5_tests("test_scan_matches_the_full_rank_scan", "test_full_verification"),
+    ),
+    # the kept relabelling is not the one the elements were built from: the
+    # cosets come out reversed, which leaves every class size unchanged
+    Mutant(
+        SO5, "self._cosets = subgroup, relabel, back",
+        "self._cosets = subgroup, relabel[::-1], back",
+        so5_tests("test_table_closure_matches_the_matrix_closure"),
+    ),
     # --- the Witt transporters ---
     # transporter 1 repeated in slot 2: it lands on the wrong line
     Mutant(

@@ -538,18 +538,28 @@ def coset_model_by_lines(geo, stab, elements):
     return ind_one, ind_det
 
 
-def test_signed_tables_match_the_line_products(geo3):
+@pytest.fixture(scope="session")
+def tables3(geo3):
+    """G's signed line tables at q = 3, 51,840 x 121 int16, built from the
+    enumeration by ``_signed_tables`` in blocks of 4,096 elements: the
+    library itself never holds them, only H's."""
     elements = geo3.enumerate_group()
-    assert geo3._tables.shape == (51840, 121)
+    blocks = range(0, len(elements), 4096)
+    return np.concatenate([geo3._signed_tables(elements[i : i + 4096]) for i in blocks])
+
+
+def test_signed_tables_match_the_line_products(geo3, tables3):
+    elements = geo3.enumerate_group()
+    assert tables3.shape == (51840, 121)
     for start in range(0, len(elements), 4096):
         chunk = slice(start, start + 4096)
-        line, scalar = np.divmod(geo3._tables[chunk].astype(np.int64), 3)
+        line, scalar = np.divmod(tables3[chunk].astype(np.int64), 3)
         assert ((scalar == 1) | (scalar == 2)).all()
         images = ((elements[chunk] @ geo3.lines.T) % 3).transpose(0, 2, 1)
         assert np.array_equal((scalar[..., None] * geo3.lines[line]) % 3, images)
 
 
-def test_table_closure_matches_the_matrix_closure(geo3):
+def test_table_closure_matches_the_matrix_closure(geo3, tables3):
     gens = np.stack(geo3.generators())
     reference = matrix_closure(
         geo3, np.eye(5, dtype=np.int64), lambda batch: batch[None] @ gens[:, None]
@@ -562,7 +572,12 @@ def test_table_closure_matches_the_matrix_closure(geo3):
     expected = np.sort(reference.reshape(-1, 25) @ weights)
     assert np.array_equal(geo3._element_codes[1], expected)
     assert np.array_equal(np.sort(elements.reshape(-1, 25) @ weights), expected)
-    assert np.array_equal(table_matrices(geo3, geo3._tables), elements)
+    # row k |H| + j is x_k h_j, whose line action is x_k's relabelling of
+    # h_j's entries, at every line, not only the basis lines read above
+    subgroup, relabel, _ = geo3._cosets
+    cosets = tables3.reshape(len(relabel), len(subgroup), -1)
+    for k, coset in enumerate(cosets):
+        assert np.array_equal(coset, relabel[k][subgroup])
 
 
 def test_scan_matches_the_full_rank_scan(geo3):
@@ -583,9 +598,10 @@ def test_scan_matches_the_full_rank_scan(geo3):
 
 
 def test_scan_blocks_that_do_not_divide_the_group(geo3, monkeypatch):
+    # blocks hold whole cosets x H, 1,152 elements each: at 4 cosets a block
+    # the 45 cosets leave one over
     scan = geo3._batched_scan()
-    rows = 4097  # 51,840 = 12 * 4,097 + 2,676
-    monkeypatch.setattr(weylchars.so5, "CHUNK_ENTRIES", rows * len(geo3.lines) + 5)
+    monkeypatch.setattr(weylchars.so5, "CHUNK_ENTRIES", 4 * 1152 * len(geo3.lines) + 5)
     blocks = []
     original = geo3._twisted_class
 
@@ -595,7 +611,7 @@ def test_scan_blocks_that_do_not_divide_the_group(geo3, monkeypatch):
 
     monkeypatch.setattr(geo3, "_twisted_class", spy)
     blocked = geo3._batched_scan()
-    assert blocks == [rows] * 12 + [2676]
+    assert blocks == [4608] * 11 + [1152]
     for got, want in zip(blocked, scan):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -714,15 +730,23 @@ def test_first_occurrences_guard(value):
 
 def test_verify_peak_memory():
     # a fresh geometry's whole check, enumeration included, by tracemalloc
-    # (numpy reports its buffers to it); whole-group temporaries took 41.9 MiB
+    # (numpy reports its buffers to it); whole-group temporaries took
+    # 41.9 MiB, and G's signed line tables alone take 11.9 MiB
+    geo = OrthogonalGeometry(q=3)
     tracemalloc.start()
     try:
-        record = OrthogonalGeometry(q=3).verify(seed=0)
+        record = geo.verify(seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert record.ok
-    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # and the geometry keeps no array as large as G's tables
+    held = list(geo._subgroups.values())
+    for value in vars(geo).values():
+        held += value if isinstance(value, tuple) else [value]
+    big = [a.shape for a in held if isinstance(a, np.ndarray) and a.size >= 51840 * 121]
+    assert big == []
 
 
 def test_member_labels_match_the_membership_test(geo3):
@@ -804,7 +828,7 @@ def test_support_batch_members_match_the_rank_tests(q):
     assert np.array_equal(eps != 0, expected) and np.array_equal(delta != 0, expected)
 
 
-def test_coset_model_guards(geo3, monkeypatch):
+def test_coset_model_guards(geo3, tables3, monkeypatch):
     stab = geo3.stabilizer(split=True)
     wrong = dataclasses.replace(stab, order=stab.order + 1)
     with pytest.raises(RuntimeError) as raised:
@@ -814,8 +838,8 @@ def test_coset_model_guards(geo3, monkeypatch):
     # moves the base line, read off its signed line table: a det -1
     # conjugate of the stabilizer
     coset_lines = np.array(stab.line_indices)
-    negates = geo3._tables[:, coset_lines] == coset_lines * geo3.q + geo3.q - 1
-    moves_base = geo3._tables[:, stab.base_index] // geo3.q != stab.base_index
+    negates = tables3[:, coset_lines] == coset_lines * geo3.q + geo3.q - 1
+    moves_base = tables3[:, stab.base_index] // geo3.q != stab.base_index
     dropped = int(np.flatnonzero(moves_base & negates.any(axis=1))[0])
     order, codes = geo3._element_codes
     k = int(np.flatnonzero(order == dropped)[0])
@@ -986,13 +1010,13 @@ def repeated_transporter(original):
     return stabilizer
 
 
-def test_verify_reports_a_repeated_transporter(geo3, monkeypatch, capsys):
+def test_verify_reports_a_repeated_transporter(geo3, tables3, monkeypatch, capsys):
     # the split coset model then counts coset line 1 twice and line 2 never:
     # ind(1) - ind(det) gains 2 where g negates line 1 and loses 2 where g
     # negates line 2, read off the signed tables
     trace = geo3._batched_scan()[0]
     lines = np.array(geo3.stabilizer(split=True).line_indices[1:3])
-    negates = geo3._tables[:, lines] == lines * geo3.q + geo3.q - 1
+    negates = tables3[:, lines] == lines * geo3.q + geo3.q - 1
     shift = 2 * (negates[:, 0].astype(np.int64) - negates[:, 1])
     i = int(np.flatnonzero(shift)[0])
     assert_verify_fails_with(
