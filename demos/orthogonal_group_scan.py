@@ -23,10 +23,11 @@ elements = geo.enumerate_group()
 print(f"  elements enumerated: {len(elements)} (= 3^4 * (3^2-1) * (3^4-1))")
 
 print("\n=== the twisted class ===")
-# The ranks are read off kernel line counts, the one membership rule of the
-# library: a d-dimensional kernel meets (q^d - 1)/(q - 1) lines, so a member
-# fixes exactly 1 line, negates q + 1 and (g + 1)^2 kills q^2 + q + 1.  The
-# scan's arrays are aligned with the enumeration, eps and delta 0 off the class.
+# The library's one membership rule reads the ranks off kernel line counts:
+# a d-dimensional kernel meets (q^d - 1)/(q - 1) lines, so a member fixes
+# exactly 1 line and negates q + 1, and given those, rank((g+1)^2) = 2 holds
+# exactly when one negated line is isotropic.  The scan's arrays are aligned
+# with the enumeration, eps and delta 0 off the class.
 print("Membership: rank(g-1)=4, rank(g+1)=3, rank((g+1)^2)=2, i.e. the")
 print("semisimple part negates a hyperplane and the unipotent part has")
 print("Jordan blocks 3,1,1.  Labels: eps = type of the fixed line,")

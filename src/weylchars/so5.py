@@ -38,11 +38,11 @@ q^2 + 1.  Two kernels carry the per-element work:
   the same entries at the five basis lines, read only for the rows still
   counted.
 
-Both kernels decide the twisted class (below) by kernel line counts in one
-shared tail, ``_twisted_class``, and differ only in where the kernels come
-from: ``_batched_scan`` reads them off H's tables and packed orthogonal-line
-bitsets, ``_support_batch`` off one narrow-integer einsum of matrix rows
-against the lines (int16 up to q = 81), for sampled and single elements.
+Both kernels decide the twisted class (below) from the masks of fixed and
+negated lines in one shared tail, ``_twisted_class``, and differ only in
+where the masks come from: ``_batched_scan`` reads them off H's tables,
+``_support_batch`` off one narrow-integer einsum of matrix rows against
+the lines (int16 up to q = 81), for sampled and single elements.
 Neither holds a whole-group mask: the sampled batch runs over row blocks
 of about CHUNK_ENTRIES entries, the scan over blocks of whole cosets, at
 least one a block, so its blocks keep to CHUNK_ENTRIES only while one
@@ -61,12 +61,29 @@ enumeration's codes, which ``enumerate_group`` sorts once.
 
 The distinguished twisted class consists of the elements whose semisimple
 part negates a hyperplane (minus the semisimple part is then a reflection)
-and whose unipotent part has Jordan blocks of sizes 3, 1, 1.  Concretely:
+and whose unipotent part has Jordan blocks of sizes 3, 1, 1.  By definition:
 
     rank(g - 1) = 4,  rank(g + 1) = 3,  rank((g + 1)^2) = 2.
 
-A d-dimensional kernel meets (q^d - 1)/(q - 1) lines, so these read: g fixes
-exactly 1 line, negates exactly q + 1, and (g + 1)^2 kills q^2 + q + 1.
+A d-dimensional kernel meets (q^d - 1)/(q - 1) lines, so the first two read:
+g fixes exactly 1 line and negates exactly q + 1.  Given those, the third
+holds exactly when one of the negated lines is isotropic, so
+``_twisted_class`` decides membership from the two eigenline masks alone.
+Write g = s u, s semisimple and u unipotent.  The (-1)-eigenspace E of s is
+non-degenerate, contains ker(g + 1) and has even dimension (det g = 1), so
+dimension 2 or 4:
+
+* dim E = 2: E = ker(g + 1) is a non-degenerate plane, with 0 or 2
+  isotropic lines, and ker (g + 1)^2 = ker(g + 1), so rank((g + 1)^2) = 3.
+* dim E = 4: g = -u on E, so ker(u - 1) there is the plane P = ker(g + 1),
+  and u has two Jordan blocks on E, of sizes 3, 1 or 2, 2.  As u is an
+  isometry, im(u - 1) is the orthogonal complement of ker(u - 1) in E, so
+  P's radical is P meet im(u - 1).  For 2, 2, (u - 1)^2 = 0 makes
+  im(u - 1) = P: P is totally isotropic, all q + 1 of its lines are, and
+  rank((g + 1)^2) = 1.  For 3, 1, the radical is one line, P's only
+  isotropic line, and rank((g + 1)^2) = 2.  (Unipotent classes of the
+  orthogonal groups in odd characteristic: G. E. Wall, J. Austral. Math.
+  Soc. 3, 1963.)
 
 For such g the fixed space is one anisotropic line (type epsilon) and the
 (-1)-eigenspace is a plane whose non-degenerate lines all share one type
@@ -191,7 +208,7 @@ class OrthogonalGeometry:
         self._line_of_code = np.full(q**5, -1, dtype=np.int64)
         self._line_of_code[self.lines @ self._place] = np.arange(len(self.lines))
         # x mod q for x up to 25 (q - 1)^3, the largest sum of 25 products of
-        # three residues: the scan and the coset model reduce by lookups in it
+        # three residues: the coset model reduces by lookups in it
         self._residue = (np.arange(25 * (q - 1) ** 3 + 1) % q).astype(np.uint8)
         self._inverse_mod = np.array(
             [0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64
@@ -298,9 +315,11 @@ class OrthogonalGeometry:
         stabilizer of the base line u of the split type, one per Witt
         transporter x.
 
-        Guarded to q = 3 (51,840 elements, |H| = 1,152); the count is
-        checked against q^4 (q^2 - 1)(q^4 - 1).  H's tables are
-        ``_subgroup_tables`` of u, closed once and kept for the coset model.
+        Guarded to q = 3 (51,840 elements, |H| = 1,152).  The base line,
+        the transporters and |H| are ``stabilizer(split=True)``'s, the
+        one the coset model reads, and H's tables are its
+        ``_subgroup_tables``, closed once to exactly |H| = |G| / #lines
+        rows.
         Left multiplication by x only relabels table entries: (x h)[l] is
         ``relabel[k, h[l]]``, transporter k's entry for the vector of entry
         h[l].  G's tables are never built: the per-element line actions are
@@ -319,19 +338,14 @@ class OrthogonalGeometry:
             return self._elements
         if self.q != FULL_ENUMERATION_Q:
             raise ValueError(f"full enumeration is guarded to q={FULL_ENUMERATION_Q}")
-        indices, transporters = self._witt_transporters(self.split_line_type())
-        subgroup = self._subgroup_tables(indices[0])
+        stab = self.stabilizer(split=True)
+        subgroup = self._subgroup_tables(stab)
         relabel = self._compose(
-            self._signed_tables(transporters),
+            self._signed_tables(stab.transporters),
             np.arange(self.q * len(self.lines)),
             self._scaled_entries(),
         )
         count = len(relabel) * len(subgroup)
-        if count != self.group_order_formula():
-            raise RuntimeError(
-                f"enumeration produced {count} elements, expected"
-                f" {self.group_order_formula()}"
-            )
         vectors, columns = self._entry_vectors(), self._code_columns()
         elements = np.empty((count, 5, 5), dtype=np.int64)
         codes = np.zeros(count, dtype=np.int64)
@@ -343,7 +357,7 @@ class OrthogonalGeometry:
         codes = codes[order]
         if not (np.diff(codes) > 0).all():
             raise RuntimeError("enumeration repeats an element")
-        back = self._signed_tables(self.inverse(transporters))
+        back = self._signed_tables(self.inverse(stab.transporters))
         self._cosets = subgroup, relabel, back
         self._element_codes = order, codes
         self._elements = elements
@@ -366,17 +380,17 @@ class OrthogonalGeometry:
         mirrors = self._reflections(np.concatenate([perp, u[None]]))
         return list((mirrors[1:] @ mirrors[0]) % q)
 
-    def _subgroup_tables(self, line):
-        """Signed line tables of H, the stabilizer of an anisotropic line
-        in SO_5: the ``_closure`` of ``_line_stabilizer_generators`` from
-        the identity, of order |G| / #lines of the line's type, closed at
-        most once per line and geometry."""
+    def _subgroup_tables(self, stab: LineStabilizer):
+        """Signed line tables of H, the stabilizer of the base line of
+        ``stab``: the ``_closure`` of ``_line_stabilizer_generators`` from
+        the identity, to ``stab.order`` rows, closed at most once per base
+        line and geometry."""
+        line = stab.base_index
         if line not in self._subgroups:
-            count = int((self.line_types == self.line_types[line]).sum())
             self._subgroups[line] = self._closure(
                 self._signed_tables(np.eye(5, dtype=np.int64)[None])[0],
                 self._signed_tables(np.stack(self._line_stabilizer_generators(line))),
-                self.group_order_formula() // count,
+                stab.order,
             )
         return self._subgroups[line]
 
@@ -504,13 +518,13 @@ class OrthogonalGeometry:
         has_minus = (negated & (types == -1)).any(axis=1)
         return eps, np.where(has_plus == has_minus, 0, np.where(has_plus, 1, -1))
 
-    def _twisted_class(self, fixed, negated, kernel_sq_lines):
+    def _twisted_class(self, fixed, negated):
         """(trace, members, eps, delta) of a batch from its (k, #lines) masks
         of fixed and negated lines, by the one membership rule: 1 fixed line,
-        q + 1 negated, and q^2 + q + 1 lines in the kernel of (g + 1)^2,
-        counted by ``kernel_sq_lines(candidates)`` for those rows only.  eps
-        and delta are 0 off the class; a 0 on a member marks a broken label.
-        Per-row counts take the narrowest dtype holding #lines (uint8 at q = 3).
+        q + 1 negated, and exactly one negated line isotropic, which stands
+        for rank((g + 1)^2) = 2 (module docstring).  eps and delta are 0 off
+        the class; a 0 on a member marks a broken label.  Per-row counts take
+        the narrowest dtype holding #lines (uint8 at q = 3).
         """
         q = self.q
         narrow = np.min_scalar_type(fixed.shape[1])
@@ -519,8 +533,7 @@ class OrthogonalGeometry:
             return mask.sum(axis=1, dtype=narrow)
 
         members = (count(fixed) == 1) & (count(negated) == q + 1)
-        candidates = np.flatnonzero(members)
-        members[candidates] = kernel_sq_lines(candidates) == q**2 + q + 1
+        members &= count(negated & (self.line_types == 0)) == 1
         square = count(negated & (self.line_types == 1)).astype(np.int64)
         trace = 2 * (square - count(negated & (self.line_types == -1)))
         eps, delta = np.zeros((2, len(members)), dtype=np.int64)
@@ -531,10 +544,10 @@ class OrthogonalGeometry:
         """``_twisted_class`` of every matrix in a (k, 5, 5) stack.
 
         A line is in a matrix's kernel when every row is orthogonal to it:
-        the rows of g -+ 1, then of (g + 1)^2 for the candidates, go mod q
-        through an integer einsum against the transposed lines in the
-        narrowest signed dtype holding 5 (q - 1)^2 (no int64, no BLAS),
-        reduced in place mod q, in chunks of about CHUNK_ENTRIES per sign.
+        the rows of g -+ 1 go mod q through one integer einsum against the
+        transposed lines in the narrowest signed dtype holding 5 (q - 1)^2
+        (no int64, no BLAS), reduced in place mod q, in chunks of about
+        CHUNK_ENTRIES per sign.
         """
         q = self.q
         eye = np.eye(5, dtype=np.int64)
@@ -550,11 +563,7 @@ class OrthogonalGeometry:
             return (products == 0).reshape(len(stack), 5, len(self.lines)).all(axis=1)
 
         def batch(g):
-            plus = g + eye
-            fixed, negated = np.split(kernels(np.concatenate([g - eye, plus])), 2)
-            return self._twisted_class(
-                fixed, negated, lambda c: kernels(plus[c] @ plus[c]).sum(axis=1)
-            )
+            return self._twisted_class(*np.split(kernels(np.concatenate([g - eye, g + eye])), 2))
 
         return _in_row_blocks(5 * len(self.lines), batch, matrices)
 
@@ -662,39 +671,24 @@ class OrthogonalGeometry:
         a time: g = x h maps x_l to c x_l exactly when h[l] is the entry of
         c x^-1 x_l, so g's fixed lines are where H equals ``back[k]``, the
         table of x^-1, and its negated lines where H equals
-        ``scaled[q - 1, back[k]]``.  (g + 1)^2 is formed only for the
-        candidates (17,820 of 51,840 at q = 3) and reduced by a residue
-        table; its kernel is the AND of the packed orthogonal-line bitsets
-        of its five rows (16 bytes each at q = 3), counted by
-        ``np.bitwise_count``.  It runs over blocks of whole cosets, as many
-        as fit in CHUNK_ENTRIES mask entries but at least one, so neither a
+        ``scaled[q - 1, back[k]]``.  Only H's tables and ``back`` are read,
+        not G's matrices.  It runs over blocks of whole cosets, as many as
+        fit in CHUNK_ENTRIES mask entries but at least one, so neither a
         whole-group mask nor G's tables are ever held.  The bound holds at
         q = 3 (3 cosets, 418,176 entries a block); at q = 5 one coset's
         masks alone would be about 24M entries.
         """
-        q = self.q
-        elements = self.enumerate_group()
+        self.enumerate_group()
         subgroup, _, back = self._cosets
-        # rows are looked up by code among all vectors of F_q^5
-        vectors = np.indices((q,) * 5, dtype=np.int64).reshape(5, -1).T
-        orthogonal = np.packbits((vectors @ self.lines.T) % q == 0, axis=1)
-        diagonal = np.arange(5)
 
-        def batch(fixing, negating, block):
-            def kernel_sq_lines(candidates):
-                plus = block.reshape(-1, 5, 5)[candidates]
-                plus[:, diagonal, diagonal] = (plus[:, diagonal, diagonal] + 1) % q
-                rows = orthogonal[self._residue[plus @ plus] @ self._place]
-                return np.bitwise_count(np.bitwise_and.reduce(rows, axis=1)).sum(axis=1)
-
+        def batch(fixing, negating):
             def mask(entries):  # one row per element x h of the block's cosets
                 return (subgroup == entries[:, None]).reshape(-1, len(self.lines))
 
-            return self._twisted_class(mask(fixing), mask(negating), kernel_sq_lines)
+            return self._twisted_class(mask(fixing), mask(negating))
 
-        cosets = elements.reshape(len(back), -1, 5, 5)
-        negating = self._scaled_entries()[q - 1].take(back)
-        return _in_row_blocks(subgroup.size, batch, back, negating, cosets)
+        negating = self._scaled_entries()[self.q - 1].take(back)
+        return _in_row_blocks(subgroup.size, batch, back, negating)
 
     def conjugacy_class_size(self, g) -> int:
         """|G| / |C(g)|, the centralizer counted over the enumeration (so
@@ -852,7 +846,7 @@ class OrthogonalGeometry:
         self.enumerate_group()
         order, sorted_codes = self._element_codes
         u = self.lines[stab.base_index]
-        tables = self._subgroup_tables(stab.base_index)
+        tables = self._subgroup_tables(stab)
         matrices = self._entry_vectors()[tables[:, self._basis]].transpose(0, 2, 1)
         half = matrices[((matrices @ u + u) % q == 0).all(axis=1)]
         if 2 * len(half) != stab.order:

@@ -174,10 +174,21 @@ MUTANTS = (
         SO5, "rows = rows[gh == hg]", "rows = rows[gh == gh]",
         so5_tests("test_class_orbits_cover_the_scanned_members"),
     ),
+    # the one membership rule: a (-1)-plane with no isotropic line is the
+    # whole (-1)-space of the semisimple part, and not in the class
+    Mutant(
+        SO5, "count(negated & (self.line_types == 0)) == 1",
+        "count(negated & (self.line_types == 0)) <= 1",
+        so5_tests(
+            "test_full_verification",
+            "test_scan_matches_the_full_rank_scan",
+            "test_the_isotropic_count_tells_every_candidate_kind_apart",
+        ),
+    ),
     # the scan reads g = x h's eigenlines off H against x's table, not x^-1's
     Mutant(
-        SO5, "back = self._signed_tables(self.inverse(transporters))",
-        "back = self._signed_tables(transporters)",
+        SO5, "back = self._signed_tables(self.inverse(stab.transporters))",
+        "back = self._signed_tables(stab.transporters)",
         so5_tests("test_scan_matches_the_full_rank_scan", "test_full_verification"),
     ),
     # the kept relabelling is not the one the elements were built from: the

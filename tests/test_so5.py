@@ -190,7 +190,7 @@ def test_line_stabilizer_closures_reach_their_order():
     geo = OrthogonalGeometry(q=3)
     for split, order in ((True, 1152), (False, 1440)):
         stab = geo.stabilizer(split)
-        subgroup = geo._subgroup_tables(stab.base_index)
+        subgroup = geo._subgroup_tables(stab)
         assert stab.order == order == len(subgroup)
         assert (subgroup[:, stab.base_index] // 3 == stab.base_index).all()
         matrices = table_matrices(geo, subgroup)
@@ -605,9 +605,9 @@ def test_scan_blocks_that_do_not_divide_the_group(geo3, monkeypatch):
     blocks = []
     original = geo3._twisted_class
 
-    def spy(fixed, negated, kernel_sq_lines):
+    def spy(fixed, negated):
         blocks.append(len(fixed))
-        return original(fixed, negated, kernel_sq_lines)
+        return original(fixed, negated)
 
     monkeypatch.setattr(geo3, "_twisted_class", spy)
     blocked = geo3._batched_scan()
@@ -828,6 +828,34 @@ def test_support_batch_members_match_the_rank_tests(q):
     assert np.array_equal(eps != 0, expected) and np.array_equal(delta != 0, expected)
 
 
+def test_the_isotropic_count_tells_every_candidate_kind_apart():
+    # among the words that fix 1 line and negate q + 1 = 6, the (-1)-plane
+    # holds 0 or 2 isotropic lines when it is the whole (-1)-eigenspace of
+    # the semisimple part (rank((g + 1)^2) = 3), 6 when the unipotent part
+    # has blocks 2, 2 on a 4-dimensional one (rank 1), and 1 for blocks 3, 1,
+    # the twisted class (rank 2); this draw holds all four counts (on 162,
+    # 88, 236 and 3 rows for 0, 1, 2 and 6)
+    q = 5
+    geo = OrthogonalGeometry(q=q)
+    rng = random.Random(5)
+    stack = np.stack([geo.random_element(rng) for _ in range(2000)])
+    eye = np.eye(5, dtype=np.int64)
+    lines = geo.lines.T.astype(np.int16)
+    fixed, negated = (
+        ((m % q).astype(np.int16) @ lines % q == 0).all(axis=1) for m in (stack - eye, stack + eye)
+    )
+    rows = np.flatnonzero((fixed.sum(axis=1) == 1) & (negated.sum(axis=1) == q + 1))
+    isotropic = (negated[rows] & (geo.line_types == 0)).sum(axis=1)
+    plus = stack[rows] + eye
+    ranks = rank_mod(plus @ plus, q)
+    rank_by_count = {0: 3, 1: 2, 2: 3, q + 1: 1}
+    assert sorted(set(isotropic.tolist())) == sorted(rank_by_count)
+    assert ranks.tolist() == [rank_by_count[c] for c in isotropic.tolist()]
+    members = geo._support_batch(stack)[1]
+    assert np.array_equal(members[rows], ranks == 2)
+    assert not np.delete(members, rows).any()
+
+
 def test_coset_model_guards(geo3, tables3, monkeypatch):
     stab = geo3.stabilizer(split=True)
     wrong = dataclasses.replace(stab, order=stab.order + 1)
@@ -995,19 +1023,23 @@ def test_verify_reports_a_per_element_disagreement(geo3, monkeypatch, capsys, pa
     )
 
 
-def repeated_transporter(original):
-    """A wrapper for ``stabilizer`` whose split stabilizer holds
-    transporter 1 in slot 2 as well."""
+def repeated_transporter(split_base):
+    """A wrapper for ``_coset_model_batch`` that hands it the stabilizer of
+    base line ``split_base`` with transporter 1 in slot 2 as well; the
+    enumeration, which reads ``stabilizer`` itself, is left whole."""
 
-    def stabilizer(*args, split):
-        stab = original(*args, split=split)
-        if not split:
-            return stab
-        transporters = stab.transporters.copy()
-        transporters[2] = transporters[1]
-        return dataclasses.replace(stab, transporters=transporters)
+    def wrap(original):
+        def coset_model(*args):
+            *head, stab = args  # head is (geometry,) when patched on the class
+            if stab.base_index == split_base:
+                transporters = stab.transporters.copy()
+                transporters[2] = transporters[1]
+                stab = dataclasses.replace(stab, transporters=transporters)
+            return original(*head, stab)
 
-    return stabilizer
+        return coset_model
+
+    return wrap
 
 
 def test_verify_reports_a_repeated_transporter(geo3, tables3, monkeypatch, capsys):
@@ -1015,12 +1047,13 @@ def test_verify_reports_a_repeated_transporter(geo3, tables3, monkeypatch, capsy
     # ind(1) - ind(det) gains 2 where g negates line 1 and loses 2 where g
     # negates line 2, read off the signed tables
     trace = geo3._batched_scan()[0]
-    lines = np.array(geo3.stabilizer(split=True).line_indices[1:3])
+    split = geo3.stabilizer(split=True)
+    lines = np.array(split.line_indices[1:3])
     negates = tables3[:, lines] == lines * geo3.q + geo3.q - 1
     shift = 2 * (negates[:, 0].astype(np.int64) - negates[:, 1])
     i = int(np.flatnonzero(shift)[0])
     assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "stabilizer", repeated_transporter,
+        geo3, monkeypatch, capsys, "_coset_model_batch", repeated_transporter(split.base_index),
         f"element {i}: coset model {trace[i] + shift[i]} != line count {trace[i]}",
     )
 
