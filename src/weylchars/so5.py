@@ -30,13 +30,14 @@ q^2 + 1.  Two kernels carry the per-element work:
   transporter, so G's tables (12.4 MB at q = 3, about 14.6 GB at q = 5)
   are never built: every element's line action is read off H's tables,
   one coset at a time.  The matrices and codes come off the basis-line
-  entries ``relabel[k, H[:, basis]]``, and the sorted codes must strictly
-  increase.  g = x h fixes or negates x_l exactly when h[l] is the entry
-  of x^-1 x_l or of -x^-1 x_l, so the scan's masks compare H's tables with
-  the table of x^-1.  A conjugacy class's size is |G| / |C(g)|, the
-  centralizer counted on the tables: h commutes with g when gh and hg have
-  the same entries at the five basis lines, read only for the rows still
-  counted.
+  entries ``relabel[k, H[:, basis]]``, the matrices as a read-only int8
+  array of residues (cast to int64 before any unreduced product), and the
+  sorted codes must strictly increase.  g = x h fixes or negates x_l
+  exactly when h[l] is the entry of x^-1 x_l or of -x^-1 x_l, so the
+  scan's masks compare H's tables with the table of x^-1.  A conjugacy
+  class's size is |G| / |C(g)|, the centralizer counted on the tables: h
+  commutes with g when gh and hg have the same entries at the five basis
+  lines, read only for the rows still counted.
 
 Both kernels decide the twisted class (below) from the masks of fixed and
 negated lines in one shared tail, ``_twisted_class``, and differ only in
@@ -109,8 +110,9 @@ from .report import CheckRecord, run_check
 
 FULL_ENUMERATION_Q = 3
 MAX_CODED_Q = 5  # largest q with q^25 < 2^63: int64 element codes
-# entries per row block: eigenline products, scan table entries, and (a
-# quarter of it) coset GEMM outputs
+# entries per row block: eigenline products, scan table entries,
+# transporter perpendicularity products, and (a quarter of it) coset GEMM
+# outputs
 CHUNK_ENTRIES = 2**19
 
 
@@ -328,11 +330,17 @@ class OrthogonalGeometry:
         and the centralizer count.  Element 0 is the identity, the base
         line's transporter times H's first element.  The matrices' columns
         are the vectors of their entries at the basis lines, ``relabel[k,
-        H[:, basis]]``, written in place into one (N, 5, 5) int64 buffer;
+        H[:, basis]]``, gathered into one (N, 5, 5) array of residues;
         their ``_matrix_codes`` are summed from the same entries and sorted
         once as (order, sorted codes) in ``_element_codes``; sorted codes
         must strictly increase, so an element repeated across cosets
         raises.
+
+        The returned array is int8 and read-only (1.3 MB at q = 3, where
+        int64 would take 10.4 MB): it is the cached enumeration, and numpy
+        keeps a product of int8 stacks in int8, which wraps past 127.  Cast
+        a row or a stack to int64 before an unreduced product; every method
+        here that takes matrices does so itself.
         """
         if self._elements is not None:
             return self._elements
@@ -346,8 +354,8 @@ class OrthogonalGeometry:
             self._scaled_entries(),
         )
         count = len(relabel) * len(subgroup)
-        vectors, columns = self._entry_vectors(), self._code_columns()
-        elements = np.empty((count, 5, 5), dtype=np.int64)
+        vectors, columns = self._entry_vectors().astype(np.int8), self._code_columns()
+        elements = np.empty((count, 5, 5), dtype=vectors.dtype)
         codes = np.zeros(count, dtype=np.int64)
         for j, line in enumerate(self._basis):
             entries = relabel[:, subgroup[:, line]].ravel()  # coset-major
@@ -360,6 +368,7 @@ class OrthogonalGeometry:
         back = self._signed_tables(self.inverse(stab.transporters))
         self._cosets = subgroup, relabel, back
         self._element_codes = order, codes
+        elements.flags.writeable = False
         self._elements = elements
         return self._elements
 
@@ -637,7 +646,13 @@ class OrthogonalGeometry:
         isotropic (u . w = u . u) the one in d = u + w, whose norm is
         4 u . u, takes u to -w.  The reflection in a, the first anisotropic
         line perpendicular to w, then fixes w and brings the determinant
-        back to 1.  A transporter that does not land on its line raises.
+        back to 1.  The lines are scanned for a in order, in blocks of
+        about CHUNK_ENTRIES products with the w still open, until every w
+        has its a: the first q^2 + q + 1 lines, which span the last three
+        coordinates, already hold one for every w (w's perpendicular meets
+        them in a plane with at most two isotropic lines), so one block
+        suffices up to q = 7.  A transporter that does not land on its line
+        raises.
         """
         q = self.q
         indices = np.flatnonzero(self.line_types == line_type)
@@ -649,8 +664,18 @@ class OrthogonalGeometry:
         d = (u - w) % q
         swap = (d * d).sum(axis=1) % q == 0
         d[swap] = (u + w[swap]) % q
-        perp = ((w @ self.lines.T) % q == 0) & (self.line_types != 0)
-        mirrors = self._reflections(self.lines[perp.argmax(axis=1)])
+        first = np.full(len(w), -1)
+        size = max(1, CHUNK_ENTRIES // len(w))
+        for start in range(0, len(self.lines), size):
+            open_rows = np.flatnonzero(first < 0)
+            if not len(open_rows):
+                break
+            block = slice(start, start + size)
+            hits = (w[open_rows] @ self.lines[block].T) % q == 0
+            hits &= self.line_types[block] != 0
+            found = hits.any(axis=1)
+            first[open_rows[found]] = start + hits[found].argmax(axis=1)
+        mirrors = self._reflections(self.lines[first])
         transporters = (mirrors @ self._reflections(d)) % q
         transporters[0] = np.eye(5, dtype=np.int64)
         landed = self._signed_lines(transporters @ u) // q

@@ -144,6 +144,18 @@ MUTANTS = (
         SO5, "if not (np.diff(codes) > 0).all():", "if not (np.diff(codes) >= 0).all():",
         so5_tests("test_enumeration_distinctness_check"),
     ),
+    # the enumerated matrices: an int8 array of residues, read-only
+    Mutant(
+        SO5, "self._entry_vectors().astype(np.int8)", "self._entry_vectors().astype(np.int64)",
+        so5_tests(
+            "test_enumeration_is_a_read_only_int8_array",
+            "test_table_closure_matches_the_matrix_closure",
+        ),
+    ),
+    Mutant(
+        SO5, "elements.flags.writeable = False", "elements.flags.writeable = True",
+        so5_tests("test_enumeration_is_a_read_only_int8_array"),
+    ),
     Mutant(
         SO5, "codes += digits[r, j].take(entries[where[r, j]])",
         "codes += digits[r, j].take(entries[where[r, 0]])",

@@ -127,6 +127,40 @@ def test_enumeration_order(geo3):
         assert ((g.T @ g) % q == np.eye(5, dtype=np.int64)).all()
 
 
+def test_enumeration_is_a_read_only_int8_array(geo3):
+    elements = geo3.enumerate_group()
+    assert elements.dtype == np.int8 and not elements.flags.writeable
+    assert elements.nbytes == 51840 * 25
+    with pytest.raises(ValueError):
+        elements[0, 0, 0] = 1
+
+
+def test_int8_rows_read_as_their_int64_widening(geo3):
+    # the four class representatives (the first member of each label in
+    # the scan) and 8 off-class rows: every per-element entry point gives
+    # the same result on an enumerated int8 row and on its int64 widening
+    elements = geo3.enumerate_group()
+    _, members, eps, delta = geo3._batched_scan()
+    labels = {}
+    for i in np.flatnonzero(members):
+        labels.setdefault((int(eps[i]), int(delta[i])), int(i))
+    assert len(labels) == 4
+    off_class = np.flatnonzero(~members)[::5000][:8].tolist()
+    rows = sorted(labels.values()) + off_class
+    assert len(rows) == 12
+    narrow = elements[rows]
+    wide = narrow.astype(np.int64)
+    for g8, g64 in zip(narrow, wide):
+        assert geo3.in_class_c(g8) == geo3.in_class_c(g64)
+        assert geo3.line_count_trace(g8) == geo3.line_count_trace(g64)
+        assert geo3.class_support_value(g8) == geo3.class_support_value(g64)
+        assert geo3.conjugacy_class_size(g8) == geo3.conjugacy_class_size(g64)
+        inverse8, inverse64 = geo3.inverse(g8), geo3.inverse(g64)
+        assert inverse8.dtype == inverse64.dtype and np.array_equal(inverse8, inverse64)
+    tables8, tables64 = geo3._signed_tables(narrow), geo3._signed_tables(wide)
+    assert tables8.dtype == tables64.dtype and np.array_equal(tables8, tables64)
+
+
 def test_enumeration_guard():
     geo = OrthogonalGeometry(q=5)
     with pytest.raises(ValueError):
@@ -182,6 +216,41 @@ def test_witt_transporters(q):
         assert np.logical_or.reduce(on_line).all()
         assert (x[0] == np.eye(5, dtype=np.int64)).all()
     assert geo._elements is None and not geo._subgroups
+
+
+def witt_transporters_by_one_product(geo, line_type):
+    """The Witt transporters with the perpendicular anisotropic line a of
+    each w found by one (#lines of the type) x (#lines) product: the
+    reference for the library's scan over blocks of lines."""
+    q = geo.q
+    indices = np.flatnonzero(geo.line_types == line_type)
+    u = geo.lines[indices[0]]
+    root = np.zeros(q, dtype=np.int64)
+    root[np.arange(q) ** 2 % q] = np.arange(q)
+    ratio = geo.norms[indices[0]] * geo._inverse_mod[geo.norms[indices]] % q
+    w = root[ratio][:, None] * geo.lines[indices] % q
+    d = (u - w) % q
+    swap = (d * d).sum(axis=1) % q == 0
+    d[swap] = (u + w[swap]) % q
+    perp = ((w @ geo.lines.T) % q == 0) & (geo.line_types != 0)
+    transporters = (geo._reflections(geo.lines[perp.argmax(axis=1)]) @ geo._reflections(d)) % q
+    transporters[0] = np.eye(5, dtype=np.int64)
+    return indices, transporters
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_witt_transporters_match_the_one_product_choice(q, monkeypatch):
+    # the first anisotropic line perpendicular to w, with the default
+    # blocks and with one line a block, where the rows still open shrink
+    # from block to block
+    geo = OrthogonalGeometry(q=q)
+    for line_type in (1, -1):
+        want_indices, want = witt_transporters_by_one_product(geo, line_type)
+        for chunk in (CHUNK_ENTRIES, 1):
+            monkeypatch.setattr(weylchars.so5, "CHUNK_ENTRIES", chunk)
+            indices, transporters = geo._witt_transporters(line_type)
+            assert np.array_equal(indices, want_indices)
+            assert transporters.dtype == want.dtype and np.array_equal(transporters, want)
 
 
 def test_line_stabilizer_closures_reach_their_order():
@@ -565,7 +634,7 @@ def test_table_closure_matches_the_matrix_closure(geo3, tables3):
         geo3, np.eye(5, dtype=np.int64), lambda batch: batch[None] @ gens[:, None]
     )
     elements = geo3.enumerate_group()
-    assert elements.dtype == reference.dtype
+    assert elements.dtype == np.int8 and reference.dtype == np.int64
     # the same set: the enumeration's sorted codes, and those of its
     # matrices, are the reference's sorted codes
     weights = 3 ** np.arange(25, dtype=np.int64)
