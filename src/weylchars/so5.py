@@ -110,9 +110,8 @@ from .report import CheckRecord, run_check
 
 FULL_ENUMERATION_Q = 3
 MAX_CODED_Q = 5  # largest q with q^25 < 2^63: int64 element codes
-# entries per row block: eigenline products, scan table entries,
-# transporter perpendicularity products, and (a quarter of it) coset GEMM
-# outputs
+# entries per row block: eigenline products, scan table entries, and (a
+# quarter of it) coset GEMM outputs
 CHUNK_ENTRIES = 2**19
 
 
@@ -646,12 +645,11 @@ class OrthogonalGeometry:
         isotropic (u . w = u . u) the one in d = u + w, whose norm is
         4 u . u, takes u to -w.  The reflection in a, the first anisotropic
         line perpendicular to w, then fixes w and brings the determinant
-        back to 1.  The lines are scanned for a in order, in blocks of
-        about CHUNK_ENTRIES products with the w still open, until every w
-        has its a: the first q^2 + q + 1 lines, which span the last three
-        coordinates, already hold one for every w (w's perpendicular meets
-        them in a plane with at most two isotropic lines), so one block
-        suffices up to q = 7.  A transporter that does not land on its line
+        back to 1.  Only the first q^2 + q + 1 lines are searched for a:
+        they are the lines of the last three coordinates, whose form is
+        nondegenerate, so w's perpendicular meets them in at least a plane
+        that is not totally isotropic, with q + 1 > 2 lines of which at most
+        two are isotropic.  A transporter that does not land on its line
         raises.
         """
         q = self.q
@@ -664,18 +662,9 @@ class OrthogonalGeometry:
         d = (u - w) % q
         swap = (d * d).sum(axis=1) % q == 0
         d[swap] = (u + w[swap]) % q
-        first = np.full(len(w), -1)
-        size = max(1, CHUNK_ENTRIES // len(w))
-        for start in range(0, len(self.lines), size):
-            open_rows = np.flatnonzero(first < 0)
-            if not len(open_rows):
-                break
-            block = slice(start, start + size)
-            hits = (w[open_rows] @ self.lines[block].T) % q == 0
-            hits &= self.line_types[block] != 0
-            found = hits.any(axis=1)
-            first[open_rows[found]] = start + hits[found].argmax(axis=1)
-        mirrors = self._reflections(self.lines[first])
+        low = slice(q * q + q + 1)  # the lines of the last three coordinates
+        perp = ((w @ self.lines[low].T) % q == 0) & (self.line_types[low] != 0)
+        mirrors = self._reflections(self.lines[perp.argmax(axis=1)])
         transporters = (mirrors @ self._reflections(d)) % q
         transporters[0] = np.eye(5, dtype=np.int64)
         landed = self._signed_lines(transporters @ u) // q

@@ -220,8 +220,9 @@ def test_witt_transporters(q):
 
 def witt_transporters_by_one_product(geo, line_type):
     """The Witt transporters with the perpendicular anisotropic line a of
-    each w found by one (#lines of the type) x (#lines) product: the
-    reference for the library's scan over blocks of lines."""
+    each w found by one (#lines of the type) x (#lines) product over all
+    lines: the reference for the library's product over the first
+    q^2 + q + 1 lines."""
     q = geo.q
     indices = np.flatnonzero(geo.line_types == line_type)
     u = geo.lines[indices[0]]
@@ -239,18 +240,15 @@ def witt_transporters_by_one_product(geo, line_type):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
-def test_witt_transporters_match_the_one_product_choice(q, monkeypatch):
-    # the first anisotropic line perpendicular to w, with the default
-    # blocks and with one line a block, where the rows still open shrink
-    # from block to block
+def test_witt_transporters_match_the_one_product_choice(q):
+    # the first anisotropic line perpendicular to w is always among the
+    # lines of the last three coordinates
     geo = OrthogonalGeometry(q=q)
     for line_type in (1, -1):
         want_indices, want = witt_transporters_by_one_product(geo, line_type)
-        for chunk in (CHUNK_ENTRIES, 1):
-            monkeypatch.setattr(weylchars.so5, "CHUNK_ENTRIES", chunk)
-            indices, transporters = geo._witt_transporters(line_type)
-            assert np.array_equal(indices, want_indices)
-            assert transporters.dtype == want.dtype and np.array_equal(transporters, want)
+        indices, transporters = geo._witt_transporters(line_type)
+        assert np.array_equal(indices, want_indices)
+        assert transporters.dtype == want.dtype and np.array_equal(transporters, want)
 
 
 def test_line_stabilizer_closures_reach_their_order():
