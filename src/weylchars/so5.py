@@ -11,9 +11,10 @@ q^2 + 1.  Two kernels carry the per-element work:
 * The signed line table of g: for each line l, g maps the representative
   x_l to c * x_m for one line m and one scalar c, stored as the single
   entry ``m * q + c``.  The line-count trace and eigenline labels of the
-  full scan are masks on H's tables (below).  Tables compose by lookups in
-  ``scaled[c, e]``, the entry of c times the vector of entry e: where h
-  maps x_l to c_h x_m, (gh) holds ``scaled[c_h, g[m]]``.
+  full scan are read off a sorted index of H's tables (below).  Tables
+  compose by lookups in ``scaled[c, e]``, the entry of c times the vector
+  of entry e: where h maps x_l to c_h x_m, (gh) holds
+  ``scaled[c_h, g[m]]``.
 * ``enumerate_group`` builds the group as the cosets x H of H, the
   stabilizer of a base line u of the split type, with one Witt transporter
   x per line of that type (``_witt_transporters``, which also serves the
@@ -34,20 +35,22 @@ q^2 + 1.  Two kernels carry the per-element work:
   array of residues (cast to int64 before any unreduced product), and the
   sorted codes must strictly increase.  g = x h fixes or negates x_l
   exactly when h[l] is the entry of x^-1 x_l or of -x^-1 x_l, so the
-  scan's masks compare H's tables with the table of x^-1.  A conjugacy
-  class's size is |G| / |C(g)|, the centralizer counted on the tables: h
-  commutes with g when gh and hg have the same entries at the five basis
-  lines, read only for the rows still counted.
+  scan looks the table of x^-1 up in H's tables sorted column by column
+  (``_column_index``), and finds those h as one range per line and sign.
+  A conjugacy class's size is |G| / |C(g)|, the centralizer counted on the
+  tables: h commutes with g when gh and hg have the same entries at the
+  five basis lines, read only for the rows still counted.
 
-Both kernels decide the twisted class (below) from the masks of fixed and
-negated lines in one shared tail, ``_twisted_class``, and differ only in
-where the masks come from: ``_batched_scan`` reads them off H's tables,
-``_support_batch`` off one narrow-integer einsum of matrix rows against
-the lines (int16 up to q = 81), for sampled and single elements.
-Neither holds a whole-group mask: the sampled batch runs over row blocks
-of about CHUNK_ENTRIES entries, the scan over blocks of whole cosets, at
-least one a block, so its blocks keep to CHUNK_ENTRIES only while one
-coset's masks fit in it (3 cosets a block at q = 3).
+Both kernels decide the twisted class (below) from each element's counts
+of fixed and of negated lines by type, in one shared tail,
+``_twisted_class``, and differ only in where the counts come from:
+``_batched_scan`` counts the index's matches by one ``bincount``, and
+``_support_batch`` counts the kernel masks of one narrow-integer einsum of
+matrix rows against the lines (int16 up to q = 81), for sampled and single
+elements.  Neither holds a whole-group array per line: the sampled batch
+runs over row blocks of about CHUNK_ENTRIES entries, the scan over blocks
+of whole cosets, as many as fit in CHUNK_ENTRIES entries of H's tables
+but at least one (3 cosets a block at q = 3).
 
 The coset model of the induced characters uses neither kernel's line
 action.  ``verify`` reads only the virtual character V = ind(1) - ind(det)
@@ -69,7 +72,7 @@ and whose unipotent part has Jordan blocks of sizes 3, 1, 1.  By definition:
 A d-dimensional kernel meets (q^d - 1)/(q - 1) lines, so the first two read:
 g fixes exactly 1 line and negates exactly q + 1.  Given those, the third
 holds exactly when one of the negated lines is isotropic, so
-``_twisted_class`` decides membership from the two eigenline masks alone.
+``_twisted_class`` decides membership from the two eigenline counts alone.
 Write g = s u, s semisimple and u unipotent.  The (-1)-eigenspace E of s is
 non-degenerate, contains ker(g + 1) and has even dimension (det g = 1), so
 dimension 2 or 4:
@@ -149,11 +152,15 @@ def _first_occurrences(values):
 def _in_row_blocks(row_entries, batch, *arrays):
     """``batch`` over blocks of about CHUNK_ENTRIES entries, ``row_entries``
     per row (at least one row a block), of the arrays, taken in step as
-    views, with each column of its tuple results concatenated in order."""
+    views, with each column of its tuple results concatenated in order.
+    Each column's blocks are freed once it is joined, so the blocks and the
+    joined columns are never all held at once."""
     size = max(1, CHUNK_ENTRIES // row_entries)
     bounds = range(size, len(arrays[0]), size)
     parts = [batch(*blocks) for blocks in zip(*(np.split(a, bounds) for a in arrays))]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    columns = [list(column) for column in zip(*parts)][::-1]
+    del parts
+    return tuple(np.concatenate(columns.pop()) for _ in range(len(columns)))
 
 
 @dataclass(frozen=True)
@@ -281,7 +288,7 @@ class OrthogonalGeometry:
 
     def generators(self):
         """Reflection-pair products through a spread of anisotropic vectors,
-        plus the 5-cycle permutation matrix.
+        plus the 5-cycle permutation matrix, as one (k, 5, 5) stack.
 
         Pairing every reflection with a fixed one keeps determinants at 1;
         spanning both square classes of norms covers both spinor classes.
@@ -304,7 +311,8 @@ class OrthogonalGeometry:
             candidates.append(self.lines[self.line_types == missing][0])
         base = self.reflection(candidates[0])
         cycle = np.roll(np.eye(5, dtype=np.int64), 1, axis=0)  # 5-cycle: even, so det 1
-        self._generators = [(self.reflection(v) @ base) % q for v in candidates[1:]] + [cycle]
+        pairs = [(self.reflection(v) @ base) % q for v in candidates[1:]]
+        self._generators = np.stack(pairs + [cycle])
         return self._generators
 
     def group_order_formula(self) -> int:
@@ -426,6 +434,20 @@ class OrthogonalGeometry:
         line_h, scalar_h = np.divmod(h, self.q)
         return scaled.take(scalar_h * scaled.shape[1] + g.take(line_h, axis=-1))
 
+    def _column_index(self, tables):
+        """(starts, rows): the rows of a (k, #lines) stack of tables that
+        hold entry e at line l are ``rows[starts[key]:starts[key + 1]]``, in
+        ascending order, at the key ``l * q * #lines + e``.  ``starts`` is
+        the int32 prefix count over the keys, ``rows`` each column's stable
+        argsort, column after column, in the narrowest signed dtype holding
+        k (int16 for H at q = 3)."""
+        width = self.q * len(self.lines)
+        keys = tables + np.arange(0, tables.shape[1] * width, width, dtype=np.int32)
+        starts = np.zeros(keys.shape[1] * width + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys.ravel(), minlength=len(starts) - 1), out=starts[1:])
+        rows = np.ascontiguousarray(tables.T).argsort(axis=1, kind="stable")
+        return starts, rows.astype(np.min_scalar_type(-len(tables))).ravel()
+
     def _code_weights(self):
         """Place values of the int64 element code: entry (i, j) of a matrix
         mod q is its base-q digit 5 i + j."""
@@ -507,45 +529,40 @@ class OrthogonalGeometry:
         return np.asarray(g, dtype=np.int64).swapaxes(-1, -2) % self.q
 
     def random_element(self, rng: random.Random):
-        """Random word in the generators (not uniform; fine for spot checks)."""
+        """Random word in the generators (not uniform; fine for spot checks).
+
+        The whole word is drawn first, its length and then its letters.  It
+        is multiplied as a balanced tree: each level multiplies adjacent
+        pairs, in order, reduced mod q, and carries an odd last factor up.
+        """
         gens = self.generators()
-        g = np.eye(5, dtype=np.int64)
-        for _ in range(rng.randrange(8, 24)):
-            g = (g @ gens[rng.randrange(len(gens))]) % self.q
-        return g
+        word = [rng.randrange(len(gens)) for _ in range(rng.randrange(8, 24))]
+        stack = gens[word]
+        while len(stack) > 1:
+            carried = stack[len(stack) & ~1 :]
+            stack = np.concatenate([stack[0:-1:2] @ stack[1::2] % self.q, carried])
+        return stack[0]
 
     # --- per-element operations ---
 
-    def _labels(self, fixed, negated):
-        """(eps, delta) of twisted-class members from their masks of fixed
-        and negated lines: the fixed line's type and the type the (-1)-plane's
-        non-degenerate lines share; a 0 marks this implementation broken."""
-        types = self.line_types
-        eps = types[fixed.argmax(axis=1)]
-        has_plus = (negated & (types == 1)).any(axis=1)
-        has_minus = (negated & (types == -1)).any(axis=1)
-        return eps, np.where(has_plus == has_minus, 0, np.where(has_plus, 1, -1))
-
     def _twisted_class(self, fixed, negated):
-        """(trace, members, eps, delta) of a batch from its (k, #lines) masks
-        of fixed and negated lines, by the one membership rule: 1 fixed line,
-        q + 1 negated, and exactly one negated line isotropic, which stands
-        for rank((g + 1)^2) = 2 (module docstring).  eps and delta are 0 off
-        the class; a 0 on a member marks a broken label.  Per-row counts take
-        the narrowest dtype holding #lines (uint8 at q = 3).
+        """(trace, members, eps, delta) of a batch from its (k, 3) counts of
+        fixed and of negated lines, column t + 1 counting the lines of type
+        t, by the one membership rule: 1 fixed line, q + 1 negated, and
+        exactly one negated line isotropic, which stands for
+        rank((g + 1)^2) = 2 (module docstring).  eps is the one fixed line's
+        type, the square count minus the non-square count (0 when that line
+        is isotropic); delta is the type the negated non-degenerate lines
+        share (0 when both types or neither occur).  Both are 0 off the
+        class; a 0 on a member marks a broken label.
         """
-        q = self.q
-        narrow = np.min_scalar_type(fixed.shape[1])
-
-        def count(mask):
-            return mask.sum(axis=1, dtype=narrow)
-
-        members = (count(fixed) == 1) & (count(negated) == q + 1)
-        members &= count(negated & (self.line_types == 0)) == 1
-        square = count(negated & (self.line_types == 1)).astype(np.int64)
-        trace = 2 * (square - count(negated & (self.line_types == -1)))
-        eps, delta = np.zeros((2, len(members)), dtype=np.int64)
-        eps[members], delta[members] = self._labels(fixed[members], negated[members])
+        minus, isotropic, plus = negated.T
+        members = fixed.sum(axis=1) == 1
+        members &= negated.sum(axis=1) == self.q + 1
+        members &= isotropic == 1
+        trace = 2 * (plus.astype(np.int64) - minus)
+        eps = (fixed[:, 2].astype(np.int64) - fixed[:, 0]) * members
+        delta = ((plus > 0).astype(np.int64) - (minus > 0)) * members
         return trace, members, eps, delta
 
     def _support_batch(self, matrices):
@@ -555,7 +572,9 @@ class OrthogonalGeometry:
         the rows of g -+ 1 go mod q through one integer einsum against the
         transposed lines in the narrowest signed dtype holding 5 (q - 1)^2
         (no int64, no BLAS), reduced in place mod q, in chunks of about
-        CHUNK_ENTRIES per sign.
+        CHUNK_ENTRIES per sign.  The kernel masks are counted by type in
+        one product with the lines' one-hot types, in the narrowest
+        unsigned dtype holding #lines (uint8 at q = 3).
         """
         q = self.q
         eye = np.eye(5, dtype=np.int64)
@@ -563,6 +582,8 @@ class OrthogonalGeometry:
         # products of residues are at most 5 (q - 1)^2: int16 up to q = 81
         narrow = np.min_scalar_type(-5 * (q - 1) ** 2)
         lines_t = np.ascontiguousarray(self.lines.T, dtype=narrow)
+        by_type = self.line_types[:, None] == np.arange(-1, 2)
+        by_type = by_type.astype(np.min_scalar_type(len(self.lines)))
 
         def kernels(stack):
             rows = (stack % q).astype(narrow).reshape(-1, 5)
@@ -571,7 +592,8 @@ class OrthogonalGeometry:
             return (products == 0).reshape(len(stack), 5, len(self.lines)).all(axis=1)
 
         def batch(g):
-            return self._twisted_class(*np.split(kernels(np.concatenate([g - eye, g + eye])), 2))
+            counts = kernels(np.concatenate([g - eye, g + eye])) @ by_type
+            return self._twisted_class(*np.split(counts, 2))
 
         return _in_row_blocks(5 * len(self.lines), batch, matrices)
 
@@ -681,25 +703,43 @@ class OrthogonalGeometry:
     def _batched_scan(self):
         """``_twisted_class`` of the full enumeration, in its order.
 
-        The eigenlines of 1 and -1 are masks on H's tables, one coset x H at
-        a time: g = x h maps x_l to c x_l exactly when h[l] is the entry of
-        c x^-1 x_l, so g's fixed lines are where H equals ``back[k]``, the
-        table of x^-1, and its negated lines where H equals
-        ``scaled[q - 1, back[k]]``.  Only H's tables and ``back`` are read,
-        not G's matrices.  It runs over blocks of whole cosets, as many as
-        fit in CHUNK_ENTRIES mask entries but at least one, so neither a
-        whole-group mask nor G's tables are ever held.  The bound holds at
-        q = 3 (3 cosets, 418,176 entries a block); at q = 5 one coset's
-        masks alone would be about 24M entries.
+        g = x h maps x_l to c x_l exactly when h[l] is the entry of
+        c x^-1 x_l, so g's fixed lines are those where h's table equals
+        ``back[k]``, the table of x^-1, and its negated lines those where it
+        equals ``scaled[q - 1, back[k]]``.  Those h are read off the
+        ``_column_index`` of H's tables, built per call and not kept (kept,
+        its 0.45 MB at q = 3 would add to ``verify``'s memory peak, which
+        comes later, in the coset model): one range of ``rows`` per
+        (coset, line, sign), 2 #lines ranges a coset, holding
+        77,760 fixed and 77,760 negated (element, line) matches in all at
+        q = 3.  ``np.repeat`` expands the ranges to the matches' places in
+        ``rows`` and to their bins, and one ``bincount`` counts the matches
+        by element, sign (0 fixed, 1 negated) and line type t, in bins
+        ``(3 sign + t + 1) k |H| + row``.  Only H's tables and ``back`` are
+        read, not G's matrices or tables.  It runs over blocks of whole
+        cosets, as many as fit in CHUNK_ENTRIES entries of H's tables but at
+        least one (3 cosets a block at q = 3).
         """
         self.enumerate_group()
         subgroup, _, back = self._cosets
+        starts, rows = self._column_index(subgroup)
+        width = self.q * len(self.lines)
+        columns = np.tile(np.arange(0, len(self.lines) * width, width), 2)
+        kind = self.line_types + 1  # the type t of a line counts in bin t + 1
+        kinds = np.concatenate([kind, kind + 3])  # fixed lines, then negated
 
         def batch(fixing, negating):
-            def mask(entries):  # one row per element x h of the block's cosets
-                return (subgroup == entries[:, None]).reshape(-1, len(self.lines))
-
-            return self._twisted_class(mask(fixing), mask(negating))
+            size = len(fixing) * len(subgroup)  # rows k |H| + h of the block
+            query = (np.concatenate([fixing, negating], axis=1) + columns).ravel()
+            first = starts[query]
+            lengths = starts[query + 1] - first
+            ends = lengths.cumsum()
+            # each match's place in ``rows``: its range's first, plus its offset there
+            at = np.repeat(first - ends + lengths, lengths) + np.arange(ends[-1])
+            bins = kinds * size + np.arange(0, size, len(subgroup))[:, None]
+            counts = np.bincount(np.repeat(bins.ravel(), lengths) + rows[at], minlength=6 * size)
+            fixed, negated = counts.reshape(2, 3, size)
+            return self._twisted_class(fixed.T, negated.T)
 
         negating = self._scaled_entries()[self.q - 1].take(back)
         return _in_row_blocks(subgroup.size, batch, back, negating)
@@ -762,9 +802,9 @@ class OrthogonalGeometry:
 
     def _support_failures(self, name, trace, members, eps, delta):
         """Failures of the support identity on a batch, each named by
-        ``name`` and its row: the members whose label ``_labels`` left
-        broken, then every row whose trace is not 2 * delta * q (delta is 0
-        off the class, so there the trace must be 0)."""
+        ``name`` and its row: the members whose label ``_twisted_class``
+        left broken, then every row whose trace is not 2 * delta * q (delta
+        is 0 off the class, so there the trace must be 0)."""
         support = 2 * self.q * delta
         no_eps = np.flatnonzero(members & (eps == 0))
         no_delta = np.flatnonzero(members & (eps != 0) & (delta == 0))

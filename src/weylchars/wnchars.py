@@ -166,25 +166,6 @@ def _mn(top: int, bottom: int, pos, neg) -> int:
 # --- explicit signed permutations (oracle route) ---
 
 
-def sp_mul(u, v):
-    """Compose signed permutations: (u*v)(i) = u(v(i))."""
-    out = []
-    for i in range(len(u)):
-        j = v[i]
-        out.append(u[j - 1] if j > 0 else -u[-j - 1])
-    return tuple(out)
-
-
-def sp_inv(u):
-    out = [0] * len(u)
-    for i, j in enumerate(u, start=1):
-        if j > 0:
-            out[j - 1] = i
-        else:
-            out[-j - 1] = -i
-    return tuple(out)
-
-
 def _cycle_spans(h):
     """(lowest letter, highest letter, negative, length) of each cycle of h.
 
@@ -238,15 +219,27 @@ def wn_elements(n: int):
 def _induction_profile(n: int, rep):
     """Conjugates of rep over all of W_n, sorted into the block subgroups.
 
-    One pass over ``wn_elements(n)`` conjugates rep once per x.  Entry r of
-    the result (r = 0..n) counts the x whose conjugate h = x rep x^-1
-    stabilizes {1..r}, that is lies in W_r x W_{n-r}, by the pair of signed
-    cycle types of h on {1..r} and on {r+1..n}; each type is a plain
-    ``(pos, neg)`` pair of sorted length tuples, and each entry a sorted
-    tuple of ``(pair, count)`` items.  One profile per class serves every
-    split r; ``induce`` is its one reader.
+    One pass over ``wn_elements(n)`` conjugates rep once per x, in one pass
+    over the letters: h = x rep x^-1 maps x(i) to x(rep(i)), so it maps
+    |x(i)| to sign(x(i)) x(rep(i)).  Entry r of the result (r = 0..n)
+    counts the x whose conjugate h stabilizes {1..r}, that is lies in
+    W_r x W_{n-r}, by the pair of signed cycle types of h on {1..r} and on
+    {r+1..n}; each type is a plain ``(pos, neg)`` pair of sorted length
+    tuples, and each entry a sorted tuple of ``(pair, count)`` items.  One
+    profile per class serves every split r; ``induce`` is its one reader.
     """
-    conjugates = Counter(sp_mul(sp_mul(x, rep), sp_inv(x)) for x in wn_elements(n))
+
+    def conjugate(x):
+        h = [0] * n
+        for image, r in zip(x, rep):
+            moved = x[r - 1] if r > 0 else -x[-r - 1]
+            if image > 0:
+                h[image - 1] = moved
+            else:
+                h[-image - 1] = -moved
+        return tuple(h)
+
+    conjugates = Counter(map(conjugate, wn_elements(n)))
     profile = [{} for _ in range(n + 1)]
     for h, times in conjugates.items():  # each once: |W_n| / |centralizer|
         spans = sorted(_cycle_spans(h), key=lambda span: span[3])

@@ -189,8 +189,7 @@ MUTANTS = (
     # the one membership rule: a (-1)-plane with no isotropic line is the
     # whole (-1)-space of the semisimple part, and not in the class
     Mutant(
-        SO5, "count(negated & (self.line_types == 0)) == 1",
-        "count(negated & (self.line_types == 0)) <= 1",
+        SO5, "members &= isotropic == 1", "members &= isotropic <= 1",
         so5_tests(
             "test_full_verification",
             "test_scan_matches_the_full_rank_scan",
@@ -209,6 +208,25 @@ MUTANTS = (
         SO5, "self._cosets = subgroup, relabel, back",
         "self._cosets = subgroup, relabel[::-1], back",
         so5_tests("test_table_closure_matches_the_matrix_closure"),
+    ),
+    # the scan's index: an empty range at every key finds no eigenline
+    Mutant(
+        SO5, "lengths = starts[query + 1] - first", "lengths = starts[query] - first",
+        so5_tests(
+            "test_scan_matches_the_mask_scan",
+            "test_scan_matches_the_full_rank_scan",
+            "test_full_verification",
+        ),
+    ),
+    # the type offset of the scan's bins: square and non-square lines swap
+    Mutant(
+        SO5, "kind = self.line_types + 1", "kind = 1 - self.line_types",
+        so5_tests("test_scan_matches_the_mask_scan", "test_scan_matches_the_full_rank_scan"),
+    ),
+    # every block's results kept alive while the joined columns are built
+    Mutant(
+        SO5, "del parts", "parts = parts",
+        so5_tests("test_scan_frees_its_blocks_as_it_joins_them"),
     ),
     # --- the Witt transporters ---
     # transporter 1 repeated in slot 2: it lands on the wrong line
@@ -285,8 +303,11 @@ MUTANTS = (
         verification_tests("test_admissible_split_count_is_power_of_two"),
     ),
     Mutant(
-        SO5, "np.where(has_plus, 1, -1)", "np.where(has_plus, -1, 1)",
-        so5_tests("test_member_labels_match_the_membership_test"),
+        SO5, "delta = ((plus > 0).astype(np.int64) - (minus > 0)) * members",
+        "delta = ((minus > 0).astype(np.int64) - (plus > 0)) * members",
+        so5_tests(
+            "test_member_labels_match_the_membership_test", "test_scan_matches_the_mask_scan"
+        ),
     ),
     Mutant(
         WNCHARS, "chi = -1 if len(neg2) % 2 else 1", "chi = 1",

@@ -8,10 +8,11 @@ order does not change a trace and that one explicit removal step
 reproduces it.  ``tuple_removals`` is the earlier kernel on sorted tuples,
 kept as the reference the bitset kernel is compared with.
 
-It also holds the helpers that only tests read: the
-signed cycle type of an explicit signed permutation (``sp_cycle_type``),
-one cycle removed from a class (``remove_cycle``) and the type-D
-admissibility of a split as tuple rows (``split_admissible_d``).
+It also holds the helpers that only tests read: the product and inverse
+of explicit signed permutations (``sp_mul``, ``sp_inv``), the signed cycle
+type of one (``sp_cycle_type``), one cycle removed from a class
+(``remove_cycle``) and the type-D admissibility of a split as tuple rows
+(``split_admissible_d``).
 """
 
 from bisect import bisect_left
@@ -19,6 +20,25 @@ from bisect import bisect_left
 from weylchars.symbols import BiSymbol, SignedCycleType
 from weylchars.verifications import pair_sum_free
 from weylchars.wnchars import _cycle_spans, mask_row, mn_trace_wn, removals, row_bitsets
+
+
+def sp_mul(u, v):
+    """Compose signed permutations: (u*v)(i) = u(v(i))."""
+    out = []
+    for i in range(len(u)):
+        j = v[i]
+        out.append(u[j - 1] if j > 0 else -u[-j - 1])
+    return tuple(out)
+
+
+def sp_inv(u):
+    out = [0] * len(u)
+    for i, j in enumerate(u, start=1):
+        if j > 0:
+            out[j - 1] = i
+        else:
+            out[-j - 1] = -i
+    return tuple(out)
 
 
 def sp_cycle_type(u) -> SignedCycleType:

@@ -581,6 +581,32 @@ def scan_by_products(geo):
     return elements, fixed, negated, members, trace, rank_tests
 
 
+def scan_by_masks(geo):
+    """The scan as masks on H's tables, one coset x H at a time: g = x h
+    fixes the lines where h's table equals ``back[k]``, the table of x^-1,
+    and negates those where it equals ``scaled[q - 1, back[k]]``.  The
+    (|H|, #lines) masks are counted row by row; eps is the type of the
+    first fixed line and delta the one type among the negated lines'
+    nonzero types, 0 when both occur or neither."""
+    q = geo.q
+    geo.enumerate_group()
+    subgroup, _, back = geo._cosets
+    types = geo.line_types
+    negating = geo._scaled_entries()[q - 1].take(back)
+    parts = []
+    for fixing_k, negating_k in zip(back, negating):
+        fixed, negated = subgroup == fixing_k, subgroup == negating_k
+        members = (fixed.sum(axis=1) == 1) & (negated.sum(axis=1) == q + 1)
+        members &= (negated & (types == 0)).sum(axis=1) == 1
+        has_plus = (negated & (types == 1)).any(axis=1)
+        has_minus = (negated & (types == -1)).any(axis=1)
+        trace = 2 * ((negated & (types == 1)).sum(axis=1) - (negated & (types == -1)).sum(axis=1))
+        eps = np.where(members, types[fixed.argmax(axis=1)], 0)
+        plane = np.where(has_plus == has_minus, 0, np.where(has_plus, 1, -1))
+        parts.append((trace, members, eps, np.where(members, plane, 0)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def coset_model_by_lines(geo, stab, elements):
     """ind(1) and ind(det) by finding each element's fixed coset lines and
     conjugating the fixers back by the transporter."""
@@ -664,6 +690,41 @@ def test_scan_matches_the_full_rank_scan(geo3):
     assert not eps[~members].any() and not delta[~members].any()
 
 
+def test_scan_matches_the_mask_scan(geo3):
+    reference = scan_by_masks(geo3)
+    assert [a.dtype for a in reference] == [np.int64, bool, np.int64, np.int64]
+    for got, want in zip(geo3._batched_scan(), reference):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def column_index_by_dict(tables):
+    """{(line, entry): the rows holding entry at that line, ascending}."""
+    index = {}
+    for row, table in enumerate(tables.tolist()):
+        for line, entry in enumerate(table):
+            index.setdefault((line, entry), []).append(row)
+    return index
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_column_index_matches_a_dict(q):
+    # a stack of tables with repeated rows, so that ranges hold several rows
+    geo = OrthogonalGeometry(q=q)
+    rng = random.Random(q)
+    words = [geo.random_element(rng) for _ in range(6)]
+    tables = geo._signed_tables(np.stack(words + words[:3] + [np.eye(5, dtype=np.int64)]))
+    starts, rows = geo._column_index(tables)
+    width = q * len(geo.lines)
+    assert starts.dtype == np.int32 and rows.dtype == np.int8
+    assert len(starts) == len(geo.lines) * width + 1 and len(rows) == tables.size
+    expected = column_index_by_dict(tables)
+    keys = np.flatnonzero(np.diff(starts))
+    assert sorted(keys.tolist()) == sorted(line * width + e for line, e in expected)
+    for key in keys.tolist():
+        line, entry = divmod(key, width)
+        assert rows[starts[key] : starts[key + 1]].tolist() == expected[line, entry]
+
+
 def test_scan_blocks_that_do_not_divide_the_group(geo3, monkeypatch):
     # blocks hold whole cosets x H, 1,152 elements each: at 4 cosets a block
     # the 45 cosets leave one over
@@ -673,6 +734,8 @@ def test_scan_blocks_that_do_not_divide_the_group(geo3, monkeypatch):
     original = geo3._twisted_class
 
     def spy(fixed, negated):
+        # per-element counts of fixed and negated lines by type
+        assert fixed.shape == negated.shape == (len(fixed), 3)
         blocks.append(len(fixed))
         return original(fixed, negated)
 
@@ -795,6 +858,21 @@ def test_first_occurrences_guard(value):
     assert str(raised.value) == "values need more than 46 bits beside 17 index bits"
 
 
+def test_scan_frees_its_blocks_as_it_joins_them(geo3):
+    # the four outputs take 1.29 MiB; holding every block's results and the
+    # joined outputs at once would take twice that, and the scan's own
+    # per-block work (index included) stays well under 1 MiB
+    tracemalloc.start()
+    try:
+        scan = geo3._batched_scan()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(part.nbytes for part in scan)
+    assert outputs == 51840 * 25
+    assert peak <= outputs + 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_verify_peak_memory():
     # a fresh geometry's whole check, enumeration included, by tracemalloc
     # (numpy reports its buffers to it); whole-group temporaries took
@@ -840,6 +918,27 @@ def test_support_batch_matches_the_full_scan(geo3):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     got_trace, _, _, got_delta = batch
     assert np.array_equal(got_trace, 2 * 3 * got_delta)  # the support identity
+
+
+def random_element_by_steps(geo, rng):
+    """``random_element`` as the step-by-step product, one reduced
+    product per letter as it is drawn."""
+    gens = geo.generators()
+    g = np.eye(5, dtype=np.int64)
+    for _ in range(rng.randrange(8, 24)):
+        g = (g @ gens[rng.randrange(len(gens))]) % geo.q
+    return g
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_random_element_matches_the_step_by_step_product(q):
+    geo = OrthogonalGeometry(q=q)
+    for seed in range(10):
+        tree, steps = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            got, want = geo.random_element(tree), random_element_by_steps(geo, steps)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert tree.random() == steps.random()  # the same draws, in the same order
 
 
 def twisted_member(geo):
@@ -1164,21 +1263,21 @@ def test_sampled_check_fails_without_members(capsys):
 
 def test_sampled_check_reports_broken_labels(monkeypatch):
     geo = OrthogonalGeometry(q=5)
-    original = geo._labels
+    original = geo._twisted_class
     zeroed = []
 
     def first_eps_zeroed(fixed, negated):
         # the batch runs in chunks, one call each: zero only the first member's eps
-        eps, delta = original(fixed, negated)
-        if len(eps) and not zeroed:
-            eps[0] = 0
+        trace, members, eps, delta = original(fixed, negated)
+        if members.any() and not zeroed:
+            eps[np.flatnonzero(members)[0]] = 0
             zeroed.append(True)
-        return eps, delta
+        return trace, members, eps, delta
 
     rng = random.Random(0)
     words = np.stack([geo.random_element(rng) for _ in range(200)])
     first = int(np.flatnonzero(geo._support_batch(words)[1])[0])
-    monkeypatch.setattr(geo, "_labels", first_eps_zeroed)
+    monkeypatch.setattr(geo, "_twisted_class", first_eps_zeroed)
     record = geo.verify_sampled(samples=200, seed=0)
     assert record.status == "fail"
     assert record.counterexamples == (f"sample {first}: fixed line not anisotropic",)

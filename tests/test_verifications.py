@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from removal_walk import sp_cycle_type, split_admissible_d
+from removal_walk import sp_cycle_type, sp_inv, sp_mul, split_admissible_d
 from weylchars import cli, verifications
 from weylchars.report import CheckRecord, all_passed, render_report, run_check
 from weylchars.symbols import BiSymbol, SignedCycleType, perm_sign, signed_cycle_types
@@ -34,8 +34,6 @@ from weylchars.wnchars import (
     class_representative,
     mask_row,
     mn_trace_wn,
-    sp_inv,
-    sp_mul,
     wn_elements,
 )
 

@@ -5,7 +5,14 @@ from math import factorial
 
 import pytest
 
-from removal_walk import expand_once, remove_cycle, sp_cycle_type, trace_in_order
+from removal_walk import (
+    expand_once,
+    remove_cycle,
+    sp_cycle_type,
+    sp_inv,
+    sp_mul,
+    trace_in_order,
+)
 from weylchars.symbols import (
     BiSymbol,
     SignedCycleType,
@@ -23,8 +30,6 @@ from weylchars.wnchars import (
     induce,
     mn_trace_wn,
     oracle_trace_wn,
-    sp_inv,
-    sp_mul,
     wn_elements,
 )
 
