@@ -52,16 +52,44 @@ runs over row blocks of about CHUNK_ENTRIES entries, the scan over blocks
 of whole cosets, as many as fit in CHUNK_ENTRIES entries of H's tables
 but at least one (3 cosets a block at q = 3).
 
-The coset model of the induced characters uses neither kernel's line
-action.  ``verify`` reads only the virtual character V = ind(1) - ind(det)
-of each 4-space stabilizer, and V(g) = 2 #{(x, h) : h in H, h u = -u,
-x h x^-1 = g}: the det -1 half of H (read off H's matrices, H being closed
-once per geometry and shared with the enumeration) is conjugated by every
-transporter, and each conjugate, found by its code, adds 2.  Since
-x^-1 = x^T, vec(x h x^T) = (x kron x) vec(h): a float32 GEMM per
-stabilizer, in row blocks of about 1 MB once coded, its entries (at most
-25 (q - 1)^3) exact and reduced by lookup, and looked up among the
-enumeration's codes, which ``enumerate_group`` sorts once.
+``verify`` runs neither kernel over G.  The line-count trace T, membership
+of the twisted class (below) and its labels are class functions, and both
+sides of the identity vanish at g unless g negates an anisotropic line: T
+counts only those lines, and a member negates q of them.  By Witt's theorem
+an element takes such a line l, of type e, to u_e, the base line of that
+type, and conjugates g to an h with h u_e = -u_e: a row of H_e^-, the det
+-1 half of H_e, the stabilizer of u_e.  So the identity holds on G exactly
+when it holds on H_+^- and H_-^- (576 + 720 of the 1,152 + 1,440 rows of
+the two ``_subgroup_tables`` at q = 3), and ``_eigenline_scan`` reads each
+row's fixed and negated lines straight off its entries l q + 1 and
+l q + q - 1.  There the induced character is read by the definition of
+induction: ind(1) - ind(det) from the stabilizer of a line of type e is,
+at h, the sum of 1 - (h's scalar on l) over the lines l of that type that h
+fixes, twice the number of them h negates, so V = V_split - V_nonsplit is
+2 sum of s(l) over the lines h negates, s(l) = +1 or -1 as the
+perpendicular of l is split or not (``_split_signs``).  Counting the pairs
+(g, l), l a negated anisotropic line of g of type e, gives the rest without
+G.  A member of label (eps, delta) negates exactly q lines of type delta,
+so |C_(eps,delta)| = #lines_delta x #{members of that label in H_delta^-}
+/ q.  Weighting each pair by T(g) / n(g), n(g) the number of anisotropic
+lines g negates, gives the sum of T over G, #lines_e x T(h) / n(h) summed
+over the rows.  A member h fixes one line only, which every element that
+commutes with h keeps, so for a member that fixes u_eps, C_G(h) =
+C_{H_eps}(h): counted on H_eps's tables, |G| / |C_{H_eps}(h)| must be the
+class size, so that each label set is a single conjugacy class.
+
+The whole-group scan, ``conjugacy_class_size`` and the coset model remain
+as the q = 3 reference that the tests and the demo compare with.  The coset
+model uses neither kernel's line action: ``_coset_model_batch`` returns the
+virtual character V = ind(1) - ind(det) of one 4-space stabilizer, and
+V(g) = 2 #{(x, h) : h in H, h u = -u, x h x^-1 = g}: the det -1 half of H
+(read off H's matrices, H being closed once per geometry and shared with
+the enumeration) is conjugated by every transporter, and each conjugate,
+found by its code, adds 2.  Since x^-1 = x^T, vec(x h x^T) = (x kron x)
+vec(h): a float32 GEMM per stabilizer, in row blocks of about 1 MB once
+coded, its entries (at most 25 (q - 1)^3) exact and reduced by lookup, and
+looked up among the enumeration's codes, which ``enumerate_group`` sorts
+once.
 
 The distinguished twisted class consists of the elements whose semisimple
 part negates a hyperplane (minus the semisimple part is then a reflection)
@@ -96,15 +124,18 @@ the remaining lines differ by squares.  The class function assigning
 2 * delta * q on this set and 0 elsewhere coincides with the trace of the
 virtual representation induced, with alternating signs, from the trivial
 and determinant characters of the two 4-space stabilizers; ``verify``
-establishes that element by element.  Both checks compare the line-count
-trace with it by one rule, ``_support_failures``: trace = 2 * delta * q on
-every row, delta being 0 off the class.
+establishes that on every row of H_+^- and H_-^-.  Both checks compare
+the line-count trace with it by one rule, ``_support_failures``: trace =
+2 * delta * q on every row, delta being 0 off the class.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import index
 
 import numpy as np
@@ -112,9 +143,10 @@ import numpy as np
 from .report import CheckRecord, run_check
 
 FULL_ENUMERATION_Q = 3
+LABELS = [(-1, -1), (-1, 1), (1, -1), (1, 1)]  # every (eps, delta)
 MAX_CODED_Q = 5  # largest q with q^25 < 2^63: int64 element codes
-# entries per row block: eigenline products, scan table entries, and (a
-# quarter of it) coset GEMM outputs
+# entries per row block: eigenline and perpendicular products, scan table
+# entries, and (a quarter of it) coset GEMM outputs
 CHUNK_ENTRIES = 2**19
 
 
@@ -643,8 +675,8 @@ class OrthogonalGeometry:
         """Stabilizer of a 4-space on which the form is split (or
         non-split), with a Witt transporter to every coset line; its order
         is |G| / #lines of the type.  No enumeration is read and H is not
-        closed: ``_subgroup_tables`` closes it when the enumeration or the
-        coset model asks."""
+        closed: ``_subgroup_tables`` closes it when ``verify``, the
+        enumeration or the coset model asks."""
         if split not in self._stabilizers:
             line_type = self.split_line_type() if split else -self.split_line_type()
             indices, transporters = self._witt_transporters(line_type)
@@ -707,16 +739,14 @@ class OrthogonalGeometry:
         c x^-1 x_l, so g's fixed lines are those where h's table equals
         ``back[k]``, the table of x^-1, and its negated lines those where it
         equals ``scaled[q - 1, back[k]]``.  Those h are read off the
-        ``_column_index`` of H's tables, built per call and not kept (kept,
-        its 0.45 MB at q = 3 would add to ``verify``'s memory peak, which
-        comes later, in the coset model): one range of ``rows`` per
-        (coset, line, sign), 2 #lines ranges a coset, holding
-        77,760 fixed and 77,760 negated (element, line) matches in all at
-        q = 3.  ``np.repeat`` expands the ranges to the matches' places in
-        ``rows`` and to their bins, and one ``bincount`` counts the matches
-        by element, sign (0 fixed, 1 negated) and line type t, in bins
-        ``(3 sign + t + 1) k |H| + row``.  Only H's tables and ``back`` are
-        read, not G's matrices or tables.  It runs over blocks of whole
+        ``_column_index`` of H's tables, built per call and not kept: one
+        range of ``rows`` per (coset, line, sign), 2 #lines ranges a coset,
+        holding 77,760 fixed and 77,760 negated (element, line) matches in
+        all at q = 3.  ``np.repeat`` expands the ranges to the matches'
+        places in ``rows`` and to their bins, and one ``bincount`` counts the
+        matches by element, sign (0 fixed, 1 negated) and line type t, in
+        bins ``(3 sign + t + 1) k |H| + row``.  Only H's tables and ``back``
+        are read, not G's matrices or tables.  It runs over blocks of whole
         cosets, as many as fit in CHUNK_ENTRIES entries of H's tables but at
         least one (3 cosets a block at q = 3).
         """
@@ -757,32 +787,111 @@ class OrthogonalGeometry:
         """
         elements = self.enumerate_group()
         subgroup, relabel, _ = self._cosets
+
+        def entries(rows, line):
+            k, j = np.divmod(rows, len(subgroup))
+            # relabel[k, e] is relabel.take(k * width + e)
+            return relabel.take(k * relabel.shape[1] + subgroup[j, line])
+
         g = self._signed_tables(np.asarray(g)[None])[0]
+        return len(elements) // self._centralizer_order(g, len(elements), entries)
+
+    def _centralizer_order(self, g, count, entries):
+        """How many of ``count`` rows commute with the table g, where
+        ``entries(rows, line)`` reads the given rows' table entries at a
+        line.
+
+        h commutes with g when gh and hg agree at every basis line b: where
+        h maps x_b to c_h x_m, (gh)[b] = ``scaled[c_h, g[m]]``, and where g
+        maps it to c_g x_n, (hg)[b] = ``scaled[c_g, h[n]]``.  Only the rows
+        that still agree go on to the next line, and only their entries are
+        read.
+        """
         scaled = self._scaled_entries()
-        rows = np.arange(len(elements))
+        rows = np.arange(count)
         for b in self._basis:
             line_g, scalar_g = divmod(int(g[b]), self.q)
-            k, j = np.divmod(rows, len(subgroup))
-            k *= relabel.shape[1]  # relabel[k, e] is relabel.take(k * width + e)
-            gh = self._compose(g, relabel.take(k + subgroup[j, b]), scaled)
-            hg = scaled[scalar_g].take(relabel.take(k + subgroup[j, line_g]))
+            gh = self._compose(g, entries(rows, b), scaled)
+            hg = scaled[scalar_g].take(entries(rows, line_g))
             rows = rows[gh == hg]
-        return len(elements) // len(rows)
+        return len(rows)
+
+    def _split_signs(self):
+        """s(l) for every line: +1 when the perpendicular 4-space of l is
+        split, -1 when it is not, 0 for an isotropic l.
+
+        One product of the lines against the isotropic lines, in row blocks
+        of about CHUNK_ENTRIES entries, counts the isotropic lines in each
+        line's perpendicular; an anisotropic line's count must be (q + 1)^2
+        or q^2 + 1 (``perp_is_split``), else this raises.  An isotropic
+        line's perpendicular holds q^2 + q + 1 of them.
+        """
+        q = self.q
+        isotropic = self.lines[self.line_types == 0].T
+
+        def counts(lines):
+            return ((lines @ isotropic % q == 0).sum(axis=1),)
+
+        (count,) = _in_row_blocks(isotropic.shape[1], counts, self.lines)
+        signs = (count == (q + 1) ** 2).astype(np.int64) - (count == q**2 + 1)
+        unexpected = np.flatnonzero((self.line_types != 0) & (signs == 0))
+        if len(unexpected):
+            raise RuntimeError(
+                f"unexpected isotropic line count {count[unexpected[0]]} in a 4-space"
+            )
+        return signs * (self.line_types != 0)
+
+    def _eigenline_scan(self, tables):
+        """(trace, members, eps, delta, virtual, anisotropic) of every row
+        of a (k, #lines) stack of signed line tables.
+
+        A row fixes line l where it holds the entry l q + 1 and negates it
+        where it holds l q + q - 1, so the two masks, multiplied by the
+        lines' one-hot types, give the counts ``_twisted_class`` reads.  The
+        negated mask also meets the split signs s(l) (``_split_signs``):
+        virtual is V = 2 sum of s(l) over the negated lines, and anisotropic
+        is n, the number of anisotropic lines negated.  The products are
+        float32 GEMMs, exact since no count exceeds #lines < 2^24 (an integer
+        product takes ten times as long).
+        """
+        q = self.q
+        weights = np.column_stack(
+            [self.line_types[:, None] == np.arange(-1, 2), self._split_signs()]
+        ).astype(np.float32)
+        entries = np.arange(0, q * len(self.lines), q, dtype=tables.dtype)
+
+        def count(entry, columns):
+            return ((tables == entry).astype(np.float32) @ columns).astype(np.int64)
+
+        fixed = count(entries + 1, weights[:, :3])
+        negated = count(entries + (q - 1), weights)
+        return (
+            *self._twisted_class(fixed, negated[:, :3]),
+            2 * negated[:, 3],
+            negated[:, 0] + negated[:, 2],
+        )
 
     def verify(self, seed: int = 0) -> CheckRecord:
-        """Full element-by-element verification at q = 3.
+        """Element-by-element verification at q = 3, on the det -1 halves of
+        the two line stabilizers (module docstring: the identity holds on G
+        exactly when it holds there).
 
-        Checks (the group order is checked by the enumeration): line
-        census; the support identity, ``_support_failures`` (no broken
-        label, and the line-count trace equals the class-function value
-        2 * delta * q at every element, delta being 0 off the class); all
-        four labels occur and each label set is a single conjugacy class;
-        the coset model's V_split - V_nonsplit (``_coset_model_batch``, V =
-        ind(1) - ind(det) of each 4-space stabilizer) equals the line-count
-        trace at every element; the virtual character pairs to zero with
-        the trivial one; batched and per-element routes agree on a seeded
-        sample, with labels invariant under conjugation.
+        Checks: the line census; each H_e^- is exactly half of H_e; on every
+        row of H_+^- and H_-^-, the support identity (``_support_failures``:
+        no broken label, and the line-count trace T equals 2 * delta * q,
+        delta being 0 off the class) and V = T, V being the induced
+        character read by the definition of induction; all four labels
+        occur; each label's pair count over q, its class size, equals
+        |G| / |C(h)| for a member h of H_eps that fixes u_eps, the
+        centralizer counted on H_eps's tables; the weighted sum of T over
+        the rows, which is the sum of T over G, is 0; and on a seeded sample
+        of rows (members first), ``_support_batch`` on the matrices agrees
+        with the tables, with labels invariant under conjugation.  No array
+        of |G| rows is built.  Guarded to q = 3: ``_closure``'s element
+        codes do not fit in int64 beyond it.
         """
+        if self.q != FULL_ENUMERATION_Q:
+            raise ValueError(f"full verification is guarded to q={FULL_ENUMERATION_Q}")
 
         def scan():
             return self._verify_counterexamples(seed)
@@ -817,55 +926,82 @@ class OrthogonalGeometry:
 
     def _verify_counterexamples(self, seed: int):
         q = self.q
+        order = self.group_order_formula()
+        # T != 0 only where a negated plane holds n in 1..q + 1 anisotropic
+        # lines, so scale / n is exact wherever it counts
+        scale = math.lcm(*range(1, q + 2))
         failures = self._census_failures()
-        elements = self.enumerate_group()
-        trace, members, eps, delta = self._batched_scan()
-
-        failures += self._support_failures("element", trace, members, eps, delta)
-        labelled = np.flatnonzero((eps != 0) & (delta != 0))
-        eps, delta = eps[labelled], delta[labelled]
-        labels = {
-            (e, d): labelled[(eps == e) & (delta == d)]
-            for e, d in set(zip(eps.tolist(), delta.tolist()))
-        }
-        if sorted(labels) != [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
-            failures.append(f"labels realized: {sorted(labels)}")
-        if int(trace.sum()) != 0:
-            failures.append(f"virtual character pairs with trivial: {trace.sum()}")
-
-        # each label set is a single conjugacy class
-        for label, idx_list in sorted(labels.items()):
-            size = self.conjugacy_class_size(elements[idx_list[0]])
-            if size != len(idx_list):
-                failures.append(f"label {label}: orbit {size} != set size {len(idx_list)}")
-
-        # coset model against the line-count trace, every element
-        coset_trace = self._coset_model_batch(self.stabilizer(split=True))
-        coset_trace -= self._coset_model_batch(self.stabilizer(split=False))
-        for i in np.flatnonzero(coset_trace != trace)[:5]:
-            failures.append(f"element {i}: coset model {coset_trace[i]} != line count {trace[i]}")
-
-        # the table-free route against the scan, plus conjugation invariance
-        # of the labels
         rng = random.Random(seed)
-        member_idx = np.flatnonzero(members)
-        sample = []
-        if len(member_idx):
-            sample = [int(member_idx[rng.randrange(len(member_idx))]) for _ in range(8)]
-        sample += [rng.randrange(len(elements)) for _ in range(8)]
-        h = np.stack([self.random_element(rng) for _ in sample])
-        g = elements[sample]
-        free_trace, _, free_eps, free_delta = (
-            part.reshape(2, -1)
-            for part in self._support_batch(np.concatenate([g, (self.inverse(h) @ g @ h) % q]))
-        )
-        for k, i in enumerate(sample):
-            if free_trace[0, k] != trace[i]:
-                failures.append(f"element {i}: per-element trace disagrees")
-            if 2 * free_delta[0, k] * q != trace[i]:
-                failures.append(f"element {i}: support value disagrees")
-            if (free_eps[1, k], free_delta[1, k]) != (free_eps[0, k], free_delta[0, k]):
-                failures.append(f"element {i}: label not conjugation invariant")
+        halves, pairs, pairing = {}, Counter(), 0
+        for split in (True, False):
+            stab = self.stabilizer(split)
+            tables = self._subgroup_tables(stab)
+            base = stab.base_index
+            line_type = int(self.line_types[base])
+            scan = self._eigenline_scan(tables)
+            halves[line_type] = tables, base, scan
+            half = f"H_{'+' if line_type > 0 else '-'}^-"
+            name = f"{half} row"
+            negating = np.flatnonzero(tables[:, base] == base * q + q - 1)
+            if 2 * len(negating) != stab.order:
+                failures.append(f"{half} holds {len(negating)} elements, expected {stab.order} / 2")
+            trace, members, eps, delta, virtual, anisotropic = (part[negating] for part in scan)
+            failures += self._support_failures(name, trace, members, eps, delta)
+            failures += [
+                f"{name} {i}: induced character {virtual[i]} != line count {trace[i]}"
+                for i in np.flatnonzero(virtual != trace)[:5]
+            ]
+
+            # each g with n(g) > 0 is conjugate to a row here once for each of
+            # the n(g) anisotropic lines it negates that have this type
+            lines = len(stab.line_indices)
+            pairing += lines * int((scale * trace // np.maximum(anisotropic, 1)).sum())
+            labelled = (eps != 0) & (delta != 0)
+            for label in zip(eps[labelled].tolist(), delta[labelled].tolist()):
+                pairs[label] += lines
+
+            # the table-free route on a seeded sample, plus conjugation
+            # invariance of the labels
+            member_rows = np.flatnonzero(members)
+            sample = []
+            if len(member_rows):
+                sample = [int(member_rows[rng.randrange(len(member_rows))]) for _ in range(4)]
+            sample += [rng.randrange(len(negating)) for _ in range(4)]
+            g = self._entry_vectors()[tables[negating[sample]][:, self._basis]].swapaxes(1, 2)
+            h = np.stack([self.random_element(rng) for _ in sample])
+            free_trace, _, free_eps, free_delta = (
+                part.reshape(2, -1)
+                for part in self._support_batch(np.concatenate([g, (self.inverse(h) @ g @ h) % q]))
+            )
+            for k, i in enumerate(sample):
+                if free_trace[0, k] != trace[i]:
+                    failures.append(f"{name} {i}: per-element trace disagrees")
+                if 2 * free_delta[0, k] * q != trace[i]:
+                    failures.append(f"{name} {i}: support value disagrees")
+                if (free_eps[1, k], free_delta[1, k]) != (free_eps[0, k], free_delta[0, k]):
+                    failures.append(f"{name} {i}: label not conjugation invariant")
+
+        if sorted(pairs) != LABELS:
+            failures.append(f"labels realized: {sorted(pairs)}")
+        if pairing != 0:
+            failures.append(f"virtual character pairs with trivial: {Fraction(pairing, scale)}")
+
+        # each label set is a single conjugacy class: a member that fixes
+        # u_eps has C_G(h) = C_{H_eps}(h)
+        for e, d in (label for label in LABELS if label in pairs):
+            tables, base, (_, _, eps, delta, *_) = halves[e]
+            fixing = np.flatnonzero((tables[:, base] == base * q + 1) & (eps == e) & (delta == d))
+            if not len(fixing):
+                failures.append(f"label {(e, d)}: no member of H_eps fixes u_eps")
+                continue
+            centralizer = self._centralizer_order(
+                tables[fixing[0]], len(tables), lambda rows, line: tables[rows, line]
+            )
+            if pairs[e, d] * centralizer != q * order:
+                failures.append(
+                    f"label {(e, d)}: orbit {Fraction(order, centralizer)}"
+                    f" != class size {Fraction(pairs[e, d], q)}"
+                )
         return sorted(failures)
 
     def _coset_model_batch(self, stab: LineStabilizer):

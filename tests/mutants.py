@@ -74,7 +74,7 @@ MUTANTS = (
         so5_tests("test_sampled_check_fails_without_members"),
     ),
     Mutant(
-        SO5, "if sorted(labels) != [(-1, -1), (-1, 1), (1, -1), (1, 1)]:", "if False:",
+        SO5, "if sorted(pairs) != LABELS:", "if False:",
         so5_tests("test_verify_fails_without_members"),
     ),
     Mutant(
@@ -94,26 +94,66 @@ MUTANTS = (
         so5_tests("test_verify_reports_a_wrong_line_census"),
     ),
     Mutant(
-        SO5, "if int(trace.sum()) != 0:", "if False:",
+        SO5, "if pairing != 0:", "if False:",
         so5_tests("test_verify_reports_a_trace_that_pairs_with_trivial"),
     ),
+    # the pairing weight 1 / n(h): without it every pair counts T(h) whole,
+    # which the support identity leaves at 0 (n = q on the class), so only a
+    # trace moved off the class, where n != q, tells them apart
     Mutant(
-        SO5, "if size != len(idx_list):", "if False:",
+        SO5, "scale * trace // np.maximum(anisotropic, 1)", "scale * trace",
+        so5_tests("test_verify_reports_a_nonzero_trace_off_the_class"),
+    ),
+    # the class size is the pair count over q
+    Mutant(
+        SO5, "!= q * order:", "!= order:",
+        so5_tests("test_full_verification"),
+    ),
+    Mutant(
+        SO5, "if pairs[e, d] * centralizer != q * order:", "if False:",
         so5_tests("test_verify_reports_a_wrong_orbit_size"),
     ),
     Mutant(
-        SO5, "for i in np.flatnonzero(coset_trace != trace)[:5]:",
-        "for i in np.flatnonzero(coset_trace != trace)[:0]:",
+        SO5, "if not len(fixing):", "if False:",
+        so5_tests("test_verify_reports_a_label_with_no_member_fixing_its_base_line"),
+    ),
+    Mutant(
+        SO5, "if 2 * len(negating) != stab.order:", "if False:",
+        so5_tests("test_verify_reports_a_stabilizer_that_is_not_halved"),
+    ),
+    Mutant(
+        SO5, "for i in np.flatnonzero(virtual != trace)[:5]",
+        "for i in np.flatnonzero(virtual != trace)[:0]",
+        so5_tests("test_verify_reports_an_induced_character_mismatch"),
+    ),
+    # the sign s(l) in V: split and non-split perpendiculars swapped
+    Mutant(
+        SO5, "signs = (count == (q + 1) ** 2).astype(np.int64) - (count == q**2 + 1)",
+        "signs = (count == q**2 + 1).astype(np.int64) - (count == (q + 1) ** 2)",
         so5_tests(
-            "test_verify_reports_a_coset_model_mismatch",
-            "test_verify_reports_a_repeated_transporter",
+            "test_full_verification",
+            "test_split_signs_match_the_per_line_count[3]",
+            "test_split_signs_match_the_per_line_count[5]",
+            "test_split_signs_match_the_per_line_count[7]",
+            "test_split_signs_match_the_per_line_count[11]",
         ),
+    ),
+    Mutant(
+        SO5, "if len(unexpected):", "if False:",
+        so5_tests("test_split_signs_reject_an_unexpected_count"),
+    ),
+    # verify's own q guard, before any stabilizer is built
+    Mutant(
+        SO5,
+        'if self.q != FULL_ENUMERATION_Q:\n            raise ValueError(f"full verification',
+        'if False:\n            raise ValueError(f"full verification',
+        so5_tests("test_verify_guard"),
     ),
     # --- the coset model: the det -1 half of each stabilizer, closed once ---
     # det +1 in place of det -1: V becomes ind(1) + ind(det)
     Mutant(
         SO5, "matrices @ u + u", "matrices @ u - u",
-        so5_tests("test_scatter_coset_model_matches_the_line_route", "test_full_verification"),
+        so5_tests("test_scatter_coset_model_matches_the_line_route"),
     ),
     Mutant(
         SO5, "if 2 * len(half) != stab.order:", "if False:",
@@ -184,7 +224,7 @@ MUTANTS = (
     ),
     Mutant(
         SO5, "rows = rows[gh == hg]", "rows = rows[gh == gh]",
-        so5_tests("test_class_orbits_cover_the_scanned_members"),
+        so5_tests("test_class_orbits_cover_the_scanned_members", "test_full_verification"),
     ),
     # the one membership rule: a (-1)-plane with no isotropic line is the
     # whole (-1)-space of the semisimple part, and not in the class
@@ -200,7 +240,7 @@ MUTANTS = (
     Mutant(
         SO5, "back = self._signed_tables(self.inverse(stab.transporters))",
         "back = self._signed_tables(stab.transporters)",
-        so5_tests("test_scan_matches_the_full_rank_scan", "test_full_verification"),
+        so5_tests("test_scan_matches_the_full_rank_scan"),
     ),
     # the kept relabelling is not the one the elements were built from: the
     # cosets come out reversed, which leaves every class size unchanged
@@ -212,11 +252,7 @@ MUTANTS = (
     # the scan's index: an empty range at every key finds no eigenline
     Mutant(
         SO5, "lengths = starts[query + 1] - first", "lengths = starts[query] - first",
-        so5_tests(
-            "test_scan_matches_the_mask_scan",
-            "test_scan_matches_the_full_rank_scan",
-            "test_full_verification",
-        ),
+        so5_tests("test_scan_matches_the_mask_scan", "test_scan_matches_the_full_rank_scan"),
     ),
     # the type offset of the scan's bins: square and non-square lines swap
     Mutant(

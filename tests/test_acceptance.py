@@ -202,7 +202,7 @@ def test_criterion_9_so5_identity(geo3):
     assert record.ok, record.counterexamples[:5]
     _report(
         9,
-        "SO_5(F_3): 51840 elements, trace identity, four labels, coset model",
+        "SO_5(F_3): 51840 elements, trace identity, four labels, induced character",
         time.monotonic() - start,
         120,
     )

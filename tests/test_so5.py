@@ -167,6 +167,15 @@ def test_enumeration_guard():
         geo.enumerate_group()
 
 
+def test_verify_guard():
+    # raised before any stabilizer is built or closed: at q = 5 the
+    # closure's element codes would overflow
+    geo = OrthogonalGeometry(q=5)
+    with pytest.raises(ValueError, match="full verification is guarded to q=3"):
+        geo.verify(seed=0)
+    assert geo._stabilizers == {} and geo._subgroups == {}
+
+
 def test_enumeration_order_check_fires_both_ways(monkeypatch):
     # H is closed from the generators of the base line's stabilizer: too few
     # leave its table buffer short; r_u (det -1, negating the base line u)
@@ -383,6 +392,28 @@ def isotropic_vectors_in_perp(geo, line_vec):
     coeffs = np.array(list(itertools.product(range(q), repeat=4)), dtype=np.int64)
     norms = np.einsum("ci,ij,cj->c", coeffs, sub_gram, coeffs) % q
     return int((norms == 0).sum()) - 1  # drop the zero vector
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_split_signs_match_the_per_line_count(q):
+    geo = OrthogonalGeometry(q=q)
+    signs = geo._split_signs()
+    assert signs.dtype == np.int64
+    assert np.array_equal(signs, geo.split_line_type() * geo.line_types)
+    # perp_is_split at every anisotropic line; at q = 11 (14,641 of them,
+    # about 4 s one at a time) at every eighth
+    anisotropic = np.flatnonzero(geo.line_types != 0)[:: 8 if q == 11 else 1]
+    split = [geo.perp_is_split(geo.lines[line]) for line in anisotropic]
+    assert np.array_equal(signs[anisotropic], np.where(split, 1, -1))
+
+
+def test_split_signs_reject_an_unexpected_count(monkeypatch):
+    geo = OrthogonalGeometry(q=3)
+    iso = geo.lines[geo.line_types == 0]
+    monkeypatch.setattr(geo, "lines", np.concatenate([geo.lines, iso[:1]]))
+    monkeypatch.setattr(geo, "line_types", np.append(geo.line_types, 1))
+    with pytest.raises(RuntimeError, match="unexpected isotropic line count 13 in a 4-space"):
+        geo._split_signs()
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -790,8 +821,13 @@ def test_the_enumeration_is_coded_once(monkeypatch):
     monkeypatch.setattr(geo, "_matrix_codes", spy)
     for _ in range(2):
         assert geo.verify(seed=0).ok
-    # the closure codes the elements itself: both checks' coset models, two
+    assert coded == []  # verify codes no element
+    # the closure codes the elements itself: two rounds of coset models, two
     # stabilizers each, code only their 5 blocks of det -1 conjugates
+    geo.enumerate_group()
+    for _ in range(2):
+        for split in (True, False):
+            geo._coset_model_batch(geo.stabilizer(split))
     assert len(coded) == 4 * 5 and 51840 not in coded
     # and its codes are the element codes, sorted once
     order, codes = geo._element_codes
@@ -801,9 +837,9 @@ def test_the_enumeration_is_coded_once(monkeypatch):
 
 
 def test_each_stabilizer_is_closed_once(monkeypatch):
-    # stabilizer() closes nothing; the enumeration closes the split H and
-    # the coset model reads it back, and the non-split H is closed by the
-    # first coset model only, however many checks run
+    # stabilizer() closes nothing; the first verify closes both H, and the
+    # enumeration and the coset models read them back, however many checks
+    # run
     geo = OrthogonalGeometry(q=3)
     closed = []
     original = geo._closure
@@ -817,6 +853,10 @@ def test_each_stabilizer_is_closed_once(monkeypatch):
     assert closed == []
     for _ in range(2):
         assert geo.verify(seed=0).ok
+    assert closed == [1152, 1440]
+    geo.enumerate_group()
+    for split in (True, False):
+        geo._coset_model_batch(geo.stabilizer(split))
     assert closed == [1152, 1440]
 
 def first_occurrences_by_dict(values):
@@ -874,9 +914,10 @@ def test_scan_frees_its_blocks_as_it_joins_them(geo3):
 
 
 def test_verify_peak_memory():
-    # a fresh geometry's whole check, enumeration included, by tracemalloc
-    # (numpy reports its buffers to it); whole-group temporaries took
-    # 41.9 MiB, and G's signed line tables alone take 11.9 MiB
+    # a fresh geometry's whole check, both closures included, by
+    # tracemalloc (numpy reports its buffers to it); whole-group
+    # temporaries took 41.9 MiB, G's signed line tables alone take 11.9 MiB,
+    # and the whole-group verify peaked at 5.8 MiB, the route at 2.1 MiB
     geo = OrthogonalGeometry(q=3)
     tracemalloc.start()
     try:
@@ -885,7 +926,10 @@ def test_verify_peak_memory():
     finally:
         tracemalloc.stop()
     assert record.ok
-    assert peak <= 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # and verify builds no array of |G| rows: neither the enumeration nor
+    # its cosets are made
+    assert geo._elements is None and geo._cosets is None and geo._element_codes is None
     # and the geometry keeps no array as large as G's tables
     held = list(geo._subgroups.values())
     for value in vars(geo).values():
@@ -918,6 +962,57 @@ def test_support_batch_matches_the_full_scan(geo3):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     got_trace, _, _, got_delta = batch
     assert np.array_equal(got_trace, 2 * 3 * got_delta)  # the support identity
+
+
+def test_line_stabilizer_halves_match_the_whole_group_scan(geo3):
+    # verify's route: each row of H_+^- and H_-^- against the scan at the
+    # same element, found by its code; the class sizes from the pair count
+    # and from the centralizer on H_eps, against the scan's label counts and
+    # conjugacy_class_size
+    q, order = geo3.q, geo3.group_order_formula()
+    scan = geo3._batched_scan()
+    element_order, codes = geo3._element_codes
+    sizes, halves, members = {}, {}, []
+    for split in (True, False):
+        stab = geo3.stabilizer(split)
+        tables = geo3._subgroup_tables(stab)
+        base = stab.base_index
+        route = geo3._eigenline_scan(tables)
+        halves[int(geo3.line_types[base])] = tables, base, route
+        rows = np.flatnonzero(tables[:, base] == base * q + q - 1)
+        assert 2 * len(rows) == stab.order
+        matrices = geo3._entry_vectors()[tables[rows][:, geo3._basis]].swapaxes(1, 2)
+        wanted = geo3._matrix_codes(matrices)
+        at = np.searchsorted(codes, wanted)
+        assert np.array_equal(codes[at], wanted)
+        for got, want in zip(route[:4], scan):
+            assert np.array_equal(got[rows], want[element_order[at]])
+        virtual, trace = route[4][rows], route[0][rows]
+        assert np.array_equal(virtual, trace)
+        # a member of label (eps, delta) negates q lines of type delta
+        d = int(geo3.line_types[base])
+        eps, delta = route[2][rows], route[3][rows]
+        members.append(int(route[1][rows].sum()))
+        assert set(delta[route[1][rows]].tolist()) == {d}
+        for e in (-1, 1):
+            count = len(stab.line_indices) * int(((eps == e) & (delta == d)).sum())
+            assert count % q == 0
+            sizes[e, d] = count // q
+    assert members == [192, 240]
+    elements = geo3.enumerate_group()
+    _, scan_members, scan_eps, scan_delta = scan
+    assert sorted(sizes) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    assert sum(sizes.values()) == int(scan_members.sum()) == 5760
+    for (e, d), size in sizes.items():
+        tables, base, (_, _, eps, delta, *_) = halves[e]
+        fixing = np.flatnonzero((tables[:, base] == base * q + 1) & (eps == e) & (delta == d))
+        centralizer = geo3._centralizer_order(
+            tables[fixing[0]], len(tables), lambda rows, line: tables[rows, line]
+        )
+        label_rows = np.flatnonzero((scan_eps == e) & (scan_delta == d))
+        assert size == order // centralizer == 1440
+        assert size == len(label_rows)
+        assert size == geo3.conjugacy_class_size(elements[label_rows[0]])
 
 
 def random_element_by_steps(geo, rng):
@@ -1050,31 +1145,44 @@ def test_coded_kernels_reject_what_they_cannot_code():
         geo.line_index([0, 0, 0, 0, 0])
 
 
+def split_half(geo):
+    """H_+, the split stabilizer at q = 3, and H_+^-: its tables, its
+    ``_eigenline_scan`` and the table rows that negate its base line, in
+    order, so that ``verify``'s "H_+^- row i" is table row ``rows[i]``."""
+    stab = geo.stabilizer(split=True)
+    tables = geo._subgroup_tables(stab)
+    base = stab.base_index
+    rows = np.flatnonzero(tables[:, base] == base * geo.q + geo.q - 1)
+    return tables, geo._eigenline_scan(tables), rows
+
+
 def test_verify_reports_broken_labels(geo3, monkeypatch, capsys):
-    trace, members, _, delta = geo3._batched_scan()
+    _, scan, rows = split_half(geo3)
+    trace, members, _, delta = (part[rows] for part in scan[:4])
     index = np.flatnonzero(members)
 
-    def edit(trace, members, eps, delta):
-        eps[index[0]], delta[index[1]], delta[index[2]] = 0, 0, -delta[index[2]]
-        return trace, members, eps, delta
+    def edit(trace, members, eps, delta, *rest):
+        at = rows[index]
+        eps[at[0]], delta[at[1]], delta[at[2]] = 0, 0, -delta[at[2]]
+        return trace, members, eps, delta, *rest
 
     out = assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "_batched_scan", edited(edit),
-        f"element {index[0]}: fixed line not anisotropic",
+        geo3, monkeypatch, capsys, "_eigenline_scan", on_split_rows(edit),
+        f"H_+^- row {index[0]}: fixed line not anisotropic",
     )
-    assert f"  - element {index[1]}: mixed (-1)-plane types\n" in out
+    assert f"  - H_+^- row {index[1]}: mixed (-1)-plane types\n" in out
     # a broken delta also breaks the support identity there
     for i, support in ((index[1], 0), (index[2], -2 * delta[index[2]] * 3)):
-        assert f"  - element {i}: trace {trace[i]} != support value {support}\n" in out
+        assert f"  - H_+^- row {i}: trace {trace[i]} != support value {support}\n" in out
 
 
 def scan_without_members(original):
-    """A stand-in for ``_batched_scan`` that keeps the trace and reports no
-    twisted-class member."""
+    """A stand-in for ``_eigenline_scan`` that keeps the traces and counts
+    and reports no twisted-class member."""
 
     def scan(*args):
-        trace, members, eps, delta = original(*args)
-        return trace, np.zeros_like(members), np.zeros_like(eps), np.zeros_like(delta)
+        trace, members, eps, delta, *rest = original(*args)
+        return trace, np.zeros_like(members), np.zeros_like(eps), np.zeros_like(delta), *rest
 
     return scan
 
@@ -1099,8 +1207,8 @@ def assert_verify_fails_with(geo, monkeypatch, capsys, name, wrap, expected):
 
 
 def edited(edit):
-    """A wrapper for ``_batched_scan`` or ``_support_batch`` that hands
-    copies of the four arrays to ``edit`` and returns its result."""
+    """A wrapper for ``_eigenline_scan`` or ``_support_batch`` that hands
+    copies of its arrays to ``edit`` and returns its result."""
 
     def wrap(original):
         def scan(*args):
@@ -1111,59 +1219,115 @@ def edited(edit):
     return wrap
 
 
+def on_split_rows(edit):
+    """``edited(edit)`` for the ``_eigenline_scan`` of H_+ (1,152 rows at
+    q = 3); the non-split stabilizer's scan passes unchanged."""
+    return edited(lambda *parts: edit(*parts) if len(parts[0]) == 1152 else parts)
+
+
 def test_verify_fails_without_members(geo3, monkeypatch, capsys):
     assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "_batched_scan", scan_without_members, "labels realized: []"
+        geo3, monkeypatch, capsys, "_eigenline_scan", scan_without_members, "labels realized: []"
     )
 
 
 def test_verify_reports_a_nonzero_trace_off_the_class(geo3, monkeypatch, capsys):
-    i = int(np.flatnonzero(~geo3._batched_scan()[1])[0])
+    # a row off the class that negates n = 2 anisotropic lines (a split
+    # plane): its trace 2 moves the sum of T over G by 45 x 2 / 2, 45 being
+    # the number of lines of H_+'s type
+    _, scan, rows = split_half(geo3)
+    members, anisotropic = scan[1][rows], scan[5][rows]
+    i = int(np.flatnonzero(~members & (anisotropic == 2))[0])
 
-    def edit(trace, members, eps, delta):
-        trace[i] = 2
-        return trace, members, eps, delta
+    def edit(trace, *rest):
+        trace[rows[i]] = 2
+        return trace, *rest
 
-    assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "_batched_scan", edited(edit),
-        f"element {i}: trace 2 != support value 0",
+    out = assert_verify_fails_with(
+        geo3, monkeypatch, capsys, "_eigenline_scan", on_split_rows(edit),
+        f"H_+^- row {i}: trace 2 != support value 0",
     )
+    assert "  - virtual character pairs with trivial: 45\n" in out
 
 
 def test_verify_reports_a_trace_that_pairs_with_trivial(geo3, monkeypatch, capsys):
     # one member's label and trace flipped together: the support identity
-    # still holds there, and no trace moves off the class
-    trace, members = geo3._batched_scan()[:2]
+    # still holds there, and no trace moves off the class; the sum of T over
+    # G moves by 45 x (-2 T) / n for the member's n = 3 anisotropic lines
+    _, scan, rows = split_half(geo3)
+    trace, members = scan[0][rows], scan[1][rows]
     m = int(np.flatnonzero(members)[0])
+    assert (trace[m], scan[5][rows[m]]) == (6, 3)
 
-    def edit(trace, members, eps, delta):
-        trace[m], delta[m] = -trace[m], -delta[m]
-        return trace, members, eps, delta
+    def edit(trace, members, eps, delta, *rest):
+        trace[rows[m]], delta[rows[m]] = -trace[rows[m]], -delta[rows[m]]
+        return trace, members, eps, delta, *rest
 
     assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "_batched_scan", edited(edit),
-        f"virtual character pairs with trivial: {-2 * trace[m]}",
+        geo3, monkeypatch, capsys, "_eigenline_scan", on_split_rows(edit),
+        "virtual character pairs with trivial: -180",
     )
 
 
-def one_more(original):
-    """A wrapper that adds 1 to what ``original`` returns."""
-    return lambda *args: original(*args) + 1
+def twice(original):
+    """A wrapper that doubles what ``original`` returns."""
+    return lambda *args: 2 * original(*args)
 
 
 def test_verify_reports_a_wrong_orbit_size(geo3, monkeypatch, capsys):
     out = assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "conjugacy_class_size", one_more,
-        "label (-1, -1): orbit 1441 != set size 1440",
+        geo3, monkeypatch, capsys, "_centralizer_order", twice,
+        "label (-1, -1): orbit 720 != class size 1440",
     )
     for label in ("(-1, 1)", "(1, -1)", "(1, 1)"):
-        assert f"  - label {label}: orbit 1441 != set size 1440\n" in out
+        assert f"  - label {label}: orbit 720 != class size 1440\n" in out
+
+
+def test_verify_reports_a_label_with_no_member_fixing_its_base_line(geo3, monkeypatch, capsys):
+    # the labels of H_+'s rows that fix its base line are dropped: the
+    # labels (1, -1) and (1, 1) are still realized in H_-^- and H_+^-, but
+    # no member of H_+ is left to count a centralizer on
+    tables, _, rows = split_half(geo3)
+    fixing = np.setdiff1d(np.arange(len(tables)), rows)
+
+    def edit(trace, members, eps, delta, *rest):
+        eps[fixing] = delta[fixing] = 0
+        return trace, members, eps, delta, *rest
+
+    out = assert_verify_fails_with(
+        geo3, monkeypatch, capsys, "_eigenline_scan", on_split_rows(edit),
+        "label (1, -1): no member of H_eps fixes u_eps",
+    )
+    assert "  - label (1, 1): no member of H_eps fixes u_eps\n" in out
+    assert "label (-1" not in out
+
+
+def test_verify_reports_a_stabilizer_that_is_not_halved(geo3, monkeypatch, capsys):
+    # the last row of H_+^- replaced by the identity, which fixes the base line
+    _, _, rows = split_half(geo3)
+
+    def one_row_fixed(original):
+        def subgroup_tables(*args):
+            tables = original(*args)
+            if len(tables) != 1152:
+                return tables
+            tables = tables.copy()
+            tables[rows[-1]] = tables[0]
+            return tables
+
+        return subgroup_tables
+
+    assert_verify_fails_with(
+        geo3, monkeypatch, capsys, "_subgroup_tables", one_row_fixed,
+        "H_+^- holds 575 elements, expected 1152 / 2",
+    )
 
 
 def first_sampled(geo3):
-    """The element ``verify(seed=0)`` samples first, a class member: row 0
-    of its ``_support_batch`` stack, whose conjugate is row 16."""
-    members = np.flatnonzero(geo3._batched_scan()[1])
+    """The H_+^- row ``verify(seed=0)`` samples first, a class member: row 0
+    of the split half's ``_support_batch`` stack, whose conjugate is row 8."""
+    _, scan, rows = split_half(geo3)
+    members = np.flatnonzero(scan[1][rows])
     return int(members[random.Random(0).randrange(len(members))])
 
 
@@ -1172,8 +1336,8 @@ def first_sampled(geo3):
     [
         (0, [0], "per-element trace disagrees"),
         # the conjugate's delta flips too, so the label stays invariant
-        (3, [0, 16], "support value disagrees"),
-        (2, [16], "label not conjugation invariant"),
+        (3, [0, 8], "support value disagrees"),
+        (2, [8], "label not conjugation invariant"),
     ],
     ids=["trace", "support", "label"],
 )
@@ -1185,43 +1349,26 @@ def test_verify_reports_a_per_element_disagreement(geo3, monkeypatch, capsys, pa
 
     assert_verify_fails_with(
         geo3, monkeypatch, capsys, "_support_batch", edited(edit),
-        f"element {first_sampled(geo3)}: {message}",
+        f"H_+^- row {first_sampled(geo3)}: {message}",
     )
 
 
-def repeated_transporter(split_base):
-    """A wrapper for ``_coset_model_batch`` that hands it the stabilizer of
-    base line ``split_base`` with transporter 1 in slot 2 as well; the
-    enumeration, which reads ``stabilizer`` itself, is left whole."""
-
-    def wrap(original):
-        def coset_model(*args):
-            *head, stab = args  # head is (geometry,) when patched on the class
-            if stab.base_index == split_base:
-                transporters = stab.transporters.copy()
-                transporters[2] = transporters[1]
-                stab = dataclasses.replace(stab, transporters=transporters)
-            return original(*head, stab)
-
-        return coset_model
-
-    return wrap
-
-
-def test_verify_reports_a_repeated_transporter(geo3, tables3, monkeypatch, capsys):
-    # the split coset model then counts coset line 1 twice and line 2 never:
-    # ind(1) - ind(det) gains 2 where g negates line 1 and loses 2 where g
-    # negates line 2, read off the signed tables
+def test_coset_model_counts_a_repeated_transporter(geo3, tables3):
+    # with transporter 1 in slot 2 as well, the split coset model counts
+    # coset line 1 twice and line 2 never: ind(1) - ind(det) gains 2 where g
+    # negates line 1 and loses 2 where g negates line 2, read off the signed
+    # tables
     trace = geo3._batched_scan()[0]
     split = geo3.stabilizer(split=True)
+    transporters = split.transporters.copy()
+    transporters[2] = transporters[1]
+    repeated = dataclasses.replace(split, transporters=transporters)
+    virtual = geo3._coset_model_batch(repeated)
+    virtual -= geo3._coset_model_batch(geo3.stabilizer(split=False))
     lines = np.array(split.line_indices[1:3])
     negates = tables3[:, lines] == lines * geo3.q + geo3.q - 1
     shift = 2 * (negates[:, 0].astype(np.int64) - negates[:, 1])
-    i = int(np.flatnonzero(shift)[0])
-    assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "_coset_model_batch", repeated_transporter(split.base_index),
-        f"element {i}: coset model {trace[i] + shift[i]} != line count {trace[i]}",
-    )
+    assert shift.any() and np.array_equal(virtual - trace, shift)
 
 
 def test_verify_reports_a_wrong_line_census(geo3, monkeypatch, capsys):
@@ -1283,27 +1430,24 @@ def test_sampled_check_reports_broken_labels(monkeypatch):
     assert record.counterexamples == (f"sample {first}: fixed line not anisotropic",)
 
 
-def shift_coset_model(geo, monkeypatch, i, shift):
-    """Make the split stabilizer's coset model add ``shift`` to
-    V = ind(1) - ind(det) at element i."""
-    original = geo._coset_model_batch
-    split = geo.stabilizer(split=True)
+def test_verify_reports_an_induced_character_mismatch(geo3, monkeypatch, capsys):
+    # s(u) flipped at H_+'s base line u, which every row of H_+^- negates:
+    # V moves by -4 on each of them, and the first five are reported
+    base = geo3.stabilizer(split=True).base_index
+    _, scan, rows = split_half(geo3)
+    trace = scan[0][rows]
 
-    def shifted(stab):
-        virtual = original(stab)
-        if stab is split:
-            virtual[i] += shift
-        return virtual
+    def flipped(original):
+        def signs(*args):
+            signs = original(*args).copy()
+            signs[base] *= -1
+            return signs
 
-    monkeypatch.setattr(geo, "_coset_model_batch", shifted)
+        return signs
 
-
-def test_verify_reports_a_coset_model_mismatch(geo3, monkeypatch):
-    trace = geo3._batched_scan()[0]
-    shift_coset_model(geo3, monkeypatch, 7, -1)
-    record = geo3.verify(seed=0)
-    assert record.status == "fail"
-    assert record.counterexamples == (
-        f"element 7: coset model {trace[7] - 1} != line count {trace[7]}",
+    out = assert_verify_fails_with(
+        geo3, monkeypatch, capsys, "_split_signs", flipped,
+        f"H_+^- row 0: induced character {trace[0] - 4} != line count {trace[0]}",
     )
-
+    reported = [i for i in range(len(rows)) if f"  - H_+^- row {i}: induced character" in out]
+    assert reported == [0, 1, 2, 3, 4]
