@@ -100,13 +100,15 @@ def oracle_trace_sn(entries, cycles) -> int:
     cycles = tuple(sorted(index(c) for c in cycles))
     if min(cycles, default=1) < 1:
         raise ValueError("cycle lengths must be >= 1")
-    if normalize_beta(entries).is_zero:
-        return 0  # zero character; the sum below needs matching weights
-    check_weight(beta_weight(entries), sum(cycles))
+    # only a key that passed the checks below is ever stored
     key = (entries, cycles)
     val = _ORACLE_CACHE.get(key)
     if val is not None:
         return val
+    if normalize_beta(entries).is_zero:
+        _ORACLE_CACHE[key] = 0  # zero character; the sum below needs matching weights
+        return 0
+    check_weight(beta_weight(entries), sum(cycles))
     a = len(entries)
     total = 0
     for perm in itertools.permutations(range(a)):
@@ -155,16 +157,31 @@ class CharacterTable:
         With N the lcm of the centralizer orders (the group order), each
         inner product sum(x * y / z) is checked as the integer sum
         sum(x * y * (N // z)) against N * delta; only the worst deviation
-        becomes a Fraction.
+        becomes a Fraction.  The sums are formed on packed integers: with
+        w_c = N // z_c and b one bit more than N and max|x|^2 sum w_c need,
+        every Gram entry (and N) lies in (-2^(b-1), 2^(b-1)), so the weighted
+        column P_c = w_c sum_i x_ic 2^(b i) makes sum_c x_jc P_c row j of the
+        Gram matrix, one signed b-bit digit per row i.  A row passes when it
+        is N << (b j); only a failing row is unpacked into its digits.
         """
         order = lcm(*self.centralizers)
         weights = [order // z for z in self.centralizers]
+        biggest = max((abs(x) for row in self.entries for x in row), default=0)
+        bits = max(biggest * biggest * sum(weights), order).bit_length() + 1
+        packed = [
+            w * sum(x << (bits * i) for i, x in enumerate(column))
+            for w, column in zip(weights, zip(*self.entries))
+        ]
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
         worst = 0
-        for i, row_i in enumerate(self.entries):
-            weighted = [x * w for x, w in zip(row_i, weights)]
-            for j in range(i, len(self.entries)):
-                s = sum(map(mul, weighted, self.entries[j]))
-                worst = max(worst, abs(s - (order if i == j else 0)))
+        for j, row in enumerate(self.entries):
+            gram = sum(map(mul, row, packed))
+            if gram == order << (bits * j):
+                continue
+            for i in range(len(self.entries)):
+                digit = ((gram + half) & mask) - half
+                gram = (gram - digit) >> bits
+                worst = max(worst, abs(digit - (order if i == j else 0)))
         return Fraction(worst, order)
 
     def is_orthogonal(self) -> bool:

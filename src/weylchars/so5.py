@@ -46,11 +46,13 @@ of fixed and of negated lines by type, in one shared tail,
 ``_twisted_class``, and differ only in where the counts come from:
 ``_batched_scan`` counts the index's matches by one ``bincount``, and
 ``_support_batch`` counts the kernel masks of one narrow-integer einsum of
-matrix rows against the lines (int16 up to q = 81), for sampled and single
-elements.  Neither holds a whole-group array per line: the sampled batch
-runs over row blocks of about CHUNK_ENTRIES entries, the scan over blocks
-of whole cosets, as many as fit in CHUNK_ENTRIES entries of H's tables
-but at least one (3 cosets a block at q = 3).
+matrix rows against the lines (unsigned: uint8 up to q = 7, uint16 up to
+q = 113), each product's divisibility by q read off one multiply by q^-1
+mod 2^w (``_divisible``), for sampled and single elements.  Neither holds a
+whole-group array per line: the sampled batch runs over row blocks of about
+CHUNK_ENTRIES entries, the scan over blocks of whole cosets, as many as fit
+in CHUNK_ENTRIES entries of H's tables but at least one (3 cosets a block
+at q = 3).
 
 ``verify`` runs neither kernel over G.  The line-count trace T, membership
 of the twisted class (below) and its labels are class functions, and both
@@ -181,6 +183,21 @@ def _first_occurrences(values):
     return np.flatnonzero(keep)
 
 
+def _divisible(values, q):
+    """Mask of the entries of an unsigned array that the odd q divides, by
+    one multiply and one comparison, overwriting ``values``.
+
+    With w = 8 x itemsize, x -> x q^-1 mod 2^w (numpy wraps unsigned
+    products) is a bijection of the w-bit values that takes each multiple
+    k q to k, so x is a multiple exactly when its image is at most
+    (2^w - 1) // q (Granlund and Montgomery, PLDI 1994, Sec. 9).  No array
+    but the mask is made beside the input.
+    """
+    bits = 8 * values.itemsize
+    values *= pow(q, -1, 1 << bits)
+    return values <= ((1 << bits) - 1) // q
+
+
 def _in_row_blocks(row_entries, batch, *arrays):
     """``batch`` over blocks of about CHUNK_ENTRIES entries, ``row_entries``
     per row (at least one row a block), of the arrays, taken in step as
@@ -255,6 +272,9 @@ class OrthogonalGeometry:
         )
         # table entries run up to len(lines) * q; int16 up to q = 7
         self._entry_dtype = np.min_scalar_type(-len(self.lines) * q)
+        # products of residues with lines are at most 5 (q - 1)^2: uint8 up
+        # to q = 7, uint16 up to q = 113
+        self._product_dtype = np.min_scalar_type(5 * (q - 1) ** 2)
         self._basis = self._line_of_code[np.eye(5, dtype=np.int64) @ self._place]
         self.norms = (self.lines * self.lines).sum(axis=1) % q
         squares = sorted({(a * a) % q for a in range(1, q)})
@@ -602,29 +622,28 @@ class OrthogonalGeometry:
 
         A line is in a matrix's kernel when every row is orthogonal to it:
         the rows of g -+ 1 go mod q through one integer einsum against the
-        transposed lines in the narrowest signed dtype holding 5 (q - 1)^2
-        (no int64, no BLAS), reduced in place mod q, in chunks of about
-        CHUNK_ENTRIES per sign.  The kernel masks are counted by type in
-        one product with the lines' one-hot types, in the narrowest
-        unsigned dtype holding #lines (uint8 at q = 3).
+        transposed lines in the narrowest unsigned dtype holding 5 (q - 1)^2
+        (``_product_dtype``; no int64, no BLAS), and ``_divisible`` marks the products that q
+        divides, in chunks of about CHUNK_ENTRIES per sign.  The kernel
+        masks are counted by type in one float32 GEMM with the lines'
+        one-hot types, exact since no count exceeds #lines < 2^24.
         """
         q = self.q
         eye = np.eye(5, dtype=np.int64)
         matrices = np.asarray(matrices, dtype=np.int64) % q
-        # products of residues are at most 5 (q - 1)^2: int16 up to q = 81
-        narrow = np.min_scalar_type(-5 * (q - 1) ** 2)
+        narrow = self._product_dtype
         lines_t = np.ascontiguousarray(self.lines.T, dtype=narrow)
-        by_type = self.line_types[:, None] == np.arange(-1, 2)
-        by_type = by_type.astype(np.min_scalar_type(len(self.lines)))
+        by_type = (self.line_types[:, None] == np.arange(-1, 2)).astype(np.float32)
 
         def kernels(stack):
             rows = (stack % q).astype(narrow).reshape(-1, 5)
-            products = np.einsum("ij,jl->il", rows, lines_t)
-            products %= q
-            return (products == 0).reshape(len(stack), 5, len(self.lines)).all(axis=1)
+            # the products are bound to no name, so they are freed as soon
+            # as ``_divisible`` returns their mask
+            masks = _divisible(np.einsum("ij,jl->il", rows, lines_t), q).reshape(len(stack), 5, -1)
+            return masks.all(axis=1).astype(np.float32)
 
         def batch(g):
-            counts = kernels(np.concatenate([g - eye, g + eye])) @ by_type
+            counts = (kernels(np.concatenate([g - eye, g + eye])) @ by_type).astype(np.int64)
             return self._twisted_class(*np.split(counts, 2))
 
         return _in_row_blocks(5 * len(self.lines), batch, matrices)
@@ -820,19 +839,22 @@ class OrthogonalGeometry:
         """s(l) for every line: +1 when the perpendicular 4-space of l is
         split, -1 when it is not, 0 for an isotropic l.
 
-        One product of the lines against the isotropic lines, in row blocks
-        of about CHUNK_ENTRIES entries, counts the isotropic lines in each
-        line's perpendicular; an anisotropic line's count must be (q + 1)^2
-        or q^2 + 1 (``perp_is_split``), else this raises.  An isotropic
-        line's perpendicular holds q^2 + q + 1 of them.
+        One integer einsum of the lines against the isotropic lines, in row
+        blocks of about CHUNK_ENTRIES entries and ``_product_dtype`` (as in
+        ``_support_batch``), counts the isotropic lines in each line's
+        perpendicular: the products that q divides (``_divisible``).  An
+        anisotropic line's count must be (q + 1)^2 or q^2 + 1
+        (``perp_is_split``), else this raises.  An isotropic line's
+        perpendicular holds q^2 + q + 1 of them.
         """
         q = self.q
-        isotropic = self.lines[self.line_types == 0].T
+        narrow = self._product_dtype
+        isotropic = np.ascontiguousarray(self.lines[self.line_types == 0].T, dtype=narrow)
 
         def counts(lines):
-            return ((lines @ isotropic % q == 0).sum(axis=1),)
+            return (_divisible(np.einsum("ij,jl->il", lines, isotropic), q).sum(axis=1),)
 
-        (count,) = _in_row_blocks(isotropic.shape[1], counts, self.lines)
+        (count,) = _in_row_blocks(isotropic.shape[1], counts, self.lines.astype(narrow))
         signs = (count == (q + 1) ** 2).astype(np.int64) - (count == q**2 + 1)
         unexpected = np.flatnonzero((self.line_types != 0) & (signs == 0))
         if len(unexpected):

@@ -32,6 +32,7 @@ COPIED = ("src", "tests", "pyproject.toml")
 # file, the exact text replaced, its replacement, the tests expected to fail
 Mutant = namedtuple("Mutant", "file old new tests")
 
+SNCHARS = "src/weylchars/snchars.py"
 SO5 = "src/weylchars/so5.py"
 SYMBOLS = "src/weylchars/symbols.py"
 VERIFICATIONS = "src/weylchars/verifications.py"
@@ -141,6 +142,16 @@ MUTANTS = (
     Mutant(
         SO5, "if len(unexpected):", "if False:",
         so5_tests("test_split_signs_reject_an_unexpected_count"),
+    ),
+    # the divisibility bound of the inverse multiply: k q with k at the
+    # bound (255 = 85 * 3 in uint8) is missed
+    Mutant(
+        SO5, "return values <= ((1 << bits) - 1) // q", "return values < ((1 << bits) - 1) // q",
+        tuple(
+            f"tests/test_so5.py::test_divisible_matches_the_remainder_at_every_value[{q}-{t}]"
+            for q in (3, 5, 7, 11, 13)
+            for t in ("uint8", "uint16")
+        ),
     ),
     # verify's own q guard, before any stabilizer is built
     Mutant(
@@ -328,6 +339,35 @@ MUTANTS = (
     Mutant(
         WNCHARS, "if not 0 <= n <= limit:", "if not 0 <= n:",
         ("tests/test_snchars.py::test_table_bound", "tests/test_wnchars.py::test_table_bound"),
+    ),
+    # --- table orthogonality on packed rows and the S_n oracle memo ---
+    # one bit short, a Gram entry at max|x|^2 sum(N // z) reads as negative
+    Mutant(
+        SNCHARS, "order).bit_length() + 1", "order).bit_length()",
+        ("tests/test_snchars.py::test_orthogonality_defect_sees_one_perturbed_entry",),
+    ),
+    Mutant(
+        SNCHARS, "if gram == order << (bits * j):", "if True:",
+        (
+            "tests/test_snchars.py::test_orthogonality_defect_sees_one_perturbed_entry",
+            "tests/test_snchars.py::test_orthogonality_defect_matches_the_pairwise_loop_on_w7",
+        ),
+    ),
+    # the memo read after the symbol is normalized and weighed, not before;
+    # the values are the same, so only the spy on normalize_beta sees it
+    Mutant(
+        SNCHARS,
+        "    val = _ORACLE_CACHE.get(key)\n    if val is not None:\n        return val\n"
+        "    if normalize_beta(entries).is_zero:\n"
+        "        _ORACLE_CACHE[key] = 0  # zero character; the sum below needs matching weights\n"
+        "        return 0\n"
+        "    check_weight(beta_weight(entries), sum(cycles))\n",
+        "    if normalize_beta(entries).is_zero:\n"
+        "        _ORACLE_CACHE[key] = 0\n"
+        "        return 0\n"
+        "    check_weight(beta_weight(entries), sum(cycles))\n"
+        "    val = _ORACLE_CACHE.get(key)\n    if val is not None:\n        return val\n",
+        ("tests/test_snchars.py::test_a_repeated_oracle_call_reads_the_memo_first",),
     ),
     # --- values: a wrong sign or rule, not a skipped comparison ---
     Mutant(

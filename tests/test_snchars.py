@@ -2,19 +2,30 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import numpy as np
 import pytest
 
 from removal_walk import sn_trace_in_order
 from weylchars.snchars import (
+    CharacterTable,
     centralizer_order_sn,
     character_table_sn,
     mn_trace_sn,
     oracle_trace_sn,
     young_perm_char,
 )
-from weylchars.symbols import partition_to_beta, partitions, shift_beta
+from weylchars.symbols import (
+    bipartition_to_bisymbol,
+    bipartitions,
+    partition_to_beta,
+    partitions,
+    shift_beta,
+    signed_cycle_types,
+)
+from weylchars.wnchars import centralizer_order_wn, character_table_wn, table_entries
 
 
 def test_trivial_and_sign_characters():
@@ -42,6 +53,26 @@ def test_weight_mismatch_raises():
         mn_trace_sn((1, 3), (2,))
     with pytest.raises(ValueError):
         oracle_trace_sn((1, 3), (1, 1))
+
+
+def test_a_repeated_oracle_call_reads_the_memo_first(monkeypatch):
+    import weylchars.snchars as snchars
+
+    normalized = []
+    normalize = snchars.normalize_beta
+    monkeypatch.setattr(snchars, "normalize_beta", lambda e: normalized.append(e) or normalize(e))
+    snchars.clear_caches()
+    # a nonzero symbol, then a zero one, each under two orders of one class
+    for entries, cycles, value in (((1, 4), (1, 1, 2), 1), ((1, 1), (1, 2), 0)):
+        assert oracle_trace_sn(entries, cycles) == value
+        assert oracle_trace_sn(entries, cycles[::-1]) == value
+        assert normalized == [entries]
+        normalized.clear()
+    # a key that raises is never stored, so it raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            oracle_trace_sn((1, 3), (1, 1))
+    assert ((1, 3), (1, 1)) not in snchars._ORACLE_CACHE
 
 
 def test_young_perm_char_examples():
@@ -206,16 +237,75 @@ def fraction_defect(table):
     )
 
 
+def pairwise_defect(table):
+    """Reference: the weighted inner product of every pair of rows i <= j in
+    integers, sum(x * y * (N // z)) against N * delta, one pair at a time."""
+    order = lcm(*table.centralizers)
+    weights = [order // z for z in table.centralizers]
+    worst = 0
+    for i, row_i in enumerate(table.entries):
+        weighted = [x * w for x, w in zip(row_i, weights)]
+        for j in range(i, len(table.entries)):
+            s = sum(map(mul, weighted, table.entries[j]))
+            worst = max(worst, abs(s - (order if i == j else 0)))
+    return Fraction(worst, order)
+
+
+def gram(table):
+    """Reference Gram matrix: sum(x * y * (N // z)) for every pair of rows."""
+    order = lcm(*table.centralizers)
+    weights = [order // z for z in table.centralizers]
+    return [[sum(x * y * w for x, y, w in zip(a, b, weights)) for b in table.entries] for a in table.entries]
+
+
+def with_cells(table, cells):
+    """The table with the entry at each (row, column) of ``cells`` replaced."""
+    rows = [list(row) for row in table.entries]
+    for (i, j), value in cells.items():
+        rows[i][j] = value
+    return replace(table, entries=tuple(tuple(row) for row in rows))
+
+
 def test_orthogonality_defect_sees_one_perturbed_entry():
-    for n in range(1, 6):
-        table = character_table_sn(n)
+    tables = [character_table_sn(n) for n in range(1, 6)] + [character_table_wn(n) for n in range(6)]
+    for table in tables:
         assert table.orthogonality_defect() == fraction_defect(table) == 0
-        for i, j in ((0, 0), (len(table.entries) - 1, len(table.col_labels) - 1)):
-            rows = [list(row) for row in table.entries]
-            rows[i][j] += 1
-            bad = replace(table, entries=tuple(tuple(row) for row in rows))
+        last, width = len(table.entries) - 1, len(table.col_labels)
+        x = table.entries
+        # the identity class: every row's value there is its positive degree
+        identity = next(c for c in range(width) if all(row[c] > 0 for row in x))
+        negative = with_cells(table, {(last, identity): x[last][identity] - 1})
+        if last:  # row last now meets every other row with a negative sum
+            assert min(gram(negative)[last][:last]) < 0
+        # row 0 made constant at +-top, top one more than every |entry|: its
+        # Gram diagonal is max|x|^2 sum(N // z), the most the packed width
+        # must hold
+        top = max(abs(v) for row in x for v in row) + 1
+        bound = [with_cells(table, {(0, c): sign * top for c in range(width)}) for sign in (1, -1)]
+        order = lcm(*table.centralizers)
+        assert gram(bound[1])[0][0] == top**2 * sum(order // z for z in table.centralizers)
+        for bad in [
+            with_cells(table, {(0, 0): x[0][0] + 1}),
+            with_cells(table, {(last, width - 1): x[last][width - 1] + 1}),
+            negative,
+            *bound,
+        ]:
             assert bad.orthogonality_defect() == fraction_defect(bad) > 0
             assert not bad.is_orthogonal()
+
+
+def test_orthogonality_defect_matches_the_pairwise_loop_on_w7():
+    n = 7
+    cols = tuple(signed_cycle_types(n))
+    rows = tuple(bipartition_to_bisymbol(bp) for bp in sorted(bipartitions(n)))
+    cents = tuple(centralizer_order_wn(cls) for cls in cols)
+    table = CharacterTable("W7", rows, cols, table_entries(n, rows, cols), cents)
+    assert len(rows) == 110
+    assert table.orthogonality_defect() == pairwise_defect(table) == 0
+    x = table.entries
+    for cells in ({(50, 60): x[50][60] + 1}, {(109, 0): x[109][0] - 2, (3, 107): x[3][107] + 5}):
+        bad = with_cells(table, cells)
+        assert bad.orthogonality_defect() == pairwise_defect(bad) > 0
 
 
 def test_identity_column_is_dimension():

@@ -12,6 +12,7 @@ from weylchars.so5 import (
     CHUNK_ENTRIES,
     ClassCLabel,
     OrthogonalGeometry,
+    _divisible,
     _first_occurrences,
     is_prime,
 )
@@ -1062,16 +1063,42 @@ def word_stack(geo):
     return np.concatenate([words, (geo.inverse(h) @ words @ h) % q])
 
 
-@pytest.mark.parametrize("q", [5, 7, 11, 13])
-def test_support_batch_masks_match_the_int64_products(q):
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_divisible_matches_the_remainder_at_every_value(q, dtype):
+    values = np.arange(np.iinfo(dtype).max + 1, dtype=np.int64)
+    mask = _divisible(values.astype(dtype), q)
+    assert np.array_equal(mask, values % q == 0)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_support_batch_masks_match_the_int64_products(q, monkeypatch):
     geo = OrthogonalGeometry(q=q)
     stack = word_stack(geo)
     if q >= 11:
         assert CHUNK_ENTRIES // (5 * len(geo.lines)) < len(stack)  # chunked (3 at q = 13)
-    trace, _, eps, _ = geo._support_batch(stack)
-    plus = stack + np.eye(5, dtype=np.int64)
-    negated = np.stack([((p @ geo.lines.T) % q == 0).all(axis=0) for p in plus])
-    assert np.array_equal(trace, 2 * (negated @ geo.line_types))
+    counts = []
+    tail = geo._twisted_class
+
+    def spy(fixed, negated):
+        counts.append((fixed, negated))
+        return tail(fixed, negated)
+
+    monkeypatch.setattr(geo, "_twisted_class", spy)
+    got = geo._support_batch(stack)
+    # reference: int64 products, their remainders, integer counts by type
+    eye = np.eye(5, dtype=np.int64)
+    by_type = (geo.line_types[:, None] == np.arange(-1, 2)).astype(np.int64)
+    fixed, negated = (
+        np.stack([((m @ geo.lines.T) % q == 0).all(axis=0) for m in (stack + sign * eye)]) @ by_type
+        for sign in (-1, 1)
+    )
+    assert np.array_equal(np.concatenate([c[0] for c in counts]), fixed)
+    assert np.array_equal(np.concatenate([c[1] for c in counts]), negated)
+    for array, expected in zip(got, tail(fixed, negated)):
+        assert array.dtype == expected.dtype and np.array_equal(array, expected)
+    trace, _, eps, _ = got
+    assert np.array_equal(trace, 2 * (negated[:, 2] - negated[:, 0]))
     assert eps[[8, 17]].all() and trace[[8, 17]].all()
 
 
