@@ -10,49 +10,31 @@ q^2 + 1.  Two kernels carry the per-element work:
 
 * The signed line table of g: for each line l, g maps the representative
   x_l to c * x_m for one line m and one scalar c, stored as the single
-  entry ``m * q + c``.  The line-count trace and eigenline labels of the
-  full scan are read off a sorted index of H's tables (below).  Tables
-  compose by lookups in ``scaled[c, e]``, the entry of c times the vector
-  of entry e: where h maps x_l to c_h x_m, (gh) holds
-  ``scaled[c_h, g[m]]``.
-* ``enumerate_group`` builds the group as the cosets x H of H, the
-  stabilizer of a base line u of the split type, with one Witt transporter
-  x per line of that type (``_witt_transporters``, which also serves the
-  4-space stabilizers).  H (1,152 elements at q = 3) is the breadth-first
-  ``_closure`` of reflection pairs that keep u's line, over whole
-  frontiers of tables.  Each element is coded as one int64, its 25 matrix
-  entries as base-q digits (q^25 < 2^63 for q <= 5); the basis-line
-  entries are the matrix's columns, so an image is coded before any full
-  table is composed, by five lookups in digit tables built once per
-  generator and basis line.  A frontier is deduplicated by one sort of
-  (code, index) keys packed into int64, and the closure must fill exactly
-  |H| rows.  Left multiplication by x only relabels table entries, (x h)[l]
-  = ``relabel[k, h[l]]`` with one row of q * #lines entries per
-  transporter, so G's tables (12.4 MB at q = 3, about 14.6 GB at q = 5)
-  are never built: every element's line action is read off H's tables,
-  one coset at a time.  The matrices and codes come off the basis-line
-  entries ``relabel[k, H[:, basis]]``, the matrices as a read-only int8
-  array of residues (cast to int64 before any unreduced product), and the
-  sorted codes must strictly increase.  g = x h fixes or negates x_l
-  exactly when h[l] is the entry of x^-1 x_l or of -x^-1 x_l, so the
-  scan looks the table of x^-1 up in H's tables sorted column by column
-  (``_column_index``), and finds those h as one range per line and sign.
-  A conjugacy class's size is |G| / |C(g)|, the centralizer counted on the
-  tables: h commutes with g when gh and hg have the same entries at the
-  five basis lines, read only for the rows still counted.
+  entry ``m * q + c``.  Tables compose by lookups in ``scaled[c, e]``, the
+  entry of c times the vector of entry e: where h maps x_l to c_h x_m,
+  (gh) holds ``scaled[c_h, g[m]]``.  A line stabilizer H (1,152 or 1,440
+  elements at q = 3) is the breadth-first ``_closure`` of reflection pairs
+  that keep its base line, over whole frontiers of tables.  Each element
+  is coded as one int64, its 25 matrix entries as base-q digits
+  (q^25 < 2^63 for q <= 5); the basis-line entries are the matrix's
+  columns, so an image is coded before any full table is composed, by
+  five lookups in digit tables built once per generator and basis line.
+  A frontier is deduplicated by one sort of (code, index) keys packed into
+  int64, and the closure must fill exactly |H| rows.  A conjugacy class's
+  size is |G| / |C(g)|, the centralizer counted on tables
+  (``_centralizer_order``): h commutes with g when gh and hg have the same
+  entries at the five basis lines, read only for the rows still counted.
+* The matrix of g: ``_support_batch`` counts the kernel masks of one
+  narrow-integer einsum of matrix rows against the lines (unsigned: uint8
+  up to q = 7, uint16 up to q = 113), each product's divisibility by q
+  read off one multiply by q^-1 mod 2^w (``_divisible``), over row blocks
+  of about CHUNK_ENTRIES entries, so no whole-batch array is held per
+  line.
 
-Both kernels decide the twisted class (below) from each element's counts
-of fixed and of negated lines by type, in one shared tail,
-``_twisted_class``, and differ only in where the counts come from:
-``_batched_scan`` counts the index's matches by one ``bincount``, and
-``_support_batch`` counts the kernel masks of one narrow-integer einsum of
-matrix rows against the lines (unsigned: uint8 up to q = 7, uint16 up to
-q = 113), each product's divisibility by q read off one multiply by q^-1
-mod 2^w (``_divisible``), for sampled and single elements.  Neither holds a
-whole-group array per line: the sampled batch runs over row blocks of about
-CHUNK_ENTRIES entries, the scan over blocks of whole cosets, as many as fit
-in CHUNK_ENTRIES entries of H's tables but at least one (3 cosets a block
-at q = 3).
+Both decide the twisted class (below) from each element's counts of fixed
+and of negated lines by type, in one shared tail, ``_twisted_class``, and
+differ only in where the counts come from: ``_eigenline_scan`` reads them
+off table entries, ``_support_batch`` off kernel masks.
 
 ``verify`` runs neither kernel over G.  The line-count trace T, membership
 of the twisted class (below) and its labels are class functions, and both
@@ -80,18 +62,21 @@ commutes with h keeps, so for a member that fixes u_eps, C_G(h) =
 C_{H_eps}(h): counted on H_eps's tables, |G| / |C_{H_eps}(h)| must be the
 class size, so that each label set is a single conjugacy class.
 
-The whole-group scan, ``conjugacy_class_size`` and the coset model remain
-as the q = 3 reference that the tests and the demo compare with.  The coset
-model uses neither kernel's line action: ``_coset_model_batch`` returns the
-virtual character V = ind(1) - ind(det) of one 4-space stabilizer, and
-V(g) = 2 #{(x, h) : h in H, h u = -u, x h x^-1 = g}: the det -1 half of H
-(read off H's matrices, H being closed once per geometry and shared with
-the enumeration) is conjugated by every transporter, and each conjugate,
-found by its code, adds 2.  Since x^-1 = x^T, vec(x h x^T) = (x kron x)
-vec(h): a float32 GEMM per stabilizer, in row blocks of about 1 MB once
-coded, its entries (at most 25 (q - 1)^3) exact and reduced by lookup, and
-looked up among the enumeration's codes, which ``enumerate_group`` sorts
-once.
+The q = 3 whole-group reference that the tests and the demo compare with
+is read with the same kernels.  ``enumerate_group`` builds G as the cosets
+x H of H, the stabilizer of a base line u of the split type, one per Witt
+transporter x (``_witt_transporters``, which also serves the 4-space
+stabilizers).  Left multiplication by x only relabels table entries,
+(x h)[l] = ``relabel[k, h[l]]``, so each element's matrix comes off the
+basis-line entries ``relabel[k, H[:, basis]]``, and G's tables are never
+built.  The whole-group scan ``_batched_scan`` is ``_support_batch`` of
+the enumeration, and ``conjugacy_class_size`` counts ``_centralizer_order``
+over it.  The coset model ``_coset_model_batch`` is induction by
+definition, read on lines: the cosets of one 4-space stabilizer are the
+lines of its base line's type, and g adds 1 - (g's scalar on l) to
+V = ind(1) - ind(det) at each such line l it fixes, so V(g) is twice the
+number of them that g negates.  ``verify`` calls none of the three; they
+keep their names because the benchmark's tracer wraps them.
 
 The distinguished twisted class consists of the elements whose semisimple
 part negates a hyperplane (minus the semisimple part is then a reflection)
@@ -147,8 +132,8 @@ from .report import CheckRecord, run_check
 FULL_ENUMERATION_Q = 3
 LABELS = [(-1, -1), (-1, 1), (1, -1), (1, 1)]  # every (eps, delta)
 MAX_CODED_Q = 5  # largest q with q^25 < 2^63: int64 element codes
-# entries per row block: eigenline and perpendicular products, scan table
-# entries, and (a quarter of it) coset GEMM outputs
+# entries per row block: eigenline products of matrix rows with the lines,
+# line images of the coset model, and perpendicular products of the lines
 CHUNK_ENTRIES = 2**19
 
 
@@ -246,8 +231,6 @@ class OrthogonalGeometry:
         self._init_lines()
         self._generators = None
         self._elements = None
-        self._cosets = None
-        self._element_codes = None
         self._stabilizers = {}
         self._subgroups = {}
 
@@ -264,9 +247,6 @@ class OrthogonalGeometry:
         self._place = q ** np.arange(4, -1, -1, dtype=np.int64)
         self._line_of_code = np.full(q**5, -1, dtype=np.int64)
         self._line_of_code[self.lines @ self._place] = np.arange(len(self.lines))
-        # x mod q for x up to 25 (q - 1)^3, the largest sum of 25 products of
-        # three residues: the coset model reduces by lookups in it
-        self._residue = (np.arange(25 * (q - 1) ** 3 + 1) % q).astype(np.uint8)
         self._inverse_mod = np.array(
             [0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64
         )
@@ -377,23 +357,18 @@ class OrthogonalGeometry:
         transporter x.
 
         Guarded to q = 3 (51,840 elements, |H| = 1,152).  The base line,
-        the transporters and |H| are ``stabilizer(split=True)``'s, the
-        one the coset model reads, and H's tables are its
-        ``_subgroup_tables``, closed once to exactly |H| = |G| / #lines
-        rows.
-        Left multiplication by x only relabels table entries: (x h)[l] is
-        ``relabel[k, h[l]]``, transporter k's entry for the vector of entry
-        h[l].  G's tables are never built: the per-element line actions are
-        read off H's tables one coset at a time, and ``_cosets`` keeps H,
-        ``relabel`` and the tables of the inverse transporters for the scan
-        and the centralizer count.  Element 0 is the identity, the base
-        line's transporter times H's first element.  The matrices' columns
-        are the vectors of their entries at the basis lines, ``relabel[k,
-        H[:, basis]]``, gathered into one (N, 5, 5) array of residues;
-        their ``_matrix_codes`` are summed from the same entries and sorted
-        once as (order, sorted codes) in ``_element_codes``; sorted codes
-        must strictly increase, so an element repeated across cosets
-        raises.
+        the transporters and |H| are ``stabilizer(split=True)``'s, and H's
+        tables are its ``_subgroup_tables``, closed once to exactly
+        |H| = |G| / #lines rows.  Left multiplication by x only relabels
+        table entries: (x h)[l] is ``relabel[k, h[l]]``, transporter k's
+        entry for the vector of entry h[l].  The matrices' columns are the
+        vectors of their entries at the basis lines, ``relabel[k,
+        H[:, basis]]``, gathered coset after coset into one (N, 5, 5) array
+        of residues.  Element 0 is the identity, the base line's
+        transporter times H's first element.  Their int64 codes are summed
+        from the same entries (``_code_columns``) and sorted in place; the
+        sorted codes must strictly increase, so an element repeated across
+        cosets raises.
 
         The returned array is int8 and read-only (1.3 MB at q = 3, where
         int64 would take 10.4 MB): it is the cached enumeration, and numpy
@@ -420,13 +395,9 @@ class OrthogonalGeometry:
             entries = relabel[:, subgroup[:, line]].ravel()  # coset-major
             vectors.take(entries, axis=0, out=elements[:, :, j])
             codes += columns[j].take(entries)
-        order = np.argsort(codes)
-        codes = codes[order]
+        codes.sort()
         if not (np.diff(codes) > 0).all():
             raise RuntimeError("enumeration repeats an element")
-        back = self._signed_tables(self.inverse(stab.transporters))
-        self._cosets = subgroup, relabel, back
-        self._element_codes = order, codes
         elements.flags.writeable = False
         self._elements = elements
         return self._elements
@@ -486,37 +457,15 @@ class OrthogonalGeometry:
         line_h, scalar_h = np.divmod(h, self.q)
         return scaled.take(scalar_h * scaled.shape[1] + g.take(line_h, axis=-1))
 
-    def _column_index(self, tables):
-        """(starts, rows): the rows of a (k, #lines) stack of tables that
-        hold entry e at line l are ``rows[starts[key]:starts[key + 1]]``, in
-        ascending order, at the key ``l * q * #lines + e``.  ``starts`` is
-        the int32 prefix count over the keys, ``rows`` each column's stable
-        argsort, column after column, in the narrowest signed dtype holding
-        k (int16 for H at q = 3)."""
-        width = self.q * len(self.lines)
-        keys = tables + np.arange(0, tables.shape[1] * width, width, dtype=np.int32)
-        starts = np.zeros(keys.shape[1] * width + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys.ravel(), minlength=len(starts) - 1), out=starts[1:])
-        rows = np.ascontiguousarray(tables.T).argsort(axis=1, kind="stable")
-        return starts, rows.astype(np.min_scalar_type(-len(tables))).ravel()
-
-    def _code_weights(self):
-        """Place values of the int64 element code: entry (i, j) of a matrix
-        mod q is its base-q digit 5 i + j."""
+    def _code_columns(self):
+        """``columns[j, e]``, the int64 element code of entry e's vector as
+        column j of a matrix, the code of a matrix mod q having its entry
+        (i, j) as base-q digit 5 i + j: the basis-line entries of a table
+        are its matrix's columns, so its code is the sum over basis lines j
+        of ``columns[j, table[basis[j]]]``."""
         if self.q > MAX_CODED_Q:
             raise ValueError(f"int64 codes need q <= {MAX_CODED_Q}")
-        return self.q ** np.arange(25, dtype=np.int64)
-
-    def _matrix_codes(self, matrices):
-        """One int64 per 5x5 matrix mod q, its entries as base-q digits."""
-        return np.asarray(matrices, dtype=np.int64).reshape(-1, 25) @ self._code_weights()
-
-    def _code_columns(self):
-        """``columns[j, e]``, the ``_matrix_codes`` code of entry e's vector
-        as column j of a matrix: the basis-line entries of a table are its
-        matrix's columns, so its code is the sum over basis lines j of
-        ``columns[j, table[basis[j]]]``."""
-        return (self._entry_vectors() @ self._code_weights().reshape(5, 5)).T
+        return (self._entry_vectors() @ self.q ** np.arange(25, dtype=np.int64).reshape(5, 5)).T
 
     def _closure(self, start, rights, order):
         """Tables of the ``order`` elements reachable from the table
@@ -694,8 +643,8 @@ class OrthogonalGeometry:
         """Stabilizer of a 4-space on which the form is split (or
         non-split), with a Witt transporter to every coset line; its order
         is |G| / #lines of the type.  No enumeration is read and H is not
-        closed: ``_subgroup_tables`` closes it when ``verify``, the
-        enumeration or the coset model asks."""
+        closed: ``_subgroup_tables`` closes it when ``verify`` or the
+        enumeration asks."""
         if split not in self._stabilizers:
             line_type = self.split_line_type() if split else -self.split_line_type()
             indices, transporters = self._witt_transporters(line_type)
@@ -752,65 +701,21 @@ class OrthogonalGeometry:
     # --- batched verification ---
 
     def _batched_scan(self):
-        """``_twisted_class`` of the full enumeration, in its order.
-
-        g = x h maps x_l to c x_l exactly when h[l] is the entry of
-        c x^-1 x_l, so g's fixed lines are those where h's table equals
-        ``back[k]``, the table of x^-1, and its negated lines those where it
-        equals ``scaled[q - 1, back[k]]``.  Those h are read off the
-        ``_column_index`` of H's tables, built per call and not kept: one
-        range of ``rows`` per (coset, line, sign), 2 #lines ranges a coset,
-        holding 77,760 fixed and 77,760 negated (element, line) matches in
-        all at q = 3.  ``np.repeat`` expands the ranges to the matches'
-        places in ``rows`` and to their bins, and one ``bincount`` counts the
-        matches by element, sign (0 fixed, 1 negated) and line type t, in
-        bins ``(3 sign + t + 1) k |H| + row``.  Only H's tables and ``back``
-        are read, not G's matrices or tables.  It runs over blocks of whole
-        cosets, as many as fit in CHUNK_ENTRIES entries of H's tables but at
-        least one (3 cosets a block at q = 3).
-        """
-        self.enumerate_group()
-        subgroup, _, back = self._cosets
-        starts, rows = self._column_index(subgroup)
-        width = self.q * len(self.lines)
-        columns = np.tile(np.arange(0, len(self.lines) * width, width), 2)
-        kind = self.line_types + 1  # the type t of a line counts in bin t + 1
-        kinds = np.concatenate([kind, kind + 3])  # fixed lines, then negated
-
-        def batch(fixing, negating):
-            size = len(fixing) * len(subgroup)  # rows k |H| + h of the block
-            query = (np.concatenate([fixing, negating], axis=1) + columns).ravel()
-            first = starts[query]
-            lengths = starts[query + 1] - first
-            ends = lengths.cumsum()
-            # each match's place in ``rows``: its range's first, plus its offset there
-            at = np.repeat(first - ends + lengths, lengths) + np.arange(ends[-1])
-            bins = kinds * size + np.arange(0, size, len(subgroup))[:, None]
-            counts = np.bincount(np.repeat(bins.ravel(), lengths) + rows[at], minlength=6 * size)
-            fixed, negated = counts.reshape(2, 3, size)
-            return self._twisted_class(fixed.T, negated.T)
-
-        negating = self._scaled_entries()[self.q - 1].take(back)
-        return _in_row_blocks(subgroup.size, batch, back, negating)
+        """``_support_batch`` of the full enumeration, in its order (so
+        guarded to q = 3 with it): the whole-group reference for
+        ``verify``'s rows, kept under this name for the benchmark's
+        tracer."""
+        return self._support_batch(self.enumerate_group())
 
     def conjugacy_class_size(self, g) -> int:
-        """|G| / |C(g)|, the centralizer counted over the enumeration (so
-        guarded to q = 3 with it).
-
-        h commutes with g when gh and hg agree at every basis line b: where
-        h maps x_b to c_h x_m, (gh)[b] = ``scaled[c_h, g[m]]``, and where g
-        maps it to c_g x_n, (hg)[b] = ``scaled[c_g, h[n]]``.  Only the rows
-        that still agree go on to the next line, and only their table
-        entries are read: row k |H| + j is x_k h_j, whose entry at a line is
-        ``relabel[k, H[j, line]]``.
-        """
+        """|G| / |C(g)|, ``_centralizer_order`` over the enumeration (so
+        guarded to q = 3 with it), each row's entry at a line read off its
+        matrix as the signed line of the matrix times the line's
+        representative, only for the rows still counted."""
         elements = self.enumerate_group()
-        subgroup, relabel, _ = self._cosets
 
         def entries(rows, line):
-            k, j = np.divmod(rows, len(subgroup))
-            # relabel[k, e] is relabel.take(k * width + e)
-            return relabel.take(k * relabel.shape[1] + subgroup[j, line])
+            return self._signed_lines(elements[rows].astype(np.int64) @ self.lines[line])
 
         g = self._signed_tables(np.asarray(g)[None])[0]
         return len(elements) // self._centralizer_order(g, len(elements), entries)
@@ -909,8 +814,10 @@ class OrthogonalGeometry:
         the rows, which is the sum of T over G, is 0; and on a seeded sample
         of rows (members first), ``_support_batch`` on the matrices agrees
         with the tables, with labels invariant under conjugation.  No array
-        of |G| rows is built.  Guarded to q = 3: ``_closure``'s element
-        codes do not fit in int64 beyond it.
+        of |G| rows is built.  Guarded to q = 3: at q = 5 ``_closure``'s
+        element codes fit in int64 (``MAX_CODED_Q``), but not beside the 7
+        index bits of ``_first_occurrences``'s keys, which raises, and at
+        q = 7 ``_code_columns`` refuses them.
         """
         if self.q != FULL_ENUMERATION_Q:
             raise ValueError(f"full verification is guarded to q={FULL_ENUMERATION_Q}")
@@ -1027,58 +934,28 @@ class OrthogonalGeometry:
         return sorted(failures)
 
     def _coset_model_batch(self, stab: LineStabilizer):
-        """V = ind(1) - ind(det) at every group element, by the definition
-        of induction.
+        """V = ind(1) - ind(det) of one 4-space stabilizer at every element
+        of the enumeration, by the definition of induction read on lines.
 
-        An element g lies in the stabilizer of the coset line of
-        transporter x exactly when g = x h x^-1 with h in H, and then adds 1
-        to ind(1) and det(h) to ind(det) there, det(h) being h's scalar on
-        the base line u.  The det 1 conjugates cancel, so V(g) is twice the
-        number of pairs (x, h) with h u = -u and x h x^-1 = g.  H's matrices
-        are read off its ``_subgroup_tables`` at the basis lines; the h with
-        h u = -u must be exactly half of them.  Each conjugate is found in
-        the enumeration by its code, so this route never reads G's line
-        tables or computes a group element's action on the lines: it shares
-        no shortcut with the line-count trace.
-
-        Since x^-1 = x^T, the row-major vec(x h x^T) is (x kron x) vec(h):
-        a float32 GEMM of the (|H| / 2, 25) stack of vec(h) against the
-        transporters' Kronecker products gives every conjugate.  It runs in
-        row blocks of the stack with about CHUNK_ENTRIES / 4 outputs each
-        (5 per stabilizer at q = 3), a quarter because ``_matrix_codes``
-        widens a block to int64, each block coded before the next.  The
-        entries are sums of 25 products of residues, at most 25 (q - 1)^3
-        (1,600 at MAX_CODED_Q, the largest q ``_matrix_codes`` accepts):
-        exact in float32 and int16, and reduced mod q by a residue table
-        that long.  The conjugates' codes are sorted before the lookup among
-        the sorted element codes, which the enumeration keeps in
-        ``_element_codes``, and counted by one ``bincount``.
+        The cosets are the lines l of the base line's type, and an element
+        g adds 1 to ind(1) and its scalar on l to ind(det) wherever it
+        fixes l, so V(g) is twice the number of those l where g's signed
+        line table holds ``l * q + q - 1``.  Only those entries are made,
+        from the images of the coset lines' representatives, in row blocks
+        of 5 x #coset lines image coordinates.
         """
         q = self.q
-        self.enumerate_group()
-        order, sorted_codes = self._element_codes
-        u = self.lines[stab.base_index]
-        tables = self._subgroup_tables(stab)
-        matrices = self._entry_vectors()[tables[:, self._basis]].transpose(0, 2, 1)
-        half = matrices[((matrices @ u + u) % q == 0).all(axis=1)]
-        if 2 * len(half) != stab.order:
-            raise RuntimeError(
-                f"stabilizer has {len(half)} elements of det -1, expected {stab.order} / 2"
-            )
-        x = stab.transporters.astype(np.float32)
-        # kron[(j, l), (a, i, k)] = x_a[i, j] x_a[k, l]
-        kron = np.einsum("aij,akl->jlaik", x, x).reshape(25, -1)
-        vec_h = half.reshape(-1, 25).astype(np.float32)
+        coset_lines = np.array(stab.line_indices)
+        vectors = self.lines[coset_lines].T
+        negated = coset_lines * q + q - 1
 
-        def codes(rows):  # one code per (h, x)
-            return (self._matrix_codes(self._residue.take((rows @ kron).astype(np.int16))),)
+        def batch(elements):
+            images = (elements.astype(np.int64) @ vectors).transpose(0, 2, 1).reshape(-1, 5)
+            entries = self._signed_lines(images).reshape(len(elements), -1)
+            return (2 * (entries == negated).sum(axis=1),)
 
-        (wanted,) = _in_row_blocks(4 * kron.shape[1], codes, vec_h)
-        wanted.sort()
-        position = np.minimum(np.searchsorted(sorted_codes, wanted), len(sorted_codes) - 1)
-        if (sorted_codes[position] != wanted).any():
-            raise RuntimeError("a conjugate of the stabilizer is not a group element")
-        return 2 * np.bincount(order[position], minlength=len(order))
+        (virtual,) = _in_row_blocks(vectors.size, batch, self.enumerate_group())
+        return virtual
 
     def verify_sampled(self, samples: int = 200, seed: int = 0) -> CheckRecord:
         """Reduced check for q > 3: line census plus the support identity,

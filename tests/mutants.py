@@ -160,25 +160,18 @@ MUTANTS = (
         'if False:\n            raise ValueError(f"full verification',
         so5_tests("test_verify_guard"),
     ),
-    # --- the coset model: the det -1 half of each stabilizer, closed once ---
-    # det +1 in place of det -1: V becomes ind(1) + ind(det)
+    # --- the coset model, read on lines, and the stabilizers, closed once ---
+    # the coset lines g fixes with scalar 1 counted in place of those it
+    # negates
     Mutant(
-        SO5, "matrices @ u + u", "matrices @ u - u",
+        SO5, "coset_lines * q + q - 1", "coset_lines * q + 1",
         so5_tests("test_scatter_coset_model_matches_the_line_route"),
-    ),
-    Mutant(
-        SO5, "if 2 * len(half) != stab.order:", "if False:",
-        so5_tests("test_coset_model_guards"),
     ),
     Mutant(
         SO5, "if line not in self._subgroups:", "if True:",
         so5_tests("test_each_stabilizer_is_closed_once"),
     ),
     # --- the one element code, the closure and the centralizer count ---
-    Mutant(
-        SO5, "self._code_weights().reshape(5, 5)).T", "self._code_weights().reshape(5, 5).T).T",
-        so5_tests("test_the_enumeration_is_coded_once"),
-    ),
     Mutant(
         SO5, "for j in range(1, 5):", "for j in range(1, 4):",
         so5_tests("test_enumeration_order", "test_the_enumeration_is_coded_once"),
@@ -246,29 +239,6 @@ MUTANTS = (
             "test_scan_matches_the_full_rank_scan",
             "test_the_isotropic_count_tells_every_candidate_kind_apart",
         ),
-    ),
-    # the scan reads g = x h's eigenlines off H against x's table, not x^-1's
-    Mutant(
-        SO5, "back = self._signed_tables(self.inverse(stab.transporters))",
-        "back = self._signed_tables(stab.transporters)",
-        so5_tests("test_scan_matches_the_full_rank_scan"),
-    ),
-    # the kept relabelling is not the one the elements were built from: the
-    # cosets come out reversed, which leaves every class size unchanged
-    Mutant(
-        SO5, "self._cosets = subgroup, relabel, back",
-        "self._cosets = subgroup, relabel[::-1], back",
-        so5_tests("test_table_closure_matches_the_matrix_closure"),
-    ),
-    # the scan's index: an empty range at every key finds no eigenline
-    Mutant(
-        SO5, "lengths = starts[query + 1] - first", "lengths = starts[query] - first",
-        so5_tests("test_scan_matches_the_mask_scan", "test_scan_matches_the_full_rank_scan"),
-    ),
-    # the type offset of the scan's bins: square and non-square lines swap
-    Mutant(
-        SO5, "kind = self.line_types + 1", "kind = 1 - self.line_types",
-        so5_tests("test_scan_matches_the_mask_scan", "test_scan_matches_the_full_rank_scan"),
     ),
     # every block's results kept alive while the joined columns are built
     Mutant(
@@ -382,7 +352,7 @@ MUTANTS = (
         SO5, "delta = ((plus > 0).astype(np.int64) - (minus > 0)) * members",
         "delta = ((minus > 0).astype(np.int64) - (plus > 0)) * members",
         so5_tests(
-            "test_member_labels_match_the_membership_test", "test_scan_matches_the_mask_scan"
+            "test_member_labels_match_the_membership_test", "test_scan_matches_the_full_rank_scan"
         ),
     ),
     Mutant(

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -7,13 +6,13 @@ import numpy as np
 import pytest
 
 import weylchars.cli
-import weylchars.so5
 from weylchars.so5 import (
     CHUNK_ENTRIES,
     ClassCLabel,
     OrthogonalGeometry,
     _divisible,
     _first_occurrences,
+    _in_row_blocks,
     is_prime,
 )
 
@@ -136,12 +135,12 @@ def test_enumeration_is_a_read_only_int8_array(geo3):
         elements[0, 0, 0] = 1
 
 
-def test_int8_rows_read_as_their_int64_widening(geo3):
+def test_int8_rows_read_as_their_int64_widening(geo3, scan3):
     # the four class representatives (the first member of each label in
     # the scan) and 8 off-class rows: every per-element entry point gives
     # the same result on an enumerated int8 row and on its int64 widening
     elements = geo3.enumerate_group()
-    _, members, eps, delta = geo3._batched_scan()
+    _, members, eps, delta = scan3
     labels = {}
     for i in np.flatnonzero(members):
         labels.setdefault((int(eps[i]), int(delta[i])), int(i))
@@ -444,11 +443,10 @@ def test_stabilizer_cosets(geo3):
         assert landed.tolist() == list(stab.line_indices)
 
 
-def test_coset_model_matches_line_count_on_sample(geo3):
+def test_coset_model_matches_line_count_on_sample(geo3, coset3):
     # the coset model against the table-free per-element route
     elements = geo3.enumerate_group()
-    split = geo3._coset_model_batch(geo3.stabilizer(split=True))
-    nonsplit = geo3._coset_model_batch(geo3.stabilizer(split=False))
+    split, nonsplit = coset3[True], coset3[False]
     rng = random.Random(42)
     for _ in range(12):
         i = rng.randrange(len(elements))
@@ -524,9 +522,9 @@ def test_closure_enumerates_the_group(geo3):
     assert (forms == np.eye(5, dtype=np.int64)).all()
 
 
-def test_class_orbits_cover_the_scanned_members(geo3):
+def test_class_orbits_cover_the_scanned_members(geo3, scan3):
     elements = geo3.enumerate_group()
-    members = geo3._batched_scan()[1]
+    members = scan3[1]
     representatives = {}
     for i in np.where(members)[0]:
         label = geo3.in_class_c(elements[i])
@@ -613,32 +611,6 @@ def scan_by_products(geo):
     return elements, fixed, negated, members, trace, rank_tests
 
 
-def scan_by_masks(geo):
-    """The scan as masks on H's tables, one coset x H at a time: g = x h
-    fixes the lines where h's table equals ``back[k]``, the table of x^-1,
-    and negates those where it equals ``scaled[q - 1, back[k]]``.  The
-    (|H|, #lines) masks are counted row by row; eps is the type of the
-    first fixed line and delta the one type among the negated lines'
-    nonzero types, 0 when both occur or neither."""
-    q = geo.q
-    geo.enumerate_group()
-    subgroup, _, back = geo._cosets
-    types = geo.line_types
-    negating = geo._scaled_entries()[q - 1].take(back)
-    parts = []
-    for fixing_k, negating_k in zip(back, negating):
-        fixed, negated = subgroup == fixing_k, subgroup == negating_k
-        members = (fixed.sum(axis=1) == 1) & (negated.sum(axis=1) == q + 1)
-        members &= (negated & (types == 0)).sum(axis=1) == 1
-        has_plus = (negated & (types == 1)).any(axis=1)
-        has_minus = (negated & (types == -1)).any(axis=1)
-        trace = 2 * ((negated & (types == 1)).sum(axis=1) - (negated & (types == -1)).sum(axis=1))
-        eps = np.where(members, types[fixed.argmax(axis=1)], 0)
-        plane = np.where(has_plus == has_minus, 0, np.where(has_plus, 1, -1))
-        parts.append((trace, members, eps, np.where(members, plane, 0)))
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
 def coset_model_by_lines(geo, stab, elements):
     """ind(1) and ind(det) by finding each element's fixed coset lines and
     conjugating the fixers back by the transporter."""
@@ -691,22 +663,26 @@ def test_table_closure_matches_the_matrix_closure(geo3, tables3):
     )
     elements = geo3.enumerate_group()
     assert elements.dtype == np.int8 and reference.dtype == np.int64
-    # the same set: the enumeration's sorted codes, and those of its
-    # matrices, are the reference's sorted codes
+    # the same set: the sorted codes of the enumeration's matrices are the
+    # reference's sorted codes
     weights = 3 ** np.arange(25, dtype=np.int64)
     expected = np.sort(reference.reshape(-1, 25) @ weights)
-    assert np.array_equal(geo3._element_codes[1], expected)
-    assert np.array_equal(np.sort(elements.reshape(-1, 25) @ weights), expected)
+    assert np.array_equal(np.sort(elements.reshape(-1, 25).astype(np.int64) @ weights), expected)
     # row k |H| + j is x_k h_j, whose line action is x_k's relabelling of
     # h_j's entries, at every line, not only the basis lines read above
-    subgroup, relabel, _ = geo3._cosets
+    stab = geo3.stabilizer(split=True)
+    subgroup = geo3._subgroup_tables(stab)
+    relabel = geo3._compose(
+        geo3._signed_tables(stab.transporters), np.arange(3 * len(geo3.lines)),
+        geo3._scaled_entries(),
+    )
     cosets = tables3.reshape(len(relabel), len(subgroup), -1)
     for k, coset in enumerate(cosets):
         assert np.array_equal(coset, relabel[k][subgroup])
 
 
-def test_scan_matches_the_full_rank_scan(geo3):
-    trace, members, eps, delta = geo3._batched_scan()
+def test_scan_matches_the_full_rank_scan(geo3, scan3):
+    trace, members, eps, delta = scan3
     _, ref_fixed, ref_negated, ref_members, ref_trace, rank_tests = scan_by_products(geo3)
     assert int((rank_tests[0] & rank_tests[1]).sum()) == 17820  # the candidates
     assert members.dtype == bool and np.array_equal(members, ref_members)
@@ -722,67 +698,11 @@ def test_scan_matches_the_full_rank_scan(geo3):
     assert not eps[~members].any() and not delta[~members].any()
 
 
-def test_scan_matches_the_mask_scan(geo3):
-    reference = scan_by_masks(geo3)
-    assert [a.dtype for a in reference] == [np.int64, bool, np.int64, np.int64]
-    for got, want in zip(geo3._batched_scan(), reference):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-def column_index_by_dict(tables):
-    """{(line, entry): the rows holding entry at that line, ascending}."""
-    index = {}
-    for row, table in enumerate(tables.tolist()):
-        for line, entry in enumerate(table):
-            index.setdefault((line, entry), []).append(row)
-    return index
-
-
-@pytest.mark.parametrize("q", [3, 5])
-def test_column_index_matches_a_dict(q):
-    # a stack of tables with repeated rows, so that ranges hold several rows
-    geo = OrthogonalGeometry(q=q)
-    rng = random.Random(q)
-    words = [geo.random_element(rng) for _ in range(6)]
-    tables = geo._signed_tables(np.stack(words + words[:3] + [np.eye(5, dtype=np.int64)]))
-    starts, rows = geo._column_index(tables)
-    width = q * len(geo.lines)
-    assert starts.dtype == np.int32 and rows.dtype == np.int8
-    assert len(starts) == len(geo.lines) * width + 1 and len(rows) == tables.size
-    expected = column_index_by_dict(tables)
-    keys = np.flatnonzero(np.diff(starts))
-    assert sorted(keys.tolist()) == sorted(line * width + e for line, e in expected)
-    for key in keys.tolist():
-        line, entry = divmod(key, width)
-        assert rows[starts[key] : starts[key + 1]].tolist() == expected[line, entry]
-
-
-def test_scan_blocks_that_do_not_divide_the_group(geo3, monkeypatch):
-    # blocks hold whole cosets x H, 1,152 elements each: at 4 cosets a block
-    # the 45 cosets leave one over
-    scan = geo3._batched_scan()
-    monkeypatch.setattr(weylchars.so5, "CHUNK_ENTRIES", 4 * 1152 * len(geo3.lines) + 5)
-    blocks = []
-    original = geo3._twisted_class
-
-    def spy(fixed, negated):
-        # per-element counts of fixed and negated lines by type
-        assert fixed.shape == negated.shape == (len(fixed), 3)
-        blocks.append(len(fixed))
-        return original(fixed, negated)
-
-    monkeypatch.setattr(geo3, "_twisted_class", spy)
-    blocked = geo3._batched_scan()
-    assert blocks == [4608] * 11 + [1152]
-    for got, want in zip(blocked, scan):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-def test_scatter_coset_model_matches_the_line_route(geo3):
+def test_scatter_coset_model_matches_the_line_route(geo3, coset3):
     elements = geo3.enumerate_group()
     for split in (True, False):
         stab = geo3.stabilizer(split)
-        got = geo3._coset_model_batch(stab)
+        got = coset3[split]
         ind_one, ind_det = coset_model_by_lines(geo3, stab, elements)
         assert got.dtype == np.int64 and np.array_equal(got, ind_one - ind_det)
         # ind(1) and ind(det) both count every coset at the identity
@@ -790,57 +710,33 @@ def test_scatter_coset_model_matches_the_line_route(geo3):
         assert got[0] == 0
 
 
-def test_coset_model_runs_in_blocks(geo3, monkeypatch):
-    coded = []
-    original = geo3._matrix_codes
-
-    def spy(matrices):
-        codes = original(matrices)
-        coded.append(len(codes))
-        return codes
-
-    monkeypatch.setattr(geo3, "_matrix_codes", spy)
-    for split in (True, False):
-        stab = geo3.stabilizer(split)
-        coded.clear()
-        geo3._coset_model_batch(stab)
-        # one call per block of the det -1 half's conjugates, a quarter of
-        # CHUNK_ENTRIES outputs each, since coding widens to int64
-        assert len(coded) == 5 and sum(coded) == stab.order // 2 * len(stab.transporters)
-        assert max(coded) * 25 * 4 <= CHUNK_ENTRIES
-
-
 def test_the_enumeration_is_coded_once(monkeypatch):
+    # the digit tables are built once per closure and once by the
+    # enumeration, which is cached; the whole-group scan and the class sizes
+    # read the cached matrices and code nothing
     geo = OrthogonalGeometry(q=3)
     coded = []
-    original = geo._matrix_codes
+    original = geo._code_columns
 
-    def spy(matrices):
-        coded.append(len(matrices))
-        return original(matrices)
+    def spy():
+        coded.append(True)
+        return original()
 
-    monkeypatch.setattr(geo, "_matrix_codes", spy)
+    monkeypatch.setattr(geo, "_code_columns", spy)
     for _ in range(2):
         assert geo.verify(seed=0).ok
-    assert coded == []  # verify codes no element
-    # the closure codes the elements itself: two rounds of coset models, two
-    # stabilizers each, code only their 5 blocks of det -1 conjugates
-    geo.enumerate_group()
-    for _ in range(2):
-        for split in (True, False):
-            geo._coset_model_batch(geo.stabilizer(split))
-    assert len(coded) == 4 * 5 and 51840 not in coded
-    # and its codes are the element codes, sorted once
-    order, codes = geo._element_codes
-    assert codes.dtype == np.int64
-    assert np.array_equal(original(geo.enumerate_group())[order], codes)
-    assert (np.diff(codes) > 0).all()
+    assert len(coded) == 2  # one per stabilizer, closed once
+    elements = geo.enumerate_group()
+    assert len(coded) == 3
+    assert geo.enumerate_group() is elements
+    geo._batched_scan()
+    geo.conjugacy_class_size(elements[1])
+    assert len(coded) == 3
 
 
 def test_each_stabilizer_is_closed_once(monkeypatch):
     # stabilizer() closes nothing; the first verify closes both H, and the
-    # enumeration and the coset models read them back, however many checks
-    # run
+    # enumeration reads the split one back, however many checks run
     geo = OrthogonalGeometry(q=3)
     closed = []
     original = geo._closure
@@ -856,8 +752,6 @@ def test_each_stabilizer_is_closed_once(monkeypatch):
         assert geo.verify(seed=0).ok
     assert closed == [1152, 1440]
     geo.enumerate_group()
-    for split in (True, False):
-        geo._coset_model_batch(geo.stabilizer(split))
     assert closed == [1152, 1440]
 
 def first_occurrences_by_dict(values):
@@ -899,19 +793,27 @@ def test_first_occurrences_guard(value):
     assert str(raised.value) == "values need more than 46 bits beside 17 index bits"
 
 
-def test_scan_frees_its_blocks_as_it_joins_them(geo3):
-    # the four outputs take 1.29 MiB; holding every block's results and the
-    # joined outputs at once would take twice that, and the scan's own
-    # per-block work (index included) stays well under 1 MiB
+def test_scan_frees_its_blocks_as_it_joins_them():
+    # a batch shaped like the whole-group scan at q = 3: 51,840 rows in
+    # blocks of 866, four outputs of 1.29 MiB in all; holding every block's
+    # results and the joined outputs at once would take twice that, and the
+    # per-block work stays well under 1 MiB
+    rows = np.arange(51840)
+
+    def batch(block):
+        return block.astype(np.int64), block % 2 == 0, 2 * block, block // 3
+
     tracemalloc.start()
     try:
-        scan = geo3._batched_scan()
+        joined = _in_row_blocks(5 * 121, batch, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = sum(part.nbytes for part in scan)
+    outputs = sum(part.nbytes for part in joined)
     assert outputs == 51840 * 25
     assert peak <= outputs + 2**20, f"peak {peak / 2**20:.2f} MiB"
+    for got, want in zip(joined, batch(rows)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_verify_peak_memory():
@@ -928,9 +830,8 @@ def test_verify_peak_memory():
         tracemalloc.stop()
     assert record.ok
     assert peak <= 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    # and verify builds no array of |G| rows: neither the enumeration nor
-    # its cosets are made
-    assert geo._elements is None and geo._cosets is None and geo._element_codes is None
+    # and verify builds no array of |G| rows: the enumeration is not made
+    assert geo._elements is None
     # and the geometry keeps no array as large as G's tables
     held = list(geo._subgroups.values())
     for value in vars(geo).values():
@@ -939,9 +840,9 @@ def test_verify_peak_memory():
     assert big == []
 
 
-def test_member_labels_match_the_membership_test(geo3):
+def test_member_labels_match_the_membership_test(geo3, scan3):
     elements = geo3.enumerate_group()
-    trace, members, eps, delta = geo3._batched_scan()
+    trace, members, eps, delta = scan3
     index = np.flatnonzero(members)
     assert np.array_equal(np.flatnonzero(eps), index)
     eps, delta = eps[index], delta[index]
@@ -954,28 +855,30 @@ def test_member_labels_match_the_membership_test(geo3):
         assert geo3.in_class_c(elements[index[k]]) == ClassCLabel(*labels[k])
 
 
-def test_support_batch_matches_the_full_scan(geo3):
+def test_support_batch_matches_the_full_scan(geo3, scan3):
     elements = geo3.enumerate_group()
-    scan = geo3._batched_scan()
     assert CHUNK_ENTRIES // (5 * len(geo3.lines)) < len(elements)  # chunked
     batch = geo3._support_batch(elements)
-    for got, want in zip(batch, scan):
+    for got, want in zip(batch, scan3):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     got_trace, _, _, got_delta = batch
     assert np.array_equal(got_trace, 2 * 3 * got_delta)  # the support identity
 
 
-def test_line_stabilizer_halves_match_the_whole_group_scan(geo3):
-    # verify's route: each row of H_+^- and H_-^- against the scan at the
-    # same element, found by its code; the class sizes from the pair count
-    # and from the centralizer on H_eps, against the scan's label counts and
-    # conjugacy_class_size
+def test_line_stabilizer_halves_match_the_whole_group_scan(geo3, scan3):
+    # verify's route: each row of H_+^- and H_-^- against the scan and the
+    # coset model by lines at the same element, found by its matrix code;
+    # the class sizes from the pair count and from the centralizer on
+    # H_eps, against the scan's label counts and conjugacy_class_size
     q, order = geo3.q, geo3.group_order_formula()
-    scan = geo3._batched_scan()
-    element_order, codes = geo3._element_codes
+    elements = geo3.enumerate_group()
+    weights = q ** np.arange(25, dtype=np.int64)
+    codes = elements.reshape(-1, 25).astype(np.int64) @ weights
+    element_order = np.argsort(codes)
+    codes = codes[element_order]
+    stabs = [geo3.stabilizer(split) for split in (True, False)]
     sizes, halves, members = {}, {}, []
-    for split in (True, False):
-        stab = geo3.stabilizer(split)
+    for stab in stabs:
         tables = geo3._subgroup_tables(stab)
         base = stab.base_index
         route = geo3._eigenline_scan(tables)
@@ -983,13 +886,19 @@ def test_line_stabilizer_halves_match_the_whole_group_scan(geo3):
         rows = np.flatnonzero(tables[:, base] == base * q + q - 1)
         assert 2 * len(rows) == stab.order
         matrices = geo3._entry_vectors()[tables[rows][:, geo3._basis]].swapaxes(1, 2)
-        wanted = geo3._matrix_codes(matrices)
+        wanted = matrices.reshape(-1, 25) @ weights
         at = np.searchsorted(codes, wanted)
         assert np.array_equal(codes[at], wanted)
-        for got, want in zip(route[:4], scan):
-            assert np.array_equal(got[rows], want[element_order[at]])
+        found = element_order[at]
+        for got, want in zip(route[:4], scan3):
+            assert np.array_equal(got[rows], want[found])
         virtual, trace = route[4][rows], route[0][rows]
         assert np.array_equal(virtual, trace)
+        # V by transporter conjugation, which reads no split sign
+        (one, det), (one_n, det_n) = (
+            coset_model_by_lines(geo3, other, elements[found]) for other in stabs
+        )
+        assert np.array_equal(virtual, (one - det) - (one_n - det_n))
         # a member of label (eps, delta) negates q lines of type delta
         d = int(geo3.line_types[base])
         eps, delta = route[2][rows], route[3][rows]
@@ -1000,8 +909,7 @@ def test_line_stabilizer_halves_match_the_whole_group_scan(geo3):
             assert count % q == 0
             sizes[e, d] = count // q
     assert members == [192, 240]
-    elements = geo3.enumerate_group()
-    _, scan_members, scan_eps, scan_delta = scan
+    _, scan_members, scan_eps, scan_delta = scan3
     assert sorted(sizes) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     assert sum(sizes.values()) == int(scan_members.sum()) == 5760
     for (e, d), size in sizes.items():
@@ -1144,30 +1052,10 @@ def test_the_isotropic_count_tells_every_candidate_kind_apart():
     assert not np.delete(members, rows).any()
 
 
-def test_coset_model_guards(geo3, tables3, monkeypatch):
-    stab = geo3.stabilizer(split=True)
-    wrong = dataclasses.replace(stab, order=stab.order + 1)
-    with pytest.raises(RuntimeError) as raised:
-        geo3._coset_model_batch(wrong)
-    assert str(raised.value) == "stabilizer has 576 elements of det -1, expected 1153 / 2"
-    # drop the code of the first element that negates a coset line but
-    # moves the base line, read off its signed line table: a det -1
-    # conjugate of the stabilizer
-    coset_lines = np.array(stab.line_indices)
-    negates = tables3[:, coset_lines] == coset_lines * geo3.q + geo3.q - 1
-    moves_base = tables3[:, stab.base_index] // geo3.q != stab.base_index
-    dropped = int(np.flatnonzero(moves_base & negates.any(axis=1))[0])
-    order, codes = geo3._element_codes
-    k = int(np.flatnonzero(order == dropped)[0])
-    monkeypatch.setattr(geo3, "_element_codes", (np.delete(order, k), np.delete(codes, k)))
-    with pytest.raises(RuntimeError, match="not a group element"):
-        geo3._coset_model_batch(stab)
-
-
 def test_coded_kernels_reject_what_they_cannot_code():
     geo = OrthogonalGeometry(q=7)
     with pytest.raises(ValueError, match="int64 codes need q <= 5"):
-        geo._matrix_codes(np.eye(5, dtype=np.int64)[None])
+        geo._code_columns()
     with pytest.raises(ValueError):
         geo.line_index([0, 0, 0, 0, 0])
 
@@ -1378,24 +1266,6 @@ def test_verify_reports_a_per_element_disagreement(geo3, monkeypatch, capsys, pa
         geo3, monkeypatch, capsys, "_support_batch", edited(edit),
         f"H_+^- row {first_sampled(geo3)}: {message}",
     )
-
-
-def test_coset_model_counts_a_repeated_transporter(geo3, tables3):
-    # with transporter 1 in slot 2 as well, the split coset model counts
-    # coset line 1 twice and line 2 never: ind(1) - ind(det) gains 2 where g
-    # negates line 1 and loses 2 where g negates line 2, read off the signed
-    # tables
-    trace = geo3._batched_scan()[0]
-    split = geo3.stabilizer(split=True)
-    transporters = split.transporters.copy()
-    transporters[2] = transporters[1]
-    repeated = dataclasses.replace(split, transporters=transporters)
-    virtual = geo3._coset_model_batch(repeated)
-    virtual -= geo3._coset_model_batch(geo3.stabilizer(split=False))
-    lines = np.array(split.line_indices[1:3])
-    negates = tables3[:, lines] == lines * geo3.q + geo3.q - 1
-    shift = 2 * (negates[:, 0].astype(np.int64) - negates[:, 1])
-    assert shift.any() and np.array_equal(virtual - trace, shift)
 
 
 def test_verify_reports_a_wrong_line_census(geo3, monkeypatch, capsys):
