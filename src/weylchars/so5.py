@@ -12,18 +12,19 @@ q^2 + 1.  Two kernels carry the per-element work:
   x_l to c * x_m for one line m and one scalar c, stored as the single
   entry ``m * q + c``.  Tables compose by lookups in ``scaled[c, e]``, the
   entry of c times the vector of entry e: where h maps x_l to c_h x_m,
-  (gh) holds ``scaled[c_h, g[m]]``.  A line stabilizer H (1,152 or 1,440
-  elements at q = 3) is the breadth-first ``_closure`` of reflection pairs
-  that keep its base line, over whole frontiers of tables.  Each element
-  is coded as one int64, its 25 matrix entries as base-q digits
-  (q^25 < 2^63 for q <= 5); the basis-line entries are the matrix's
-  columns, so an image is coded before any full table is composed, by
-  five lookups in digit tables built once per generator and basis line.
-  A frontier is deduplicated by one sort of (code, index) keys packed into
-  int64, and the closure must fill exactly |H| rows.  A conjugacy class's
-  size is |G| / |C(g)|, the centralizer counted on tables
-  (``_centralizer_order``): h commutes with g when gh and hg have the same
-  entries at the five basis lines, read only for the rows still counted.
+  (gh) holds ``scaled[c_h, g[m]]``.  A vector's entry is one lookup of its
+  base-q code (``_entry_of_code``).  A line stabilizer H (1,152 or 1,440
+  elements at q = 3) is built as matrices from orthogonal frames
+  (``_stabilizer_matrices``): H restricts isomorphically onto O(u^perp),
+  u its base line, and an isometry of u^perp is fixed by where it sends
+  one orthogonal basis p_1..p_4 of it, which may be any frame of pairwise
+  orthogonal vectors c_k of u^perp with the same norms.  The frames are
+  extended one column at a time, and the element sends u to det(A) u, A
+  the frame's coordinates in the p_k, so that its determinant is 1; there
+  must be exactly |H| of them.  A conjugacy class's size is |G| / |C(g)|,
+  the centralizer counted on tables (``_centralizer_order``): h commutes
+  with g when gh and hg have the same entries at the five basis lines,
+  read only for the rows still counted.
 * The matrix of g: ``_support_batch`` counts the kernel masks of one
   narrow-integer einsum of matrix rows against the lines (unsigned: uint8
   up to q = 7, uint16 up to q = 113), each product's divisibility by q
@@ -118,6 +119,7 @@ the line-count trace with it by one rule, ``_support_failures``: trace =
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -131,41 +133,20 @@ from .report import CheckRecord, run_check
 
 FULL_ENUMERATION_Q = 3
 LABELS = [(-1, -1), (-1, 1), (1, -1), (1, 1)]  # every (eps, delta)
-MAX_CODED_Q = 5  # largest q with q^25 < 2^63: int64 element codes
 # entries per row block: eigenline products of matrix rows with the lines,
 # line images of the coset model, and perpendicular products of the lines
 CHUNK_ENTRIES = 2**19
+# (permutation, sign) of each of the 24 terms of a 4 x 4 determinant
+LEIBNIZ_TERMS = [
+    (perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+    for perm in itertools.permutations(range(4))
+]
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
     return all(n % d for d in range(2, int(n**0.5) + 1))
-
-
-def _first_occurrences(values):
-    """Index of the first occurrence of each distinct value, ascending.
-
-    Each value is packed with its index into one int64 key, ``value << bits
-    | index``, so one sort of the keys groups equal values with the least
-    index first in each run, and each run's first key holds its first
-    occurrence.  The keys fit in int64 only when every value fits in
-    63 - bits bits and a sign; a wider value raises.
-    """
-    bits = max(len(values) - 1, 1).bit_length()
-    limit = 1 << (63 - bits)
-    if values.max(initial=0) >= limit or values.min(initial=0) < -limit:
-        raise ValueError(f"values need more than {63 - bits} bits beside {bits} index bits")
-    keys = values << bits
-    keys |= np.arange(len(values))
-    keys.sort()
-    heads = keys >> bits
-    starts = np.empty(len(keys), dtype=bool)
-    starts[:1] = True
-    np.not_equal(heads[1:], heads[:-1], out=starts[1:])
-    keep = np.zeros(len(values), dtype=bool)
-    keep[keys[starts] & ((1 << bits) - 1)] = True
-    return np.flatnonzero(keep)
 
 
 def _divisible(values, q):
@@ -238,24 +219,27 @@ class OrthogonalGeometry:
 
     def _init_lines(self):
         """Representatives with leading coordinate 1, in lexicographic order,
-        and a table from each representative's base-q value to its index."""
+        and ``_entry_of_code``, the table entry ``m * q + c`` of each nonzero
+        vector c * x_m at its base-q value (-1 at the zero vector)."""
         q = self.q
         vectors = np.indices((q,) * 5, dtype=np.int64).reshape(5, -1).T
         lead = (vectors != 0).argmax(axis=1)
         keep = vectors[np.arange(len(vectors)), lead] == 1  # drops zero too
         self.lines = vectors[keep]
         self._place = q ** np.arange(4, -1, -1, dtype=np.int64)
-        self._line_of_code = np.full(q**5, -1, dtype=np.int64)
-        self._line_of_code[self.lines @ self._place] = np.arange(len(self.lines))
         self._inverse_mod = np.array(
             [0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64
         )
         # table entries run up to len(lines) * q; int16 up to q = 7
         self._entry_dtype = np.min_scalar_type(-len(self.lines) * q)
+        self._entry_of_code = np.full(q**5, -1, dtype=self._entry_dtype)
+        for c in range(1, q):
+            entries = np.arange(len(self.lines)) * q + c
+            self._entry_of_code[(c * self.lines % q) @ self._place] = entries
         # products of residues with lines are at most 5 (q - 1)^2: uint8 up
         # to q = 7, uint16 up to q = 113
         self._product_dtype = np.min_scalar_type(5 * (q - 1) ** 2)
-        self._basis = self._line_of_code[np.eye(5, dtype=np.int64) @ self._place]
+        self._basis = self._entry_of_code[np.eye(5, dtype=np.int64) @ self._place] // q
         self.norms = (self.lines * self.lines).sum(axis=1) % q
         squares = sorted({(a * a) % q for a in range(1, q)})
         self.line_types = np.where(
@@ -268,15 +252,12 @@ class OrthogonalGeometry:
 
     def _signed_lines(self, vectors):
         """Entry ``line * q + c`` of each row of a (k, 5) array, where the
-        row is c times the line's representative."""
-        q = self.q
-        vectors = np.asarray(vectors, dtype=np.int64) % q
-        lead = vectors[np.arange(len(vectors)), (vectors != 0).argmax(axis=1)]
-        normalized = (vectors * self._inverse_mod[lead][:, None]) % q
-        indices = self._line_of_code[normalized @ self._place]
-        if (indices < 0).any():
+        row is c times the line's representative: one ``_entry_of_code``
+        lookup per row."""
+        entries = self._entry_of_code[(np.asarray(vectors, dtype=np.int64) % self.q) @ self._place]
+        if (entries < 0).any():
             raise ValueError("the zero vector spans no line")
-        return indices * q + lead
+        return entries
 
     def _entry_vectors(self):
         """The vector c * x_l of every table entry l * q + c, as rows."""
@@ -358,8 +339,8 @@ class OrthogonalGeometry:
 
         Guarded to q = 3 (51,840 elements, |H| = 1,152).  The base line,
         the transporters and |H| are ``stabilizer(split=True)``'s, and H's
-        tables are its ``_subgroup_tables``, closed once to exactly
-        |H| = |G| / #lines rows.  Left multiplication by x only relabels
+        tables are its ``_subgroup_tables``, built once from exactly
+        |H| = |G| / #lines frames.  Left multiplication by x only relabels
         table entries: (x h)[l] is ``relabel[k, h[l]]``, transporter k's
         entry for the vector of entry h[l].  The matrices' columns are the
         vectors of their entries at the basis lines, ``relabel[k,
@@ -402,45 +383,83 @@ class OrthogonalGeometry:
         self._elements = elements
         return self._elements
 
-    def _line_stabilizer_generators(self, line):
-        """Generators of H, the stabilizer of an anisotropic line u in
-        SO_5: r_a r_b for the anisotropic lines a of u's perpendicular
-        4-space other than the first, b, and r_u r_b.
+    def _stabilizer_matrices(self, line):
+        """Every element of H, the stabilizer of the anisotropic line u
+        (index ``line``) in SO_5, as a (k, 5, 5) stack, the identity first.
 
-        H restricts isomorphically onto O(u^perp), since g u = det(g|u^perp)
-        u.  The reflections r_a generate O(u^perp) (Cartan-Dieudonne), so
-        the pairs, every even word being a product of them and their
-        inverses, generate its SO, and r_u r_b adds the other coset; both
-        norm classes occur among the a.
+        g u = det(g|u^perp) u, so H restricts isomorphically onto O(u^perp).
+        Fix B = [u | p_1..p_4], each p_k the first anisotropic line
+        perpendicular to the ones before it, with norms n_0..n_4.  An
+        isometry of u^perp is its frame c_k = g p_k: vectors of u^perp with
+        c_k . c_k = n_k, pairwise orthogonal, found one column at a time as
+        the candidates of norm n_k perpendicular to c_1..c_(k-1).  With A
+        the frames' coordinates in the p_k (A[k, j] = c_k . p_j / n_j) and
+        sigma = det A = +-1, counted exactly by its 24 Leibniz terms,
+        g = [sigma u | c_1..c_4] diag(1/n) B^T, so g p_k = c_k, g u = sigma u
+        and det g = sigma det A = 1.  The candidates run in entry order,
+        where p_k comes first, so the first frame is the p_k: the identity.
         """
         q = self.q
         u = self.lines[line]
-        perp = self.lines[((self.lines @ u) % q == 0) & (self.line_types != 0)]
-        mirrors = self._reflections(np.concatenate([perp, u[None]]))
-        return list((mirrors[1:] @ mirrors[0]) % q)
+        basis = [u]
+        for _ in range(4):
+            perp = ((self.lines @ np.transpose(basis)) % q == 0).all(axis=1)
+            basis.append(self.lines[(perp & (self.line_types != 0)).argmax()])
+        basis = np.array(basis)
+        norms = (basis * basis).sum(axis=1) % q
+        vectors = self._entry_vectors()
+        vector_norms = (vectors * vectors).sum(axis=1) % q
+        keep = ((vectors @ u) % q == 0) & (vector_norms != 0)
+        vectors, vector_norms = vectors[keep], vector_norms[keep]
+        orthogonal = (vectors @ vectors.T) % q == 0
+        frames = np.zeros((1, 0), dtype=np.intp)
+        for norm in norms[1:]:
+            level = np.flatnonzero(vector_norms == norm)
+            fits = np.ones((len(frames), len(level)), dtype=bool)
+            for column in frames.T:
+                fits &= orthogonal[column[:, None], level]
+            frame, new = np.nonzero(fits)
+            frames = np.column_stack([frames[frame], level[new]])
+        frames = vectors[frames]  # (k, 4, 5): c_1..c_4 as rows
+        coords = (frames @ basis[1:].T) * self._inverse_mod[norms[1:]] % q
+        sigma = sum(sign * coords[:, range(4), perm].prod(axis=1) for perm, sign in LEIBNIZ_TERMS)
+        columns = np.concatenate([(sigma[:, None] % q * u)[:, None], frames], axis=1)
+        return columns.swapaxes(1, 2) @ (self._inverse_mod[norms][:, None] * basis) % q
 
     def _subgroup_tables(self, stab: LineStabilizer):
         """Signed line tables of H, the stabilizer of the base line of
-        ``stab``: the ``_closure`` of ``_line_stabilizer_generators`` from
-        the identity, to ``stab.order`` rows, closed at most once per base
-        line and geometry."""
+        ``stab``: the ``_signed_tables`` of its ``_stabilizer_matrices``,
+        which must be ``stab.order`` rows, built at most once per base line
+        and geometry."""
         line = stab.base_index
         if line not in self._subgroups:
-            self._subgroups[line] = self._closure(
-                self._signed_tables(np.eye(5, dtype=np.int64)[None])[0],
-                self._signed_tables(np.stack(self._line_stabilizer_generators(line))),
-                stab.order,
-            )
+            matrices = self._stabilizer_matrices(line)
+            if len(matrices) != stab.order:
+                raise RuntimeError(f"frames give {len(matrices)} elements, expected {stab.order}")
+            self._subgroups[line] = self._signed_tables(matrices)
         return self._subgroups[line]
 
     def _signed_tables(self, matrices):
         """Signed line table of each matrix in a (k, 5, 5) array: row i,
-        column l holds ``m * q + c`` where matrix i maps x_l to c * x_m."""
+        column l holds ``m * q + c`` where matrix i maps x_l to c * x_m.
+
+        The images' base-q codes are summed one coordinate at a time: row j
+        of every matrix against the transposed lines, by one integer einsum
+        in ``_product_dtype``, as in ``_support_batch``, reduced mod q as
+        x - (x // q) q (ten times faster than ``%`` here).  Each code is
+        then one ``_entry_of_code`` lookup.
+        """
         q = self.q
+        narrow = self._product_dtype
+        lines_t = np.ascontiguousarray(self.lines.T, dtype=narrow)
         matrices = np.asarray(matrices, dtype=np.int64) % q
-        images = (matrices @ self.lines.T) % q  # (k, 5, lines)
-        entries = self._signed_lines(images.transpose(0, 2, 1).reshape(-1, 5))
-        return entries.reshape(len(matrices), -1).astype(self._entry_dtype)
+        codes = np.zeros((len(matrices), len(self.lines)), dtype=np.min_scalar_type(q**5 - 1))
+        for rows in matrices.swapaxes(0, 1).astype(narrow):
+            images = np.einsum("ij,jl->il", rows, lines_t)
+            images -= images // q * q
+            codes *= q
+            codes += images
+        return self._entry_of_code.take(codes)
 
     def _scaled_entries(self):
         """``scaled[c, m * q + a] = m * q + (a * c) % q``, the entry of c
@@ -463,66 +482,7 @@ class OrthogonalGeometry:
         (i, j) as base-q digit 5 i + j: the basis-line entries of a table
         are its matrix's columns, so its code is the sum over basis lines j
         of ``columns[j, table[basis[j]]]``."""
-        if self.q > MAX_CODED_Q:
-            raise ValueError(f"int64 codes need q <= {MAX_CODED_Q}")
         return (self._entry_vectors() @ self.q ** np.arange(25, dtype=np.int64).reshape(5, 5)).T
-
-    def _closure(self, start, rights, order):
-        """Tables of the ``order`` elements reachable from the table
-        ``start`` by repeated steps g -> g r over the stacked tables
-        ``rights``: start first, then in breadth-first discovery order.
-
-        A frontier's images are first coded without composing any table,
-        by the sum of one ``_code_columns`` digit per basis line j.  Right
-        r maps x_j to c x_m, so g r holds ``scaled[c, g[m]]`` at j, and its
-        digit is one lookup in ``digits[r, j] = columns[j][scaled[c]]``, a
-        table built once per (r, j).  Each level copies the frontier's
-        entries at the few distinct lines m once, line-major (row
-        ``where[r, j]`` for the m of (r, j)), and sums five lookups per
-        step into an (R, k) block, step-major.  The codes are deduplicated,
-        within the frontier and against everything seen, by
-        ``_first_occurrences`` of the seen codes followed by the new ones,
-        keeping the first occurrence of each new code in step-major order,
-        and only the new elements get full tables.  The tables live in one
-        buffer of ``order`` rows: each step writes its new elements
-        straight after the last level, and the next level reads them back
-        as a view.  A closure that would overflow the buffer, or stops
-        short of filling it, raises.
-        """
-        columns = self._code_columns()
-        scaled = self._scaled_entries()
-        basis = self._basis
-        line, scalar = np.divmod(rights[:, basis].astype(np.intp), self.q)
-        needed = np.flatnonzero(np.bincount(line.ravel()))  # the distinct m, ascending
-        where = np.searchsorted(needed, line)
-        digits = columns[np.arange(5)[:, None], scaled[scalar]]  # (R, 5, q * #lines)
-        found = np.empty((order, len(start)), dtype=start.dtype)
-        found[0] = start
-        seen = np.array([columns[np.arange(5), start[basis]].sum()])
-        level, end = 0, 1  # the frontier is found[level:end]
-        while end > level:
-            frontier = found[level:end]
-            entries = frontier.T[needed].astype(np.intp)
-            block = np.empty((len(rights), len(frontier)), dtype=np.int64)
-            for r, codes in enumerate(block):
-                digits[r, 0].take(entries[where[r, 0]], out=codes)
-                for j in range(1, 5):
-                    codes += digits[r, j].take(entries[where[r, j]])
-            image_codes = block.ravel()
-            first = _first_occurrences(np.concatenate([seen, image_codes]))
-            first = first[first >= len(seen)] - len(seen)
-            seen = np.concatenate([seen, image_codes[first]])
-            if end + len(first) > order:
-                raise RuntimeError(f"closure produced over {order} elements, expected {order}")
-            step_of, row = np.divmod(first, len(frontier))
-            level = end
-            for step, right in enumerate(rights):
-                taken = frontier.take(row[step_of == step], axis=0)
-                found[end : end + len(taken)] = self._compose(taken, right, scaled)
-                end += len(taken)
-        if end != order:
-            raise RuntimeError(f"closure produced {end} elements, expected {order}")
-        return found
 
     def inverse(self, g):
         """Inverse of an element, or of each in a stack: the transpose, since
@@ -643,7 +603,7 @@ class OrthogonalGeometry:
         """Stabilizer of a 4-space on which the form is split (or
         non-split), with a Witt transporter to every coset line; its order
         is |G| / #lines of the type.  No enumeration is read and H is not
-        closed: ``_subgroup_tables`` closes it when ``verify`` or the
+        built: ``_subgroup_tables`` builds it when ``verify`` or the
         enumeration asks."""
         if split not in self._stabilizers:
             line_type = self.split_line_type() if split else -self.split_line_type()
@@ -814,10 +774,8 @@ class OrthogonalGeometry:
         the rows, which is the sum of T over G, is 0; and on a seeded sample
         of rows (members first), ``_support_batch`` on the matrices agrees
         with the tables, with labels invariant under conjugation.  No array
-        of |G| rows is built.  Guarded to q = 3: at q = 5 ``_closure``'s
-        element codes fit in int64 (``MAX_CODED_Q``), but not beside the 7
-        index bits of ``_first_occurrences``'s keys, which raises, and at
-        q = 7 ``_code_columns`` refuses them.
+        of |G| rows is built.  Guarded to q = 3 by table size: H's tables
+        hold |H| x #lines entries, about 47 MB per type at q = 5.
         """
         if self.q != FULL_ENUMERATION_Q:
             raise ValueError(f"full verification is guarded to q={FULL_ENUMERATION_Q}")

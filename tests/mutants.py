@@ -160,7 +160,7 @@ MUTANTS = (
         'if False:\n            raise ValueError(f"full verification',
         so5_tests("test_verify_guard"),
     ),
-    # --- the coset model, read on lines, and the stabilizers, closed once ---
+    # --- the coset model, read on lines, and the stabilizers, built once ---
     # the coset lines g fixes with scalar 1 counted in place of those it
     # negates
     Mutant(
@@ -169,20 +169,36 @@ MUTANTS = (
     ),
     Mutant(
         SO5, "if line not in self._subgroups:", "if True:",
-        so5_tests("test_each_stabilizer_is_closed_once"),
+        so5_tests("test_each_stabilizer_is_built_once"),
     ),
-    # --- the one element code, the closure and the centralizer count ---
+    # --- the frames, the entry lookup, the enumeration and the centralizer
+    # count ---
+    # sigma = -det A: every frame's element has det -1
     Mutant(
-        SO5, "for j in range(1, 5):", "for j in range(1, 4):",
-        so5_tests("test_enumeration_order", "test_the_enumeration_is_coded_once"),
+        SO5, "(sigma[:, None] % q * u)", "(-sigma[:, None] % q * u)",
+        so5_tests(
+            "test_frames_build_the_line_stabilizers_at_q5",
+            "test_line_stabilizer_closures_reach_their_order",
+            "test_full_verification",
+        ),
+    ),
+    # B^T without diag(1/n): g p_k = n_k c_k, which at q = 3 (n_k = +-1)
+    # only negates the frames of norm 2 and so gives the same set
+    Mutant(
+        SO5, "(self._inverse_mod[norms][:, None] * basis)", "basis",
+        so5_tests("test_frames_build_the_line_stabilizers_at_q5"),
     ),
     Mutant(
-        SO5, "if end + len(first) > order:", "if False:",
+        SO5, "if len(matrices) != stab.order:", "if False:",
         so5_tests("test_enumeration_order_check_fires_both_ways"),
     ),
+    # the vectors (q - 1) x_l have no entry, and read as the zero vector
     Mutant(
-        SO5, "if end != order:", "if False:",
-        so5_tests("test_enumeration_order_check_fires_both_ways"),
+        SO5, "for c in range(1, q):", "for c in range(1, q - 1):",
+        tuple(
+            f"tests/test_so5.py::test_signed_lines_match_the_normalizing_reference[{q}]"
+            for q in (3, 5, 7)
+        ),
     ),
     Mutant(
         SO5, "if not (np.diff(codes) > 0).all():", "if not (np.diff(codes) >= 0).all():",
@@ -199,32 +215,6 @@ MUTANTS = (
     Mutant(
         SO5, "elements.flags.writeable = False", "elements.flags.writeable = True",
         so5_tests("test_enumeration_is_a_read_only_int8_array"),
-    ),
-    Mutant(
-        SO5, "codes += digits[r, j].take(entries[where[r, j]])",
-        "codes += digits[r, j].take(entries[where[r, 0]])",
-        so5_tests(
-            "test_enumeration_order_check_fires_both_ways", "test_the_enumeration_is_coded_once"
-        ),
-    ),
-    Mutant(
-        SO5, "bits = max(len(values) - 1, 1).bit_length()",
-        "bits = max(len(values) - 1, 1).bit_length() - 1",
-        so5_tests(
-            "test_first_occurrences_guard",
-            "test_first_occurrences_match_a_dict[1000]",
-            "test_first_occurrences_match_a_dict[70000]",
-            "test_enumeration_order_check_fires_both_ways",
-        ),
-    ),
-    Mutant(
-        SO5, "np.not_equal(heads[1:], heads[:-1], out=starts[1:])",
-        "np.not_equal(keys[1:], keys[:-1], out=starts[1:])",
-        so5_tests(
-            "test_first_occurrences_guard",
-            "test_first_occurrences_match_a_dict[4097]",
-            "test_enumeration_order_check_fires_both_ways",
-        ),
     ),
     Mutant(
         SO5, "rows = rows[gh == hg]", "rows = rows[gh == gh]",

@@ -11,7 +11,6 @@ from weylchars.so5 import (
     ClassCLabel,
     OrthogonalGeometry,
     _divisible,
-    _first_occurrences,
     _in_row_blocks,
     is_prime,
 )
@@ -168,8 +167,8 @@ def test_enumeration_guard():
 
 
 def test_verify_guard():
-    # raised before any stabilizer is built or closed: at q = 5 the
-    # closure's element codes would overflow
+    # raised before any stabilizer is built: at q = 5 H's tables would take
+    # about 47 MB per type
     geo = OrthogonalGeometry(q=5)
     with pytest.raises(ValueError, match="full verification is guarded to q=3"):
         geo.verify(seed=0)
@@ -177,19 +176,15 @@ def test_verify_guard():
 
 
 def test_enumeration_order_check_fires_both_ways(monkeypatch):
-    # H is closed from the generators of the base line's stabilizer: too few
-    # leave its table buffer short; r_u (det -1, negating the base line u)
-    # closes to the line's stabilizer in O_5, and overflows the |H| rows
-    geo = OrthogonalGeometry(q=3)
-    base = geo.stabilizer(split=True).base_index
-    gens = geo._line_stabilizer_generators(base)
-    reflection = geo.reflection(geo.lines[base])
-    for chosen, count in ((gens[:2], "4"), (gens + [reflection], "over 1152")):
+    # H is built from the frames of the base line's perpendicular: one frame
+    # short, or one repeated, and its row count is not |H|
+    for edit, count in ((lambda m: m[:-1], 1151), (lambda m: np.concatenate([m, m[:1]]), 1153)):
         geo = OrthogonalGeometry(q=3)
-        monkeypatch.setattr(geo, "_line_stabilizer_generators", lambda line, chosen=chosen: chosen)
+        original = geo._stabilizer_matrices
+        monkeypatch.setattr(geo, "_stabilizer_matrices", lambda line, e=edit: e(original(line)))
         with pytest.raises(RuntimeError) as raised:
             geo.enumerate_group()
-        assert str(raised.value) == f"closure produced {count} elements, expected 1152"
+        assert str(raised.value) == f"frames give {count} elements, expected 1152"
 
 
 def test_enumeration_distinctness_check(monkeypatch):
@@ -260,17 +255,75 @@ def test_witt_transporters_match_the_one_product_choice(q):
         assert transporters.dtype == want.dtype and np.array_equal(transporters, want)
 
 
+def reflection_pairs(geo, line):
+    """Generators of the stabilizer of the anisotropic line u in SO_5:
+    r_a r_b for the anisotropic lines a of u's perpendicular other than the
+    first, b, and r_u r_b, each reflection 1 - 2 x x^T / (x . x) built
+    here.  The r_a generate O(u^perp) (Cartan-Dieudonne), so the pairs
+    generate its SO, and r_u r_b adds the other coset."""
+    q = geo.q
+    u = geo.lines[line]
+    norms = (geo.lines * geo.lines).sum(axis=1) % q
+    perp = geo.lines[((geo.lines @ u) % q == 0) & (norms != 0)]
+    mirrors = [
+        (np.eye(5, dtype=np.int64) - 2 * pow(int(x @ x), q - 2, q) * np.outer(x, x)) % q
+        for x in [*perp, u]
+    ]
+    return np.stack([(a @ mirrors[0]) % q for a in mirrors[1:]])
+
+
 def test_line_stabilizer_closures_reach_their_order():
-    # at q = 3, H closes to |G| / #lines for both base lines, and every
-    # element of it maps the base line onto itself
+    # at q = 3, the frames give, for both base lines, the same set of
+    # matrices as the closure of reflection pairs, |G| / #lines of them,
+    # and H's tables are their signed tables, row for row
     geo = OrthogonalGeometry(q=3)
+    weights = 3 ** np.arange(25, dtype=np.int64)
     for split, order in ((True, 1152), (False, 1440)):
         stab = geo.stabilizer(split)
+        gens = reflection_pairs(geo, stab.base_index)
+        reference = matrix_closure(
+            geo, np.eye(5, dtype=np.int64), lambda batch: batch[None] @ gens[:, None]
+        )
+        matrices = geo._stabilizer_matrices(stab.base_index)
+        assert stab.order == order == len(matrices) == len(reference)
+        assert (matrices[0] == np.eye(5, dtype=np.int64)).all()
+        codes = matrices.reshape(-1, 25) @ weights
+        assert np.array_equal(np.sort(codes), np.sort(reference.reshape(-1, 25) @ weights))
         subgroup = geo._subgroup_tables(stab)
-        assert stab.order == order == len(subgroup)
+        assert np.array_equal(table_matrices(geo, subgroup), matrices)
         assert (subgroup[:, stab.base_index] // 3 == stab.base_index).all()
-        matrices = table_matrices(geo, subgroup)
-        assert len(np.unique(matrices.reshape(-1, 25), axis=0)) == order
+
+
+def det_mod(matrices, q):
+    """Determinant mod q of each 5 x 5 matrix in a stack, exactly, by the
+    120 terms of the Leibniz formula (each product of residues stays below
+    q^5)."""
+    total = np.zeros(len(matrices), dtype=np.int64)
+    for perm in itertools.permutations(range(5)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * matrices[:, range(5), perm].prod(axis=1)
+    return total % q
+
+
+def test_frames_build_the_line_stabilizers_at_q5():
+    # 28,800 and 31,200 distinct elements of SO_5(F_5), the identity first,
+    # each mapping the base line u to +-u: |G| / #lines of each type
+    q = 5
+    geo = OrthogonalGeometry(q=q)
+    eye = np.eye(5, dtype=np.int64)
+    assert det_mod(np.stack([eye, np.diag([1, 1, 1, 1, 4]), 2 * eye]), q).tolist() == [1, 4, 2]
+    for split, order in ((True, 28800), (False, 31200)):
+        stab = geo.stabilizer(split)
+        matrices = geo._stabilizer_matrices(stab.base_index)
+        assert matrices.shape == (order, 5, 5) == (stab.order, 5, 5)
+        assert (matrices[0] == eye).all()
+        assert ((matrices.swapaxes(1, 2) @ matrices) % q == eye).all()
+        assert (det_mod(matrices, q) == 1).all()
+        u = geo.lines[stab.base_index]
+        images = (matrices @ u) % q
+        plus, minus = (images == u).all(axis=1), (images == (-u) % q).all(axis=1)
+        assert (plus | minus).all() and 2 * plus.sum() == order
+        assert len(np.unique(matrices.reshape(-1, 25) @ q ** np.arange(25))) == order
 
 
 def test_witt_transporter_landing_check(monkeypatch):
@@ -711,9 +764,9 @@ def test_scatter_coset_model_matches_the_line_route(geo3, coset3):
 
 
 def test_the_enumeration_is_coded_once(monkeypatch):
-    # the digit tables are built once per closure and once by the
-    # enumeration, which is cached; the whole-group scan and the class sizes
-    # read the cached matrices and code nothing
+    # verify codes no element; the enumeration codes its elements once and
+    # is cached, and the whole-group scan and the class sizes read the
+    # cached matrices and code nothing
     geo = OrthogonalGeometry(q=3)
     coded = []
     original = geo._code_columns
@@ -725,73 +778,34 @@ def test_the_enumeration_is_coded_once(monkeypatch):
     monkeypatch.setattr(geo, "_code_columns", spy)
     for _ in range(2):
         assert geo.verify(seed=0).ok
-    assert len(coded) == 2  # one per stabilizer, closed once
+    assert coded == []
     elements = geo.enumerate_group()
-    assert len(coded) == 3
+    assert len(coded) == 1
     assert geo.enumerate_group() is elements
     geo._batched_scan()
     geo.conjugacy_class_size(elements[1])
-    assert len(coded) == 3
+    assert len(coded) == 1
 
 
-def test_each_stabilizer_is_closed_once(monkeypatch):
-    # stabilizer() closes nothing; the first verify closes both H, and the
+def test_each_stabilizer_is_built_once(monkeypatch):
+    # stabilizer() builds nothing; the first verify builds both H, and the
     # enumeration reads the split one back, however many checks run
     geo = OrthogonalGeometry(q=3)
-    closed = []
-    original = geo._closure
+    built = []
+    original = geo._stabilizer_matrices
 
-    def spy(start, rights, order):
-        closed.append(order)
-        return original(start, rights, order)
+    def spy(line):
+        built.append(line)
+        return original(line)
 
-    monkeypatch.setattr(geo, "_closure", spy)
-    geo.stabilizer(split=True), geo.stabilizer(split=False)
-    assert closed == []
+    monkeypatch.setattr(geo, "_stabilizer_matrices", spy)
+    bases = [geo.stabilizer(split).base_index for split in (True, False)]
+    assert built == []
     for _ in range(2):
         assert geo.verify(seed=0).ok
-    assert closed == [1152, 1440]
+    assert built == bases
     geo.enumerate_group()
-    assert closed == [1152, 1440]
-
-def first_occurrences_by_dict(values):
-    first = {}
-    for i, v in enumerate(values.tolist()):
-        first.setdefault(v, i)
-    return sorted(first.values())
-
-
-@pytest.mark.parametrize("size", [1, 2, 3, 1000, 4097, 70000])
-def test_first_occurrences_match_a_dict(size):
-    rng = np.random.default_rng(size)
-    bits = max(size - 1, 1).bit_length()
-    top = 2 ** (63 - bits)
-    pool = np.concatenate([rng.integers(-top, top, 50), [top - 1, top - 2, -top, -top + 1, 0]])
-    # heavy repeats, then a seen prefix: the distinct pool values first,
-    # followed by draws that mostly repeat them
-    for values in (
-        rng.choice(pool, size),
-        np.concatenate([np.unique(pool), rng.choice(pool, size)])[:size],
-        rng.integers(0, 3**25, size),
-    ):
-        got = _first_occurrences(values.astype(np.int64))
-        assert got.dtype == np.intp
-        assert got.tolist() == first_occurrences_by_dict(values)
-    assert _first_occurrences(np.zeros(0, dtype=np.int64)).tolist() == []
-
-
-@pytest.mark.parametrize("value", [2**46, -(2**46) - 1])
-def test_first_occurrences_guard(value):
-    # 100,000 indices take 17 bits, leaving 46 bits and a sign for values
-    values = np.zeros(100_000, dtype=np.int64)
-    values[7] = 2**46 - 1
-    values[8] = -(2**46)
-    assert _first_occurrences(values).tolist() == [0, 7, 8]
-    values[9] = value
-    with pytest.raises(ValueError) as raised:
-        _first_occurrences(values)
-    assert str(raised.value) == "values need more than 46 bits beside 17 index bits"
-
+    assert built == bases
 
 def test_scan_frees_its_blocks_as_it_joins_them():
     # a batch shaped like the whole-group scan at q = 3: 51,840 rows in
@@ -817,7 +831,7 @@ def test_scan_frees_its_blocks_as_it_joins_them():
 
 
 def test_verify_peak_memory():
-    # a fresh geometry's whole check, both closures included, by
+    # a fresh geometry's whole check, both stabilizers built, by
     # tracemalloc (numpy reports its buffers to it); whole-group
     # temporaries took 41.9 MiB, G's signed line tables alone take 11.9 MiB,
     # and the whole-group verify peaked at 5.8 MiB, the route at 2.1 MiB
@@ -855,14 +869,14 @@ def test_member_labels_match_the_membership_test(geo3, scan3):
         assert geo3.in_class_c(elements[index[k]]) == ClassCLabel(*labels[k])
 
 
-def test_support_batch_matches_the_full_scan(geo3, scan3):
-    elements = geo3.enumerate_group()
-    assert CHUNK_ENTRIES // (5 * len(geo3.lines)) < len(elements)  # chunked
-    batch = geo3._support_batch(elements)
-    for got, want in zip(batch, scan3):
+def test_support_batch_matches_the_full_scan(geo3, scan3, tables3):
+    # the kernel masks of the whole-group scan against the table kernel over
+    # all 51,840 elements
+    assert CHUNK_ENTRIES // (5 * len(geo3.lines)) < len(tables3)  # chunked
+    for got, want in zip(scan3, geo3._eigenline_scan(tables3)[:4]):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    got_trace, _, _, got_delta = batch
-    assert np.array_equal(got_trace, 2 * 3 * got_delta)  # the support identity
+    trace, _, _, delta = scan3
+    assert np.array_equal(trace, 2 * 3 * delta)  # the support identity
 
 
 def test_line_stabilizer_halves_match_the_whole_group_scan(geo3, scan3):
@@ -1052,12 +1066,43 @@ def test_the_isotropic_count_tells_every_candidate_kind_apart():
     assert not np.delete(members, rows).any()
 
 
+def signed_lines_by_normalizing(geo, vectors):
+    """Entry ``line * q + c`` of each nonzero row: c is the first nonzero
+    coordinate, and the row over c is the line's representative, found by
+    its base-q value among the representatives' sorted values."""
+    q = geo.q
+    vectors = np.asarray(vectors, dtype=np.int64) % q
+    lead = vectors[np.arange(len(vectors)), (vectors != 0).argmax(axis=1)]
+    inverse = np.array([0] + [pow(int(a), q - 2, q) for a in range(1, q)])
+    normalized = (vectors * inverse[lead][:, None]) % q
+    place = q ** np.arange(4, -1, -1)
+    line = np.searchsorted(geo.lines @ place, normalized @ place)
+    assert (geo.lines[line] == normalized).all()
+    return line * q + lead
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_signed_lines_match_the_normalizing_reference(q):
+    # every nonzero vector of F_q^5, and a few shifted by multiples of q
+    geo = OrthogonalGeometry(q=q)
+    vectors = np.indices((q,) * 5).reshape(5, -1).T[1:]
+    got = geo._signed_lines(vectors)
+    assert np.array_equal(got, signed_lines_by_normalizing(geo, vectors))
+    shifted = vectors[:: q + 1] + q * np.arange(-2, 3)
+    assert np.array_equal(geo._signed_lines(shifted), got[:: q + 1])
+    assert geo.line_index(vectors[-1]) == got[-1] // q
+    with pytest.raises(ValueError, match="the zero vector spans no line"):
+        geo._signed_lines(np.concatenate([vectors[:5], [[0, 0, 0, 0, q]]]))
+
+
 def test_coded_kernels_reject_what_they_cannot_code():
+    # the zero vector has no entry, and the enumeration's int64 element
+    # codes stop at its guard
     geo = OrthogonalGeometry(q=7)
-    with pytest.raises(ValueError, match="int64 codes need q <= 5"):
-        geo._code_columns()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the zero vector spans no line"):
         geo.line_index([0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="full enumeration is guarded to q=3"):
+        geo.enumerate_group()
 
 
 def split_half(geo):
