@@ -10,10 +10,9 @@ q^2 + 1.  Two kernels carry the per-element work:
 
 * The signed line table of g: for each line l, g maps the representative
   x_l to c * x_m for one line m and one scalar c, stored as the single
-  entry ``m * q + c``.  Tables compose by lookups in ``scaled[c, e]``, the
-  entry of c times the vector of entry e: where h maps x_l to c_h x_m,
-  (gh) holds ``scaled[c_h, g[m]]``.  A vector's entry is one lookup of its
-  base-q code (``_entry_of_code``).  A line stabilizer H (1,152 or 1,440
+  entry ``m * q + c``.  A vector's entry is one lookup of its base-q code
+  (``_entry_of_code``).  Tables are read, never composed: elements are
+  multiplied only as matrices.  A line stabilizer H (1,152 or 1,440
   elements at q = 3) is built as matrices from orthogonal frames
   (``_stabilizer_matrices``): H restricts isomorphically onto O(u^perp),
   u its base line, and an isometry of u^perp is fixed by where it sends
@@ -22,9 +21,9 @@ q^2 + 1.  Two kernels carry the per-element work:
   extended one column at a time, and the element sends u to det(A) u, A
   the frame's coordinates in the p_k, so that its determinant is 1; there
   must be exactly |H| of them.  A conjugacy class's size is |G| / |C(g)|,
-  the centralizer counted on tables (``_centralizer_order``): h commutes
-  with g when gh and hg have the same entries at the five basis lines,
-  read only for the rows still counted.
+  the centralizer counted on matrices (``_commuting``): column j of h g
+  and of g h are compared mod q, one column at a time, only on the rows
+  whose columns have agreed so far.
 * The matrix of g: ``_support_batch`` counts the kernel masks of one
   narrow-integer einsum of matrix rows against the lines (unsigned: uint8
   up to q = 7, uint16 up to q = 113), each product's divisibility by q
@@ -45,7 +44,7 @@ an element takes such a line l, of type e, to u_e, the base line of that
 type, and conjugates g to an h with h u_e = -u_e: a row of H_e^-, the det
 -1 half of H_e, the stabilizer of u_e.  So the identity holds on G exactly
 when it holds on H_+^- and H_-^- (576 + 720 of the 1,152 + 1,440 rows of
-the two ``_subgroup_tables`` at q = 3), and ``_eigenline_scan`` reads each
+the two ``_subgroup`` tables at q = 3), and ``_eigenline_scan`` reads each
 row's fixed and negated lines straight off its entries l q + 1 and
 l q + q - 1.  There the induced character is read by the definition of
 induction: ind(1) - ind(det) from the stabilizer of a line of type e is,
@@ -60,18 +59,16 @@ so |C_(eps,delta)| = #lines_delta x #{members of that label in H_delta^-}
 lines g negates, gives the sum of T over G, #lines_e x T(h) / n(h) summed
 over the rows.  A member h fixes one line only, which every element that
 commutes with h keeps, so for a member that fixes u_eps, C_G(h) =
-C_{H_eps}(h): counted on H_eps's tables, |G| / |C_{H_eps}(h)| must be the
-class size, so that each label set is a single conjugacy class.
+C_{H_eps}(h): counted on H_eps's matrices, |G| / |C_{H_eps}(h)| must be
+the class size, so that each label set is a single conjugacy class.
 
 The q = 3 whole-group reference that the tests and the demo compare with
 is read with the same kernels.  ``enumerate_group`` builds G as the cosets
 x H of H, the stabilizer of a base line u of the split type, one per Witt
 transporter x (``_witt_transporters``, which also serves the 4-space
-stabilizers).  Left multiplication by x only relabels table entries,
-(x h)[l] = ``relabel[k, h[l]]``, so each element's matrix comes off the
-basis-line entries ``relabel[k, H[:, basis]]``, and G's tables are never
-built.  The whole-group scan ``_batched_scan`` is ``_support_batch`` of
-the enumeration, and ``conjugacy_class_size`` counts ``_centralizer_order``
+stabilizers), each element the matrix product x h, and G's tables are
+never built.  The whole-group scan ``_batched_scan`` is ``_support_batch``
+of the enumeration, and ``conjugacy_class_size`` counts ``_commuting``
 over it.  The coset model ``_coset_model_batch`` is induction by
 definition, read on lines: the cosets of one 4-space stabilizer are the
 lines of its base line's type, and g adds 1 - (g's scalar on l) to
@@ -231,15 +228,13 @@ class OrthogonalGeometry:
             [0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64
         )
         # table entries run up to len(lines) * q; int16 up to q = 7
-        self._entry_dtype = np.min_scalar_type(-len(self.lines) * q)
-        self._entry_of_code = np.full(q**5, -1, dtype=self._entry_dtype)
+        self._entry_of_code = np.full(q**5, -1, dtype=np.min_scalar_type(-len(self.lines) * q))
         for c in range(1, q):
             entries = np.arange(len(self.lines)) * q + c
             self._entry_of_code[(c * self.lines % q) @ self._place] = entries
         # products of residues with lines are at most 5 (q - 1)^2: uint8 up
         # to q = 7, uint16 up to q = 113
         self._product_dtype = np.min_scalar_type(5 * (q - 1) ** 2)
-        self._basis = self._entry_of_code[np.eye(5, dtype=np.int64) @ self._place] // q
         self.norms = (self.lines * self.lines).sum(axis=1) % q
         squares = sorted({(a * a) % q for a in range(1, q)})
         self.line_types = np.where(
@@ -258,12 +253,6 @@ class OrthogonalGeometry:
         if (entries < 0).any():
             raise ValueError("the zero vector spans no line")
         return entries
-
-    def _entry_vectors(self):
-        """The vector c * x_l of every table entry l * q + c, as rows."""
-        q = self.q
-        scaled = np.arange(q, dtype=np.int64)[None, :, None] * self.lines[:, None]
-        return scaled.reshape(-1, 5) % q
 
     def line_type(self, vec) -> int:
         """+1 for square norm, -1 for non-square, 0 for isotropic: the type
@@ -339,17 +328,15 @@ class OrthogonalGeometry:
 
         Guarded to q = 3 (51,840 elements, |H| = 1,152).  The base line,
         the transporters and |H| are ``stabilizer(split=True)``'s, and H's
-        tables are its ``_subgroup_tables``, built once from exactly
-        |H| = |G| / #lines frames.  Left multiplication by x only relabels
-        table entries: (x h)[l] is ``relabel[k, h[l]]``, transporter k's
-        entry for the vector of entry h[l].  The matrices' columns are the
-        vectors of their entries at the basis lines, ``relabel[k,
-        H[:, basis]]``, gathered coset after coset into one (N, 5, 5) array
-        of residues.  Element 0 is the identity, the base line's
-        transporter times H's first element.  Their int64 codes are summed
-        from the same entries (``_code_columns``) and sorted in place; the
-        sorted codes must strictly increase, so an element repeated across
-        cosets raises.
+        matrices are its ``_subgroup``, built once from exactly
+        |H| = |G| / #lines frames.  Row k |H| + j is the product x_k h_j,
+        coset after coset: one float32 product per block of transporters
+        (``_in_row_blocks``), exact since no entry exceeds 5 (q - 1)^2,
+        reduced mod q in uint8.  Element 0 is the identity, the base line's
+        transporter times H's first element.  Their int64 codes, the 25
+        entries as base-q digits, are sorted in place; the sorted codes
+        must strictly increase, so an element repeated across cosets
+        raises.
 
         The returned array is int8 and read-only (1.3 MB at q = 3, where
         int64 would take 10.4 MB): it is the cached enumeration, and numpy
@@ -359,23 +346,22 @@ class OrthogonalGeometry:
         """
         if self._elements is not None:
             return self._elements
-        if self.q != FULL_ENUMERATION_Q:
+        q = self.q
+        if q != FULL_ENUMERATION_Q:
             raise ValueError(f"full enumeration is guarded to q={FULL_ENUMERATION_Q}")
         stab = self.stabilizer(split=True)
-        subgroup = self._subgroup_tables(stab)
-        relabel = self._compose(
-            self._signed_tables(stab.transporters),
-            np.arange(self.q * len(self.lines)),
-            self._scaled_entries(),
-        )
-        count = len(relabel) * len(subgroup)
-        vectors, columns = self._entry_vectors().astype(np.int8), self._code_columns()
-        elements = np.empty((count, 5, 5), dtype=vectors.dtype)
-        codes = np.zeros(count, dtype=np.int64)
-        for j, line in enumerate(self._basis):
-            entries = relabel[:, subgroup[:, line]].ravel()  # coset-major
-            vectors.take(entries, axis=0, out=elements[:, :, j])
-            codes += columns[j].take(entries)
+        subgroup = self._subgroup(stab)[0].astype(np.float32)
+
+        def cosets(transporters):
+            products = (transporters.astype(np.float32)[:, None] @ subgroup).astype(np.uint8)
+            products -= products // q * q
+            return (products.reshape(-1, 5, 5).view(np.int8),)
+
+        (elements,) = _in_row_blocks(subgroup.size, cosets, stab.transporters)
+        codes = np.zeros(len(elements), dtype=np.int64)
+        for digit in elements.reshape(-1, 25).T:
+            codes *= q
+            codes += digit
         codes.sort()
         if not (np.diff(codes) > 0).all():
             raise RuntimeError("enumeration repeats an element")
@@ -407,7 +393,8 @@ class OrthogonalGeometry:
             basis.append(self.lines[(perp & (self.line_types != 0)).argmax()])
         basis = np.array(basis)
         norms = (basis * basis).sum(axis=1) % q
-        vectors = self._entry_vectors()
+        # c x_l at row l q + c, the entry order (c = 0 is dropped below)
+        vectors = (np.arange(q)[:, None] * self.lines[:, None]).reshape(-1, 5) % q
         vector_norms = (vectors * vectors).sum(axis=1) % q
         keep = ((vectors @ u) % q == 0) & (vector_norms != 0)
         vectors, vector_norms = vectors[keep], vector_norms[keep]
@@ -426,17 +413,17 @@ class OrthogonalGeometry:
         columns = np.concatenate([(sigma[:, None] % q * u)[:, None], frames], axis=1)
         return columns.swapaxes(1, 2) @ (self._inverse_mod[norms][:, None] * basis) % q
 
-    def _subgroup_tables(self, stab: LineStabilizer):
-        """Signed line tables of H, the stabilizer of the base line of
-        ``stab``: the ``_signed_tables`` of its ``_stabilizer_matrices``,
-        which must be ``stab.order`` rows, built at most once per base line
+    def _subgroup(self, stab: LineStabilizer):
+        """(matrices, tables) of H, the stabilizer of the base line of
+        ``stab``: its ``_stabilizer_matrices``, which must be ``stab.order``
+        rows, and their ``_signed_tables``, built at most once per base line
         and geometry."""
         line = stab.base_index
         if line not in self._subgroups:
             matrices = self._stabilizer_matrices(line)
             if len(matrices) != stab.order:
                 raise RuntimeError(f"frames give {len(matrices)} elements, expected {stab.order}")
-            self._subgroups[line] = self._signed_tables(matrices)
+            self._subgroups[line] = matrices, self._signed_tables(matrices)
         return self._subgroups[line]
 
     def _signed_tables(self, matrices):
@@ -460,29 +447,6 @@ class OrthogonalGeometry:
             codes *= q
             codes += images
         return self._entry_of_code.take(codes)
-
-    def _scaled_entries(self):
-        """``scaled[c, m * q + a] = m * q + (a * c) % q``, the entry of c
-        times the vector of entry m * q + a; shape (q, q * #lines)."""
-        q = self.q
-        line, scalar = np.divmod(np.arange(q * len(self.lines)), q)
-        return (line * q + (scalar * np.arange(q)[:, None]) % q).astype(self._entry_dtype)
-
-    def _compose(self, g, h, scaled):
-        """Table of gh by one gather: where h maps x_l to c_h x_m, gh holds
-        ``scaled[c_h, g[m]]``.  g may be a stack, and h may hold only some
-        of its columns; the result covers the same lines.  The flat index
-        stays below q^2 * #lines, inside the entry dtype for q <= 5."""
-        line_h, scalar_h = np.divmod(h, self.q)
-        return scaled.take(scalar_h * scaled.shape[1] + g.take(line_h, axis=-1))
-
-    def _code_columns(self):
-        """``columns[j, e]``, the int64 element code of entry e's vector as
-        column j of a matrix, the code of a matrix mod q having its entry
-        (i, j) as base-q digit 5 i + j: the basis-line entries of a table
-        are its matrix's columns, so its code is the sum over basis lines j
-        of ``columns[j, table[basis[j]]]``."""
-        return (self._entry_vectors() @ self.q ** np.arange(25, dtype=np.int64).reshape(5, 5)).T
 
     def inverse(self, g):
         """Inverse of an element, or of each in a stack: the transpose, since
@@ -603,7 +567,7 @@ class OrthogonalGeometry:
         """Stabilizer of a 4-space on which the form is split (or
         non-split), with a Witt transporter to every coset line; its order
         is |G| / #lines of the type.  No enumeration is read and H is not
-        built: ``_subgroup_tables`` builds it when ``verify`` or the
+        built: ``_subgroup`` builds it when ``verify`` or the
         enumeration asks."""
         if split not in self._stabilizers:
             line_type = self.split_line_type() if split else -self.split_line_type()
@@ -668,36 +632,25 @@ class OrthogonalGeometry:
         return self._support_batch(self.enumerate_group())
 
     def conjugacy_class_size(self, g) -> int:
-        """|G| / |C(g)|, ``_centralizer_order`` over the enumeration (so
-        guarded to q = 3 with it), each row's entry at a line read off its
-        matrix as the signed line of the matrix times the line's
-        representative, only for the rows still counted."""
+        """|G| / |C(g)|, ``_commuting`` over the enumeration (so guarded to
+        q = 3 with it)."""
         elements = self.enumerate_group()
+        return len(elements) // self._commuting(g, elements)
 
-        def entries(rows, line):
-            return self._signed_lines(elements[rows].astype(np.int64) @ self.lines[line])
+    def _commuting(self, g, matrices):
+        """How many matrices h of a (k, 5, 5) stack commute with g.
 
-        g = self._signed_tables(np.asarray(g)[None])[0]
-        return len(elements) // self._centralizer_order(g, len(elements), entries)
-
-    def _centralizer_order(self, g, count, entries):
-        """How many of ``count`` rows commute with the table g, where
-        ``entries(rows, line)`` reads the given rows' table entries at a
-        line.
-
-        h commutes with g when gh and hg agree at every basis line b: where
-        h maps x_b to c_h x_m, (gh)[b] = ``scaled[c_h, g[m]]``, and where g
-        maps it to c_g x_n, (hg)[b] = ``scaled[c_g, h[n]]``.  Only the rows
-        that still agree go on to the next line, and only their entries are
-        read.
+        Column j of h g is h (g e_j), and of g h it is g (h e_j).  They are
+        compared mod q one column at a time, and only the rows whose
+        columns have agreed so far are cast to int64 for the next.
         """
-        scaled = self._scaled_entries()
-        rows = np.arange(count)
-        for b in self._basis:
-            line_g, scalar_g = divmod(int(g[b]), self.q)
-            gh = self._compose(g, entries(rows, b), scaled)
-            hg = scaled[scalar_g].take(entries(rows, line_g))
-            rows = rows[gh == hg]
+        q = self.q
+        g = np.asarray(g, dtype=np.int64) % q
+        rows = np.arange(len(matrices))
+        for j in range(5):
+            h = matrices[rows].astype(np.int64)
+            hg, gh = h @ g[:, j] % q, h[:, :, j] @ g.T % q
+            rows = rows[(hg == gh).all(axis=1)]
         return len(rows)
 
     def _split_signs(self):
@@ -770,7 +723,7 @@ class OrthogonalGeometry:
         character read by the definition of induction; all four labels
         occur; each label's pair count over q, its class size, equals
         |G| / |C(h)| for a member h of H_eps that fixes u_eps, the
-        centralizer counted on H_eps's tables; the weighted sum of T over
+        centralizer counted on H_eps's matrices; the weighted sum of T over
         the rows, which is the sum of T over G, is 0; and on a seeded sample
         of rows (members first), ``_support_batch`` on the matrices agrees
         with the tables, with labels invariant under conjugation.  No array
@@ -822,11 +775,11 @@ class OrthogonalGeometry:
         halves, pairs, pairing = {}, Counter(), 0
         for split in (True, False):
             stab = self.stabilizer(split)
-            tables = self._subgroup_tables(stab)
+            matrices, tables = self._subgroup(stab)
             base = stab.base_index
             line_type = int(self.line_types[base])
             scan = self._eigenline_scan(tables)
-            halves[line_type] = tables, base, scan
+            halves[line_type] = matrices, tables, base, scan
             half = f"H_{'+' if line_type > 0 else '-'}^-"
             name = f"{half} row"
             negating = np.flatnonzero(tables[:, base] == base * q + q - 1)
@@ -854,7 +807,7 @@ class OrthogonalGeometry:
             if len(member_rows):
                 sample = [int(member_rows[rng.randrange(len(member_rows))]) for _ in range(4)]
             sample += [rng.randrange(len(negating)) for _ in range(4)]
-            g = self._entry_vectors()[tables[negating[sample]][:, self._basis]].swapaxes(1, 2)
+            g = matrices[negating[sample]]
             h = np.stack([self.random_element(rng) for _ in sample])
             free_trace, _, free_eps, free_delta = (
                 part.reshape(2, -1)
@@ -876,14 +829,12 @@ class OrthogonalGeometry:
         # each label set is a single conjugacy class: a member that fixes
         # u_eps has C_G(h) = C_{H_eps}(h)
         for e, d in (label for label in LABELS if label in pairs):
-            tables, base, (_, _, eps, delta, *_) = halves[e]
+            matrices, tables, base, (_, _, eps, delta, *_) = halves[e]
             fixing = np.flatnonzero((tables[:, base] == base * q + 1) & (eps == e) & (delta == d))
             if not len(fixing):
                 failures.append(f"label {(e, d)}: no member of H_eps fixes u_eps")
                 continue
-            centralizer = self._centralizer_order(
-                tables[fixing[0]], len(tables), lambda rows, line: tables[rows, line]
-            )
+            centralizer = self._commuting(matrices[fixing[0]], matrices)
             if pairs[e, d] * centralizer != q * order:
                 failures.append(
                     f"label {(e, d)}: orbit {Fraction(order, centralizer)}"

@@ -275,7 +275,8 @@ def reflection_pairs(geo, line):
 def test_line_stabilizer_closures_reach_their_order():
     # at q = 3, the frames give, for both base lines, the same set of
     # matrices as the closure of reflection pairs, |G| / #lines of them,
-    # and H's tables are their signed tables, row for row
+    # and H's cache holds those matrices and their signed tables, row for
+    # row
     geo = OrthogonalGeometry(q=3)
     weights = 3 ** np.arange(25, dtype=np.int64)
     for split, order in ((True, 1152), (False, 1440)):
@@ -289,7 +290,8 @@ def test_line_stabilizer_closures_reach_their_order():
         assert (matrices[0] == np.eye(5, dtype=np.int64)).all()
         codes = matrices.reshape(-1, 25) @ weights
         assert np.array_equal(np.sort(codes), np.sort(reference.reshape(-1, 25) @ weights))
-        subgroup = geo._subgroup_tables(stab)
+        cached, subgroup = geo._subgroup(stab)
+        assert np.array_equal(cached, matrices)
         assert np.array_equal(table_matrices(geo, subgroup), matrices)
         assert (subgroup[:, stab.base_index] // 3 == stab.base_index).all()
 
@@ -709,7 +711,7 @@ def test_signed_tables_match_the_line_products(geo3, tables3):
         assert np.array_equal((scalar[..., None] * geo3.lines[line]) % 3, images)
 
 
-def test_table_closure_matches_the_matrix_closure(geo3, tables3):
+def test_table_closure_matches_the_matrix_closure(geo3):
     gens = np.stack(geo3.generators())
     reference = matrix_closure(
         geo3, np.eye(5, dtype=np.int64), lambda batch: batch[None] @ gens[:, None]
@@ -721,17 +723,12 @@ def test_table_closure_matches_the_matrix_closure(geo3, tables3):
     weights = 3 ** np.arange(25, dtype=np.int64)
     expected = np.sort(reference.reshape(-1, 25) @ weights)
     assert np.array_equal(np.sort(elements.reshape(-1, 25).astype(np.int64) @ weights), expected)
-    # row k |H| + j is x_k h_j, whose line action is x_k's relabelling of
-    # h_j's entries, at every line, not only the basis lines read above
+    # row k |H| + j is x_k h_j, coset after coset, against the int64
+    # products of the transporters with H's cached matrices
     stab = geo3.stabilizer(split=True)
-    subgroup = geo3._subgroup_tables(stab)
-    relabel = geo3._compose(
-        geo3._signed_tables(stab.transporters), np.arange(3 * len(geo3.lines)),
-        geo3._scaled_entries(),
-    )
-    cosets = tables3.reshape(len(relabel), len(subgroup), -1)
-    for k, coset in enumerate(cosets):
-        assert np.array_equal(coset, relabel[k][subgroup])
+    subgroup = geo3._subgroup(stab)[0]
+    products = (stab.transporters[:, None] @ subgroup[None]) % 3
+    assert np.array_equal(elements, products.reshape(-1, 5, 5))
 
 
 def test_scan_matches_the_full_rank_scan(geo3, scan3):
@@ -764,27 +761,78 @@ def test_scatter_coset_model_matches_the_line_route(geo3, coset3):
 
 
 def test_the_enumeration_is_coded_once(monkeypatch):
-    # verify codes no element; the enumeration codes its elements once and
-    # is cached, and the whole-group scan and the class sizes read the
-    # cached matrices and code nothing
+    # verify builds no enumeration, however often it runs; the enumeration
+    # is built once and cached, and the whole-group scan and the class
+    # sizes read that cached array itself
     geo = OrthogonalGeometry(q=3)
-    coded = []
-    original = geo._code_columns
-
-    def spy():
-        coded.append(True)
-        return original()
-
-    monkeypatch.setattr(geo, "_code_columns", spy)
     for _ in range(2):
         assert geo.verify(seed=0).ok
-    assert coded == []
+    assert geo._elements is None
     elements = geo.enumerate_group()
-    assert len(coded) == 1
     assert geo.enumerate_group() is elements
+    read = []
+    for name in ("_support_batch", "_commuting"):
+
+        def spy(*args, original=getattr(geo, name)):
+            read.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(geo, name, spy)
     geo._batched_scan()
     geo.conjugacy_class_size(elements[1])
-    assert len(coded) == 1
+    assert len(read) == 2 and all(matrices is elements for matrices in read)
+
+
+def commuting_by_full_products(g, matrices, q):
+    """How many matrices h commute with g, by the whole products h g and
+    g h mod q."""
+    g = np.asarray(g, dtype=np.int64)
+    h = np.asarray(matrices, dtype=np.int64)
+    return int(((h @ g) % q == (g @ h) % q).all(axis=(1, 2)).sum())
+
+
+def test_commuting_matches_the_full_product_count(geo3, scan3):
+    # q = 3: the first member of each label against both line stabilizers
+    elements = geo3.enumerate_group()
+    _, members, eps, delta = scan3
+    subgroups = [geo3._subgroup(geo3.stabilizer(split))[0] for split in (True, False)]
+    for e, d in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
+        g = elements[np.flatnonzero(members & (eps == e) & (delta == d))[0]]
+        for matrices in subgroups:
+            assert geo3._commuting(g, matrices) == commuting_by_full_products(g, matrices, 3)
+    # on SO_5 four agreeing columns force the fifth; on arbitrary matrices
+    # they do not: against the reflection in e_5, h agrees on the first four
+    # columns when its last row vanishes off the diagonal (a third of the
+    # stack here), and commutes when its last column does too
+    rng = np.random.default_rng(0)
+    arbitrary = rng.integers(0, 3, (3000, 5, 5))
+    arbitrary[::3, 4, :4] = 0
+    reflection = np.diag([1, 1, 1, 1, 2])
+    count = geo3._commuting(reflection, arbitrary)
+    assert count == commuting_by_full_products(reflection, arbitrary, 3) > 0
+    # q = 5: a few rows of each line stabilizer against their own H
+    geo = OrthogonalGeometry(q=5)
+    for split in (True, False):
+        matrices = geo._stabilizer_matrices(geo.stabilizer(split).base_index)
+        for g in matrices[[0, 1, 1000, 17777, -1]]:
+            assert geo._commuting(g, matrices) == commuting_by_full_products(g, matrices, 5)
+
+
+def test_enumeration_peak_memory():
+    # the enumeration's own peak, H built beforehand, by tracemalloc: the
+    # int8 result and its int64 codes take 1.6 MiB, and the coset blocks
+    # are made one float32 block of about CHUNK_ENTRIES at a time, where a
+    # whole-group float32 product alone would take 4.9 MiB
+    geo = OrthogonalGeometry(q=3)
+    geo._subgroup(geo.stabilizer(split=True))
+    tracemalloc.start()
+    try:
+        elements = geo.enumerate_group()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(elements) == 51840
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_each_stabilizer_is_built_once(monkeypatch):
@@ -847,7 +895,7 @@ def test_verify_peak_memory():
     # and verify builds no array of |G| rows: the enumeration is not made
     assert geo._elements is None
     # and the geometry keeps no array as large as G's tables
-    held = list(geo._subgroups.values())
+    held = [array for pair in geo._subgroups.values() for array in pair]
     for value in vars(geo).values():
         held += value if isinstance(value, tuple) else [value]
     big = [a.shape for a in held if isinstance(a, np.ndarray) and a.size >= 51840 * 121]
@@ -893,14 +941,13 @@ def test_line_stabilizer_halves_match_the_whole_group_scan(geo3, scan3):
     stabs = [geo3.stabilizer(split) for split in (True, False)]
     sizes, halves, members = {}, {}, []
     for stab in stabs:
-        tables = geo3._subgroup_tables(stab)
+        matrices, tables = geo3._subgroup(stab)
         base = stab.base_index
         route = geo3._eigenline_scan(tables)
-        halves[int(geo3.line_types[base])] = tables, base, route
+        halves[int(geo3.line_types[base])] = matrices, tables, base, route
         rows = np.flatnonzero(tables[:, base] == base * q + q - 1)
         assert 2 * len(rows) == stab.order
-        matrices = geo3._entry_vectors()[tables[rows][:, geo3._basis]].swapaxes(1, 2)
-        wanted = matrices.reshape(-1, 25) @ weights
+        wanted = matrices[rows].reshape(-1, 25) @ weights
         at = np.searchsorted(codes, wanted)
         assert np.array_equal(codes[at], wanted)
         found = element_order[at]
@@ -927,11 +974,9 @@ def test_line_stabilizer_halves_match_the_whole_group_scan(geo3, scan3):
     assert sorted(sizes) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     assert sum(sizes.values()) == int(scan_members.sum()) == 5760
     for (e, d), size in sizes.items():
-        tables, base, (_, _, eps, delta, *_) = halves[e]
+        matrices, tables, base, (_, _, eps, delta, *_) = halves[e]
         fixing = np.flatnonzero((tables[:, base] == base * q + 1) & (eps == e) & (delta == d))
-        centralizer = geo3._centralizer_order(
-            tables[fixing[0]], len(tables), lambda rows, line: tables[rows, line]
-        )
+        centralizer = geo3._commuting(matrices[fixing[0]], matrices)
         label_rows = np.flatnonzero((scan_eps == e) & (scan_delta == d))
         assert size == order // centralizer == 1440
         assert size == len(label_rows)
@@ -1110,7 +1155,7 @@ def split_half(geo):
     ``_eigenline_scan`` and the table rows that negate its base line, in
     order, so that ``verify``'s "H_+^- row i" is table row ``rows[i]``."""
     stab = geo.stabilizer(split=True)
-    tables = geo._subgroup_tables(stab)
+    _, tables = geo._subgroup(stab)
     base = stab.base_index
     rows = np.flatnonzero(tables[:, base] == base * geo.q + geo.q - 1)
     return tables, geo._eigenline_scan(tables), rows
@@ -1236,7 +1281,7 @@ def twice(original):
 
 def test_verify_reports_a_wrong_orbit_size(geo3, monkeypatch, capsys):
     out = assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "_centralizer_order", twice,
+        geo3, monkeypatch, capsys, "_commuting", twice,
         "label (-1, -1): orbit 720 != class size 1440",
     )
     for label in ("(-1, 1)", "(1, -1)", "(1, 1)"):
@@ -1267,18 +1312,18 @@ def test_verify_reports_a_stabilizer_that_is_not_halved(geo3, monkeypatch, capsy
     _, _, rows = split_half(geo3)
 
     def one_row_fixed(original):
-        def subgroup_tables(*args):
-            tables = original(*args)
+        def subgroup(*args):
+            matrices, tables = original(*args)
             if len(tables) != 1152:
-                return tables
+                return matrices, tables
             tables = tables.copy()
             tables[rows[-1]] = tables[0]
-            return tables
+            return matrices, tables
 
-        return subgroup_tables
+        return subgroup
 
     assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "_subgroup_tables", one_row_fixed,
+        geo3, monkeypatch, capsys, "_subgroup", one_row_fixed,
         "H_+^- holds 575 elements, expected 1152 / 2",
     )
 
