@@ -341,8 +341,10 @@ class OrthogonalGeometry:
         The returned array is int8 and read-only (1.3 MB at q = 3, where
         int64 would take 10.4 MB): it is the cached enumeration, and numpy
         keeps a product of int8 stacks in int8, which wraps past 127.  Cast
-        a row or a stack to int64 before an unreduced product; every method
-        here that takes matrices does so itself.
+        a row or a stack to a wider type before an unreduced product (int64,
+        or ``_product_dtype``, which holds any sum of five products of
+        reduced entries); every method here that takes matrices does so
+        itself.
         """
         if self._elements is not None:
             return self._elements
@@ -642,13 +644,17 @@ class OrthogonalGeometry:
 
         Column j of h g is h (g e_j), and of g h it is g (h e_j).  They are
         compared mod q one column at a time, and only the rows whose
-        columns have agreed so far are cast to int64 for the next.
+        columns have agreed so far are cast for the next, to
+        ``_product_dtype``: the entries of h are reduced (0..q-1, as in
+        every stack this class builds), so a sum of five products stays
+        within 5 (q - 1)^2.
         """
         q = self.q
-        g = np.asarray(g, dtype=np.int64) % q
+        narrow = self._product_dtype
+        g = (np.asarray(g, dtype=np.int64) % q).astype(narrow)
         rows = np.arange(len(matrices))
         for j in range(5):
-            h = matrices[rows].astype(np.int64)
+            h = matrices[rows].astype(narrow)
             hg, gh = h @ g[:, j] % q, h[:, :, j] @ g.T % q
             rows = rows[(hg == gh).all(axis=1)]
         return len(rows)

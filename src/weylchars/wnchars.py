@@ -19,17 +19,19 @@ the way back), once per trace in ``mn_trace_wn`` and once per row in
 ``table_entries``, the one table loop, which the S_n tables share.  The
 split checks of ``verifications`` build bitsets and call ``_mn``.
 ``oracle_trace_wn`` evaluates the inducing construction literally on an
-explicitly enumerated group (n <= 5) and is the correctness reference for
+explicitly enumerated group (n <= 6) and is the correctness reference for
 the recursion.
 
 Induction is one sum, ``induce(n, r, cls, value)``: it weighs each pair of
 block classes of W_r x W_{n-r} by the class function ``value`` and divides
 by the subgroup order.  The pairs and their counts come from the cached
-``_induction_profile``, which conjugates a class representative by every
-element of W_n once and sorts the conjugates lying in each block subgroup
-by their pair of block classes.  ``induce`` serves both the oracle (any r)
-and the induced linear characters of lemma 2.17 in ``verifications``
-(n = 4, r = 2).
+``_induction_profile(n)``, one pass over the elements of W_n that sorts
+every class's members lying in each block subgroup by their pair of block
+classes.  By orbit-stabilizer each member stands for |W_n| / |class|
+conjugates of a class representative; both orders are counted in the same
+pass, so the oracle shares no code with the recursion or the tables.
+``induce`` serves both the oracle (any r) and the induced linear characters
+of lemma 2.17 in ``verifications`` (n = 4, r = 2).
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .symbols import (
 
 _MN_CACHE: dict = {}
 
-WN_ORACLE_LIMIT = 5
+WN_ORACLE_LIMIT = 6
 WN_TABLE_LIMIT = 6
 # largest symbol entry: a row bitset holds one bit per value up to its top entry
 WN_ENTRY_LIMIT = 1 << 20
@@ -191,20 +193,6 @@ def _cycle_spans(h):
     return spans
 
 
-def class_representative(cls: SignedCycleType):
-    """A signed permutation with the given cycle type, on consecutive letters."""
-    n = cls.weight
-    img = [0] * n
-    at = 1
-    for negative, lengths in ((False, cls.pos), (True, cls.neg)):
-        for k in lengths:
-            for i in range(k - 1):
-                img[at + i - 1] = at + i + 1
-            img[at + k - 2] = -at if negative else at
-            at += k
-    return tuple(img)
-
-
 @lru_cache(maxsize=None)
 def wn_elements(n: int):
     """All 2^n n! signed permutations of n letters."""
@@ -216,33 +204,34 @@ def wn_elements(n: int):
 
 
 @lru_cache(maxsize=None)
-def _induction_profile(n: int, rep):
-    """Conjugates of rep over all of W_n, sorted into the block subgroups.
+def _induction_profile(n: int):
+    """Every class of W_n sorted into the block subgroups, in one pass.
 
-    One pass over ``wn_elements(n)`` conjugates rep once per x, in one pass
-    over the letters: h = x rep x^-1 maps x(i) to x(rep(i)), so it maps
-    |x(i)| to sign(x(i)) x(rep(i)).  Entry r of the result (r = 0..n)
-    counts the x whose conjugate h stabilizes {1..r}, that is lies in
-    W_r x W_{n-r}, by the pair of signed cycle types of h on {1..r} and on
-    {r+1..n}; each type is a plain ``(pos, neg)`` pair of sorted length
-    tuples, and each entry a sorted tuple of ``(pair, count)`` items.  One
-    profile per class serves every split r; ``induce`` is its one reader.
+    One pass over ``wn_elements(n)`` decomposes each element h once into
+    cycle spans (elements with the same spans are handled once), reads its
+    class as the ``(pos, neg)`` pair of its cycle lengths and counts the
+    members of each class.  Entry r of a class's profile (r = 0..n) sorts
+    the members h that stabilize {1..r}, that is lie in W_r x W_{n-r}, by
+    the pair of signed cycle types of h on {1..r} and on {r+1..n}; each type
+    is a plain ``(pos, neg)`` pair of sorted length tuples, and each entry a
+    sorted tuple of ``(pair, count)`` items.  Each member counts
+    |W_n| / |class| times, the number of x with x rep x^-1 = h for a fixed
+    representative rep, so entry r counts the conjugates of rep over all of
+    W_n; both orders are counted in the pass, and ArithmeticError is raised
+    if the division is not exact.  The result maps each class to its
+    profile; ``induce`` is its one reader.
     """
-
-    def conjugate(x):
-        h = [0] * n
-        for image, r in zip(x, rep):
-            moved = x[r - 1] if r > 0 else -x[-r - 1]
-            if image > 0:
-                h[image - 1] = moved
-            else:
-                h[-image - 1] = -moved
-        return tuple(h)
-
-    conjugates = Counter(map(conjugate, wn_elements(n)))
-    profile = [{} for _ in range(n + 1)]
-    for h, times in conjugates.items():  # each once: |W_n| / |centralizer|
-        spans = sorted(_cycle_spans(h), key=lambda span: span[3])
+    shapes = Counter(tuple(_cycle_spans(h)) for h in wn_elements(n))
+    members = Counter()
+    counts = {}
+    for spans, times in shapes.items():
+        spans = sorted(spans, key=lambda span: span[3])
+        cls = (
+            tuple(length for _, _, negative, length in spans if not negative),
+            tuple(length for _, _, negative, length in spans if negative),
+        )
+        members[cls] += times
+        profile = counts.setdefault(cls, [{} for _ in range(n + 1)])
         cut = [True] * (n + 1)
         for low, high, _, _ in spans:
             cut[low:high] = [False] * (high - low)  # r in low..high-1 splits it
@@ -256,9 +245,19 @@ def _induction_profile(n: int, rep):
                 (tuple(first[0]), tuple(first[1])),
                 (tuple(second[0]), tuple(second[1])),
             )
-            counts = profile[r]
-            counts[key] = counts.get(key, 0) + times
-    return tuple(tuple(sorted(counts.items())) for counts in profile)
+            profile[r][key] = profile[r].get(key, 0) + times
+    order = sum(shapes.values())
+    out = {}
+    for cls, profile in counts.items():
+        weight, rest = divmod(order, members[cls])
+        if rest:
+            raise ArithmeticError(
+                f"class {cls} has {members[cls]} members, which does not divide |W_{n}| = {order}"
+            )
+        out[cls] = tuple(
+            tuple(sorted((key, weight * count) for key, count in entry.items())) for entry in profile
+        )
+    return out
 
 
 def induce(n: int, r: int, cls: SignedCycleType, value) -> int:
@@ -266,8 +265,9 @@ def induce(n: int, r: int, cls: SignedCycleType, value) -> int:
 
     ``value(block1, block2)`` is the class function at a pair of block
     classes, each a ``(pos, neg)`` pair of sorted length tuples.  The sum
-    over the conjugates of a class representative in the block subgroup must
-    be divisible by its order 2^n r! (n-r)!.
+    over the conjugates of a class representative in the block subgroup,
+    read from the class's entry r of ``_induction_profile(n)``, must be
+    divisible by its order 2^n r! (n-r)!.
     """
     if cls.weight != n:
         raise ValueError(
@@ -277,7 +277,7 @@ def induce(n: int, r: int, cls: SignedCycleType, value) -> int:
     if not 0 <= r <= n:
         raise ValueError(f"r must be in 0..{n}, got {r}")
     total = 0
-    for (block1, block2), count in _induction_profile(n, class_representative(cls))[r]:
+    for (block1, block2), count in _induction_profile(n)[cls.pos, cls.neg][r]:
         total += count * value(block1, block2)
     order = 2**n * factorial(r) * factorial(n - r)
     if total % order:
@@ -288,12 +288,14 @@ def induce(n: int, r: int, cls: SignedCycleType, value) -> int:
 def oracle_trace_wn(sym: BiSymbol, cls: SignedCycleType) -> int:
     """Literal evaluation of the inducing construction on the full group.
 
-    Builds W_n explicitly, conjugates a class representative over the whole
-    group, and induces the block-subgroup class function (product of two
-    symmetric-group characters, the second twisted by chi) from W_r x W_r'.
-    The two symmetric-group values come from oracle_trace_sn at the
-    underlying cycle types, so no step here shares code with the removal
-    recursion.
+    Builds W_n explicitly, sorts the class's members over the block
+    subgroups in the one pass of ``_induction_profile``, and induces the
+    block-subgroup class function (product of two symmetric-group
+    characters, the second twisted by chi) from W_r x W_r'.  The two
+    symmetric-group values come from oracle_trace_sn at the underlying cycle
+    types, and the class sizes are counted on the elements, so no step here
+    shares code with the removal recursion or the centralizer orders of the
+    tables.
     """
     if normalize_bisymbol(sym.top, sym.bottom).is_zero:
         return 0

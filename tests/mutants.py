@@ -359,6 +359,25 @@ MUTANTS = (
         WNCHARS, "chi = -1 if len(neg2) % 2 else 1", "chi = 1",
         ("tests/test_wnchars.py::test_oracle_small_group",),
     ),
+    # each class member stands for |W_n| / |class| conjugates, not one
+    Mutant(
+        WNCHARS, "weight, rest = divmod(order, members[cls])", "weight, rest = 1, 0",
+        tuple(
+            f"tests/test_wnchars.py::{name}"
+            for name in (
+                "test_oracle_small_group",
+                "test_oracle_dimension",
+                "test_oracle_equivalence_n3",
+                "test_oracle_equivalence_w5",
+                "test_oracle_equivalence_w6",
+                "test_induction_profile_counts_every_conjugate",
+            )
+        ),
+    ),
+    Mutant(
+        WNCHARS, "        if rest:\n", "        if False:\n",
+        ("tests/test_wnchars.py::test_induction_profile_rejects_a_class_that_does_not_divide_the_group",),
+    ),
 )
 
 

@@ -10,7 +10,8 @@ kept as the reference the bitset kernel is compared with.
 
 It also holds the helpers that only tests read: the product and inverse
 of explicit signed permutations (``sp_mul``, ``sp_inv``), the signed cycle
-type of one (``sp_cycle_type``), one cycle removed from a class
+type of one (``sp_cycle_type``), a signed permutation of a given class
+(``class_representative``), one cycle removed from a class
 (``remove_cycle``) and the type-D admissibility of a split as tuple rows
 (``split_admissible_d``).
 """
@@ -48,6 +49,20 @@ def sp_cycle_type(u) -> SignedCycleType:
         tuple(k for _, _, negative, k in spans if not negative),
         tuple(k for _, _, negative, k in spans if negative),
     )
+
+
+def class_representative(cls: SignedCycleType):
+    """A signed permutation with the given cycle type, on consecutive letters."""
+    n = cls.weight
+    img = [0] * n
+    at = 1
+    for negative, lengths in ((False, cls.pos), (True, cls.neg)):
+        for k in lengths:
+            for i in range(k - 1):
+                img[at + i - 1] = at + i + 1
+            img[at + k - 2] = -at if negative else at
+            at += k
+    return tuple(img)
 
 
 def remove_cycle(cls: SignedCycleType, negative: bool, k: int) -> SignedCycleType:

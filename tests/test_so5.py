@@ -835,6 +835,21 @@ def test_enumeration_peak_memory():
     assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+def test_conjugacy_class_size_peak_memory(geo3):
+    # one call on the cached enumeration, by tracemalloc, at the identity,
+    # where no row drops out: the rows are cast to the uint8 product dtype
+    # (1.3 MB per copy), where int64 rows alone would take 10.4 MB
+    elements = geo3.enumerate_group()
+    tracemalloc.start()
+    try:
+        size = geo3.conjugacy_class_size(elements[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 1
+    assert peak <= 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_each_stabilizer_is_built_once(monkeypatch):
     # stabilizer() builds nothing; the first verify builds both H, and the
     # enumeration reads the split one back, however many checks run

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from removal_walk import (
+    class_representative,
     expand_once,
     remove_cycle,
     sp_cycle_type,
@@ -13,6 +14,7 @@ from removal_walk import (
     sp_mul,
     trace_in_order,
 )
+from weylchars import wnchars
 from weylchars.symbols import (
     BiSymbol,
     SignedCycleType,
@@ -26,7 +28,6 @@ from weylchars.wnchars import (
     centralizer_order_wn,
     character_table_wn,
     chi_value,
-    class_representative,
     induce,
     mn_trace_wn,
     oracle_trace_wn,
@@ -87,9 +88,9 @@ def test_oracle_dimension():
 
 
 def test_oracle_bound():
-    sym = BiSymbol((6,), ())
-    with pytest.raises(ValueError):
-        oracle_trace_wn(sym, SignedCycleType((6,), ()))
+    sym = BiSymbol((7,), ())
+    with pytest.raises(ValueError, match="oracle bound exceeded: n=7 > 6"):
+        oracle_trace_wn(sym, SignedCycleType((7,), ()))
 
 
 def test_oracle_equivalence_w5():
@@ -101,30 +102,61 @@ def test_oracle_equivalence_w5():
             assert oracle_trace_wn(sym, cls) == value, (sym, cls)
 
 
+def test_oracle_equivalence_w6():
+    # every entry of the W_6 table against the literal induced sum
+    table = character_table_wn(6)
+    assert len(table.row_labels) == len(table.col_labels) == 65
+    for sym, row in zip(table.row_labels, table.entries):
+        for cls, value in zip(table.col_labels, row):
+            assert oracle_trace_wn(sym, cls) == value, (sym, cls)
+
+
 def test_induction_profile_counts_every_conjugate():
-    n = 4
-    elements = wn_elements(n)
-    assert len(elements) == 2**n * factorial(n)
+    # the one-pass profile of every class at n <= 4 against test-side
+    # conjugation of a representative over all of W_n, at r = 0, 2 and n
     blocked_classes = 0
-    for cls in signed_cycle_types(n):
-        rep = class_representative(cls)
-        profile = _induction_profile(n, rep)
-        assert len(profile) == n + 1
-        # every conjugate stabilizes the empty set and the whole of 1..n
-        assert sum(count for _, count in profile[0]) == len(elements)
-        assert sum(count for _, count in profile[n]) == len(elements)
-        in_block = 0
-        for x in elements:
-            h = sp_mul(sp_mul(x, rep), sp_inv(x))
-            in_block += all(abs(v) <= 2 for v in h[:2])
-        assert sum(count for _, count in profile[2]) == in_block
-        blocked_classes += in_block > 0
-        # conjugation keeps the signed cycle type: at r = n the first block
-        # is the whole class, at r = 0 the second
-        assert profile[n] == ((((cls.pos, cls.neg), ((), ())), len(elements)),)
-        assert profile[0] == (((((), ()), (cls.pos, cls.neg)), len(elements)),)
+    for n in range(5):
+        elements = wn_elements(n)
+        assert len(elements) == 2**n * factorial(n)
+        profiles = _induction_profile(n)
+        assert sorted(profiles) == [(cls.pos, cls.neg) for cls in signed_cycle_types(n)]
+        for cls in signed_cycle_types(n):
+            profile = profiles[cls.pos, cls.neg]
+            assert len(profile) == n + 1
+            rep = class_representative(cls)
+            conjugates = [sp_mul(sp_mul(x, rep), sp_inv(x)) for x in elements]
+            for r in sorted({0, min(2, n), n}):
+                # the conjugates that stabilize 1..r, counted on their letters
+                in_block = [h for h in conjugates if all(abs(v) <= r for v in h[:r])]
+                assert sum(count for _, count in profile[r]) == len(in_block), (n, cls, r)
+                pairs = Counter()
+                for h in in_block:
+                    first = sp_cycle_type(h[:r])
+                    second = sp_cycle_type(tuple(v - r if v > 0 else v + r for v in h[r:]))
+                    pairs[(first.pos, first.neg), (second.pos, second.neg)] += 1
+                assert profile[r] == tuple(sorted(pairs.items())), (n, cls, r)
+            if n == 4:
+                blocked_classes += bool(profile[2])
+            # every conjugate stabilizes the empty set and the whole of 1..n,
+            # and conjugation keeps the signed cycle type: at r = n the first
+            # block is the whole class, at r = 0 the second
+            assert profile[n] == ((((cls.pos, cls.neg), ((), ())), len(elements)),)
+            assert profile[0] == (((((), ()), (cls.pos, cls.neg)), len(elements)),)
     # cycle lengths 1111 (5 sign patterns), 211 (6) and 22 (3) split 2 + 2
     assert blocked_classes == 14
+
+
+def test_induction_profile_rejects_a_class_that_does_not_divide_the_group(monkeypatch):
+    # one element short, the group counts 383 elements, a prime that no
+    # class of more than one member divides
+    short = wn_elements(4)[:-1]
+    monkeypatch.setattr(wnchars, "wn_elements", lambda n: short)
+    _induction_profile.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            _induction_profile(4)
+    finally:
+        _induction_profile.cache_clear()
 
 
 def test_oracle_equivalence_n3():
