@@ -40,27 +40,34 @@ off table entries, ``_support_batch`` off kernel masks.
 of the twisted class (below) and its labels are class functions, and both
 sides of the identity vanish at g unless g negates an anisotropic line: T
 counts only those lines, and a member negates q of them.  By Witt's theorem
-an element takes such a line l, of type e, to u_e, the base line of that
+an element takes such a line l, of type e, to u_e, the first line of that
 type, and conjugates g to an h with h u_e = -u_e: a row of H_e^-, the det
 -1 half of H_e, the stabilizer of u_e.  So the identity holds on G exactly
-when it holds on H_+^- and H_-^- (576 + 720 of the 1,152 + 1,440 rows of
-the two ``_subgroup`` tables at q = 3), and ``_eigenline_scan`` reads each
-row's fixed and negated lines straight off its entries l q + 1 and
-l q + q - 1.  There the induced character is read by the definition of
-induction: ind(1) - ind(det) from the stabilizer of a line of type e is,
-at h, the sum of 1 - (h's scalar on l) over the lines l of that type that h
-fixes, twice the number of them h negates, so V = V_split - V_nonsplit is
-2 sum of s(l) over the lines h negates, s(l) = +1 or -1 as the
-perpendicular of l is split or not (``_split_signs``).  Counting the pairs
-(g, l), l a negated anisotropic line of g of type e, gives the rest without
-G.  A member of label (eps, delta) negates exactly q lines of type delta,
-so |C_(eps,delta)| = #lines_delta x #{members of that label in H_delta^-}
-/ q.  Weighting each pair by T(g) / n(g), n(g) the number of anisotropic
-lines g negates, gives the sum of T over G, #lines_e x T(h) / n(h) summed
-over the rows.  A member h fixes one line only, which every element that
-commutes with h keeps, so for a member that fixes u_eps, C_G(h) =
-C_{H_eps}(h): counted on H_eps's matrices, |G| / |C_{H_eps}(h)| must be
-the class size, so that each label set is a single conjugacy class.
+when it holds on H_+^- and H_-^- (576 + 720 rows at q = 3), and ``verify``
+makes one pass per type e, each on H_e and H_e^- alone: ``_subgroup(u_e)``
+keeps H_e's matrices and the signed tables of its H_e^- rows only, and
+``_eigenline_scan`` reads each row's fixed and negated lines straight off
+its entries l q + 1 and l q + q - 1.  No Witt transporter is built, and
+which type is split is read only through s(l) below.  There the induced
+character is read by the definition of induction: ind(1) - ind(det) from
+the stabilizer of a line of type e is, at h, the sum of 1 - (h's scalar on
+l) over the lines l of that type that h fixes, twice the number of them h
+negates, so V = V_split - V_nonsplit is 2 sum of s(l) over the lines h
+negates, s(l) = +1 or -1 as the perpendicular of l is split or not
+(``_split_signs``).  Counting the pairs (g, l), l a negated anisotropic line
+of g of type e, gives the rest without G.  A member of label (eps, delta)
+negates exactly q lines of type delta, so the label set holds
+pairs / q elements, pairs = #lines_delta x #{members of that label in
+H_delta^-}.  Weighting each pair by T(g) / n(g), n(g) the number of
+anisotropic lines g negates, gives the sum of T over G, #lines_e x
+T(h) / n(h) summed over the rows.  The first member h of each label, in
+H_delta^-, proves its label set one conjugacy class by a sandwich.  Every x
+in C_G(h) keeps h's (-1)-plane and so sends u_delta to one of the q
+anisotropic lines h negates, and the x that keep u_delta are C_{H_delta}(h):
+|C_G(h)| <= q |C_{H_delta}(h)|.  So |G| / (q |C_{H_delta}(h)|) <= |class of
+h| <= pairs / q, and ``verify`` requires pairs x |C_{H_delta}(h)| = |G|, the
+centralizer counted on H_delta's matrices (4q of them at q = 3, 5 and 7):
+then both inequalities are equalities.
 
 The q = 3 whole-group reference that the tests and the demo compare with
 is read with the same kernels.  ``enumerate_group`` builds G as the cosets
@@ -352,7 +359,7 @@ class OrthogonalGeometry:
         if q != FULL_ENUMERATION_Q:
             raise ValueError(f"full enumeration is guarded to q={FULL_ENUMERATION_Q}")
         stab = self.stabilizer(split=True)
-        subgroup = self._subgroup(stab)[0].astype(np.float32)
+        subgroup = self._subgroup(stab.base_index)[0].astype(np.float32)
 
         def cosets(transporters):
             products = (transporters.astype(np.float32)[:, None] @ subgroup).astype(np.uint8)
@@ -415,17 +422,20 @@ class OrthogonalGeometry:
         columns = np.concatenate([(sigma[:, None] % q * u)[:, None], frames], axis=1)
         return columns.swapaxes(1, 2) @ (self._inverse_mod[norms][:, None] * basis) % q
 
-    def _subgroup(self, stab: LineStabilizer):
-        """(matrices, tables) of H, the stabilizer of the base line of
-        ``stab``: its ``_stabilizer_matrices``, which must be ``stab.order``
-        rows, and their ``_signed_tables``, built at most once per base line
-        and geometry."""
-        line = stab.base_index
+    def _subgroup(self, line):
+        """(matrices, half, tables) of H, the stabilizer of the anisotropic
+        line u (index ``line``): its ``_stabilizer_matrices``, which must be
+        |H| = |G| / #lines of u's type rows; H^-, the rows with g u = -u,
+        read on the matrices, in order; and the ``_signed_tables`` of H^-
+        alone.  Built at most once per line and geometry."""
         if line not in self._subgroups:
+            u, of_type = self.lines[line], self.line_types == self.line_types[line]
+            order = self.group_order_formula() // int(of_type.sum())
             matrices = self._stabilizer_matrices(line)
-            if len(matrices) != stab.order:
-                raise RuntimeError(f"frames give {len(matrices)} elements, expected {stab.order}")
-            self._subgroups[line] = matrices, self._signed_tables(matrices)
+            if len(matrices) != order:
+                raise RuntimeError(f"frames give {len(matrices)} elements, expected {order}")
+            half = matrices[((matrices @ u + u) % self.q == 0).all(axis=1)]
+            self._subgroups[line] = matrices, half, self._signed_tables(half)
         return self._subgroups[line]
 
     def _signed_tables(self, matrices):
@@ -569,8 +579,9 @@ class OrthogonalGeometry:
         """Stabilizer of a 4-space on which the form is split (or
         non-split), with a Witt transporter to every coset line; its order
         is |G| / #lines of the type.  No enumeration is read and H is not
-        built: ``_subgroup`` builds it when ``verify`` or the
-        enumeration asks."""
+        built: ``_subgroup`` builds it, keyed by the base line, when the
+        enumeration or ``verify`` asks; ``verify`` takes its base lines from
+        ``line_types`` and never calls this."""
         if split not in self._stabilizers:
             line_type = self.split_line_type() if split else -self.split_line_type()
             indices, transporters = self._witt_transporters(line_type)
@@ -689,7 +700,8 @@ class OrthogonalGeometry:
 
     def _eigenline_scan(self, tables):
         """(trace, members, eps, delta, virtual, anisotropic) of every row
-        of a (k, #lines) stack of signed line tables.
+        of a (k, #lines) stack of signed line tables (in ``verify``, those
+        of one H_e^-, 576 or 720 rows at q = 3).
 
         A row fixes line l where it holds the entry l q + 1 and negates it
         where it holds l q + q - 1, so the two masks, multiplied by the
@@ -720,21 +732,25 @@ class OrthogonalGeometry:
     def verify(self, seed: int = 0) -> CheckRecord:
         """Element-by-element verification at q = 3, on the det -1 halves of
         the two line stabilizers (module docstring: the identity holds on G
-        exactly when it holds there).
+        exactly when it holds there), one pass per line type e on
+        ``_subgroup(u_e)``, u_e the first line of type e.
 
-        Checks: the line census; each H_e^- is exactly half of H_e; on every
-        row of H_+^- and H_-^-, the support identity (``_support_failures``:
-        no broken label, and the line-count trace T equals 2 * delta * q,
-        delta being 0 off the class) and V = T, V being the induced
-        character read by the definition of induction; all four labels
-        occur; each label's pair count over q, its class size, equals
-        |G| / |C(h)| for a member h of H_eps that fixes u_eps, the
-        centralizer counted on H_eps's matrices; the weighted sum of T over
-        the rows, which is the sum of T over G, is 0; and on a seeded sample
-        of rows (members first), ``_support_batch`` on the matrices agrees
-        with the tables, with labels invariant under conjugation.  No array
-        of |G| rows is built.  Guarded to q = 3 by table size: H's tables
-        hold |H| x #lines entries, about 47 MB per type at q = 5.
+        Checks: the line census; each H_e^- is exactly half of H_e,
+        |H_e| = |G| / #lines_e, every row of it negating u_e in its table
+        (H_e^- is chosen on the matrices); on every row of H_+^- and H_-^-,
+        the support identity (``_support_failures``: no broken label, and
+        the line-count trace T equals 2 * delta * q, delta being 0 off the
+        class) and V = T, V being the induced character read by the
+        definition of induction; all four labels occur; for the first member h of each
+        label, in H_delta^-, pairs x |C_{H_delta}(h)| = |G|, the pairs
+        being the label's (member, negated line) pairs over G and the
+        centralizer counted on H_delta's matrices, which makes the label
+        set one conjugacy class; the weighted sum of T over the rows, which
+        is the sum of T over G, is 0; and on a seeded sample of rows
+        (members first), ``_support_batch`` on the matrices agrees with the
+        tables, with labels invariant under conjugation.  No array of |G|
+        rows is built.  Guarded to q = 3 by table size: H^-'s tables hold
+        |H|/2 x #lines entries, about 23 MB per type at q = 5.
         """
         if self.q != FULL_ENUMERATION_Q:
             raise ValueError(f"full verification is guarded to q={FULL_ENUMERATION_Q}")
@@ -778,20 +794,20 @@ class OrthogonalGeometry:
         scale = math.lcm(*range(1, q + 2))
         failures = self._census_failures()
         rng = random.Random(seed)
-        halves, pairs, pairing = {}, Counter(), 0
-        for split in (True, False):
-            stab = self.stabilizer(split)
-            matrices, tables = self._subgroup(stab)
-            base = stab.base_index
-            line_type = int(self.line_types[base])
-            scan = self._eigenline_scan(tables)
-            halves[line_type] = matrices, tables, base, scan
-            half = f"H_{'+' if line_type > 0 else '-'}^-"
-            name = f"{half} row"
-            negating = np.flatnonzero(tables[:, base] == base * q + q - 1)
-            if 2 * len(negating) != stab.order:
-                failures.append(f"{half} holds {len(negating)} elements, expected {stab.order} / 2")
-            trace, members, eps, delta, virtual, anisotropic = (part[negating] for part in scan)
+        pairs, centralizers, pairing = Counter(), {}, 0
+        for line_type in (1, -1):
+            of_type = np.flatnonzero(self.line_types == line_type)
+            base, lines = int(of_type[0]), len(of_type)
+            matrices, half, tables = self._subgroup(base)
+            trace, members, eps, delta, virtual, anisotropic = self._eigenline_scan(tables)
+            half_name = f"H_{'+' if line_type > 0 else '-'}^-"
+            name = f"{half_name} row"
+            # H^- was chosen on the matrices; its tables must negate u too
+            negating = int((tables[:, base] == base * q + q - 1).sum())
+            if 2 * negating * lines != order:
+                failures.append(
+                    f"{half_name} holds {negating} elements, expected {order // lines} / 2"
+                )
             failures += self._support_failures(name, trace, members, eps, delta)
             failures += [
                 f"{name} {i}: induced character {virtual[i]} != line count {trace[i]}"
@@ -800,11 +816,13 @@ class OrthogonalGeometry:
 
             # each g with n(g) > 0 is conjugate to a row here once for each of
             # the n(g) anisotropic lines it negates that have this type
-            lines = len(stab.line_indices)
             pairing += lines * int((scale * trace // np.maximum(anisotropic, 1)).sum())
-            labelled = (eps != 0) & (delta != 0)
-            for label in zip(eps[labelled].tolist(), delta[labelled].tolist()):
-                pairs[label] += lines
+            rows = np.flatnonzero((eps != 0) & (delta != 0))
+            for i, e, d in zip(rows.tolist(), eps[rows].tolist(), delta[rows].tolist()):
+                if (e, d) not in pairs:
+                    # the first member h of each label, counted in its own H
+                    centralizers[e, d] = self._commuting(half[i], matrices)
+                pairs[e, d] += lines
 
             # the table-free route on a seeded sample, plus conjugation
             # invariance of the labels
@@ -812,8 +830,8 @@ class OrthogonalGeometry:
             sample = []
             if len(member_rows):
                 sample = [int(member_rows[rng.randrange(len(member_rows))]) for _ in range(4)]
-            sample += [rng.randrange(len(negating)) for _ in range(4)]
-            g = matrices[negating[sample]]
+            sample += [rng.randrange(len(half)) for _ in range(4)]
+            g = half[sample]
             h = np.stack([self.random_element(rng) for _ in sample])
             free_trace, _, free_eps, free_delta = (
                 part.reshape(2, -1)
@@ -832,19 +850,13 @@ class OrthogonalGeometry:
         if pairing != 0:
             failures.append(f"virtual character pairs with trivial: {Fraction(pairing, scale)}")
 
-        # each label set is a single conjugacy class: a member that fixes
-        # u_eps has C_G(h) = C_{H_eps}(h)
-        for e, d in (label for label in LABELS if label in pairs):
-            matrices, tables, base, (_, _, eps, delta, *_) = halves[e]
-            fixing = np.flatnonzero((tables[:, base] == base * q + 1) & (eps == e) & (delta == d))
-            if not len(fixing):
-                failures.append(f"label {(e, d)}: no member of H_eps fixes u_eps")
-                continue
-            centralizer = self._commuting(matrices[fixing[0]], matrices)
-            if pairs[e, d] * centralizer != q * order:
+        # each label set is a single conjugacy class: |G| / (q |C_H(h)|) is at
+        # most h's class size, which is at most the label's (module docstring)
+        for label, centralizer in centralizers.items():
+            if pairs[label] * centralizer != order:
                 failures.append(
-                    f"label {(e, d)}: orbit {Fraction(order, centralizer)}"
-                    f" != class size {Fraction(pairs[e, d], q)}"
+                    f"label {label}: |G| / (q |C_H(h)|) = {Fraction(order, q * centralizer)}"
+                    f" != class size {Fraction(pairs[label], q)}"
                 )
         return sorted(failures)
 

@@ -105,22 +105,30 @@ MUTANTS = (
         SO5, "scale * trace // np.maximum(anisotropic, 1)", "scale * trace",
         so5_tests("test_verify_reports_a_nonzero_trace_off_the_class"),
     ),
-    # the class size is the pair count over q
+    # the class size read as |G| / |C_{H_delta}(h)|, as if C_G(h) kept
+    # u_delta: it is q times that, since C_G(h) moves u_delta to each of the
+    # q anisotropic lines h negates
     Mutant(
-        SO5, "!= q * order:", "!= order:",
+        SO5, "* centralizer != order:", "* centralizer != q * order:",
         so5_tests("test_full_verification"),
     ),
     Mutant(
-        SO5, "if pairs[e, d] * centralizer != q * order:", "if False:",
+        SO5, "if pairs[label] * centralizer != order:", "if False:",
         so5_tests("test_verify_reports_a_wrong_orbit_size"),
     ),
     Mutant(
-        SO5, "if not len(fixing):", "if False:",
-        so5_tests("test_verify_reports_a_label_with_no_member_fixing_its_base_line"),
-    ),
-    Mutant(
-        SO5, "if 2 * len(negating) != stab.order:", "if False:",
+        SO5, "if 2 * negating * lines != order:", "if False:",
         so5_tests("test_verify_reports_a_stabilizer_that_is_not_halved"),
+    ),
+    # H^- read as the rows with g u = u: as many rows, on which the identity
+    # and every class size check hold as well; only their tables tell
+    Mutant(
+        SO5, "((matrices @ u + u) % self.q == 0)", "((matrices @ u - u) % self.q == 0)",
+        so5_tests(
+            "test_full_verification",
+            "test_line_stabilizer_closures_reach_their_order",
+            "test_line_stabilizer_halves_match_the_whole_group_scan",
+        ),
     ),
     Mutant(
         SO5, "for i in np.flatnonzero(virtual != trace)[:5]",
@@ -189,7 +197,7 @@ MUTANTS = (
         so5_tests("test_frames_build_the_line_stabilizers_at_q5"),
     ),
     Mutant(
-        SO5, "if len(matrices) != stab.order:", "if False:",
+        SO5, "if len(matrices) != order:", "if False:",
         so5_tests("test_enumeration_order_check_fires_both_ways"),
     ),
     # the vectors (q - 1) x_l have no entry, and read as the zero vector

@@ -167,8 +167,8 @@ def test_enumeration_guard():
 
 
 def test_verify_guard():
-    # raised before any stabilizer is built: at q = 5 H's tables would take
-    # about 47 MB per type
+    # raised before any stabilizer is built: at q = 5 the tables of H^-
+    # would take about 23 MB per type
     geo = OrthogonalGeometry(q=5)
     with pytest.raises(ValueError, match="full verification is guarded to q=3"):
         geo.verify(seed=0)
@@ -275,8 +275,8 @@ def reflection_pairs(geo, line):
 def test_line_stabilizer_closures_reach_their_order():
     # at q = 3, the frames give, for both base lines, the same set of
     # matrices as the closure of reflection pairs, |G| / #lines of them,
-    # and H's cache holds those matrices and their signed tables, row for
-    # row
+    # and H's cache holds those matrices, its rows that negate the base
+    # line, in order, and their signed tables, row for row
     geo = OrthogonalGeometry(q=3)
     weights = 3 ** np.arange(25, dtype=np.int64)
     for split, order in ((True, 1152), (False, 1440)):
@@ -290,10 +290,13 @@ def test_line_stabilizer_closures_reach_their_order():
         assert (matrices[0] == np.eye(5, dtype=np.int64)).all()
         codes = matrices.reshape(-1, 25) @ weights
         assert np.array_equal(np.sort(codes), np.sort(reference.reshape(-1, 25) @ weights))
-        cached, subgroup = geo._subgroup(stab)
+        cached, half, tables = geo._subgroup(stab.base_index)
         assert np.array_equal(cached, matrices)
-        assert np.array_equal(table_matrices(geo, subgroup), matrices)
-        assert (subgroup[:, stab.base_index] // 3 == stab.base_index).all()
+        u = geo.lines[stab.base_index]
+        assert np.array_equal(half, matrices[((matrices @ u) % 3 == (-u) % 3).all(axis=1)])
+        assert 2 * len(half) == order
+        assert np.array_equal(table_matrices(geo, tables), half)
+        assert (tables[:, stab.base_index] == 3 * stab.base_index + 2).all()
 
 
 def det_mod(matrices, q):
@@ -326,6 +329,32 @@ def test_frames_build_the_line_stabilizers_at_q5():
         plus, minus = (images == u).all(axis=1), (images == (-u) % q).all(axis=1)
         assert (plus | minus).all() and 2 * plus.sum() == order
         assert len(np.unique(matrices.reshape(-1, 25) @ q ** np.arange(25))) == order
+
+
+def test_each_label_is_one_class_by_its_own_stabilizer_at_q5():
+    # verify's class-size check at q = 5, with no tables: the first member h
+    # of each label in H_delta^- (the rows of H_delta that negate u_delta,
+    # labelled by _support_batch) has |C_{H_delta}(h)| = 4q, and the label's
+    # pairs x that count is |G|, which makes the label set one class; the
+    # same check holds at q = 7 but takes about 8 s, too slow for tier-1
+    q = 5
+    geo = OrthogonalGeometry(q=q)
+    order = geo.group_order_formula()
+    labels = []
+    for d in (1, -1):
+        of_type = np.flatnonzero(geo.line_types == d)
+        u = geo.lines[of_type[0]]
+        matrices = geo._stabilizer_matrices(int(of_type[0]))
+        half = matrices[((matrices @ u) % q == (-u) % q).all(axis=1)]
+        _, members, eps, delta = geo._support_batch(half)
+        assert set(delta[members].tolist()) == {d}
+        for e in (-1, 1):
+            rows = np.flatnonzero(members & (eps == e))
+            centralizer = geo._commuting(half[rows[0]], matrices)
+            assert centralizer == 4 * q
+            assert len(of_type) * len(rows) * centralizer == order
+            labels.append((e, d))
+    assert sorted(labels) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
 def test_witt_transporter_landing_check(monkeypatch):
@@ -726,7 +755,7 @@ def test_table_closure_matches_the_matrix_closure(geo3):
     # row k |H| + j is x_k h_j, coset after coset, against the int64
     # products of the transporters with H's cached matrices
     stab = geo3.stabilizer(split=True)
-    subgroup = geo3._subgroup(stab)[0]
+    subgroup = geo3._subgroup(stab.base_index)[0]
     products = (stab.transporters[:, None] @ subgroup[None]) % 3
     assert np.array_equal(elements, products.reshape(-1, 5, 5))
 
@@ -795,7 +824,7 @@ def test_commuting_matches_the_full_product_count(geo3, scan3):
     # q = 3: the first member of each label against both line stabilizers
     elements = geo3.enumerate_group()
     _, members, eps, delta = scan3
-    subgroups = [geo3._subgroup(geo3.stabilizer(split))[0] for split in (True, False)]
+    subgroups = [geo3._subgroup(geo3.stabilizer(split).base_index)[0] for split in (True, False)]
     for e, d in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
         g = elements[np.flatnonzero(members & (eps == e) & (delta == d))[0]]
         for matrices in subgroups:
@@ -824,7 +853,7 @@ def test_enumeration_peak_memory():
     # are made one float32 block of about CHUNK_ENTRIES at a time, where a
     # whole-group float32 product alone would take 4.9 MiB
     geo = OrthogonalGeometry(q=3)
-    geo._subgroup(geo.stabilizer(split=True))
+    geo._subgroup(geo.stabilizer(split=True).base_index)
     tracemalloc.start()
     try:
         elements = geo.enumerate_group()
@@ -870,6 +899,29 @@ def test_each_stabilizer_is_built_once(monkeypatch):
     geo.enumerate_group()
     assert built == bases
 
+
+def test_verify_reads_each_stabilizer_half_alone(monkeypatch):
+    # verify takes its base lines from line_types, so it builds neither the
+    # 4-space stabilizers nor their Witt transporters, nor looks up the
+    # split type; it tables only the rows of H_+^- and H_-^-, once, and a
+    # second run tables nothing
+    geo = OrthogonalGeometry(q=3)
+    calls = []
+    names = ("stabilizer", "_witt_transporters", "split_line_type", "perp_is_split")
+    for name in (*names, "_signed_tables"):
+
+        def spy(*args, name=name, original=getattr(geo, name)):
+            calls.append((name, len(args[0]) if name == "_signed_tables" else None))
+            return original(*args)
+
+        monkeypatch.setattr(geo, name, spy)
+    assert geo.verify(seed=0).ok
+    assert calls == [("_signed_tables", 576), ("_signed_tables", 720)]
+    calls.clear()
+    assert geo.verify(seed=0).ok
+    assert calls == []
+
+
 def test_scan_frees_its_blocks_as_it_joins_them():
     # a batch shaped like the whole-group scan at q = 3: 51,840 rows in
     # blocks of 866, four outputs of 1.29 MiB in all; holding every block's
@@ -910,7 +962,7 @@ def test_verify_peak_memory():
     # and verify builds no array of |G| rows: the enumeration is not made
     assert geo._elements is None
     # and the geometry keeps no array as large as G's tables
-    held = [array for pair in geo._subgroups.values() for array in pair]
+    held = [array for cached in geo._subgroups.values() for array in cached]
     for value in vars(geo).values():
         held += value if isinstance(value, tuple) else [value]
     big = [a.shape for a in held if isinstance(a, np.ndarray) and a.size >= 51840 * 121]
@@ -945,8 +997,11 @@ def test_support_batch_matches_the_full_scan(geo3, scan3, tables3):
 def test_line_stabilizer_halves_match_the_whole_group_scan(geo3, scan3):
     # verify's route: each row of H_+^- and H_-^- against the scan and the
     # coset model by lines at the same element, found by its matrix code;
-    # the class sizes from the pair count and from the centralizer on
-    # H_eps, against the scan's label counts and conjugacy_class_size
+    # the class sizes from the pair count, against the scan's label counts
+    # and conjugacy_class_size, and the centralizer of each label's first
+    # member h in its own H_delta against the whole group: q |C_{H_delta}(h)|
+    # = |C_G(h)|, C_G(h) moving u_delta to each of the q anisotropic lines h
+    # negates, which the sandwich in verify needs
     q, order = geo3.q, geo3.group_order_formula()
     elements = geo3.enumerate_group()
     weights = q ** np.arange(25, dtype=np.int64)
@@ -954,21 +1009,19 @@ def test_line_stabilizer_halves_match_the_whole_group_scan(geo3, scan3):
     element_order = np.argsort(codes)
     codes = codes[element_order]
     stabs = [geo3.stabilizer(split) for split in (True, False)]
-    sizes, halves, members = {}, {}, []
+    sizes, centralizers, members = {}, {}, []
     for stab in stabs:
-        matrices, tables = geo3._subgroup(stab)
         base = stab.base_index
+        matrices, half, tables = geo3._subgroup(base)
         route = geo3._eigenline_scan(tables)
-        halves[int(geo3.line_types[base])] = matrices, tables, base, route
-        rows = np.flatnonzero(tables[:, base] == base * q + q - 1)
-        assert 2 * len(rows) == stab.order
-        wanted = matrices[rows].reshape(-1, 25) @ weights
+        assert 2 * len(half) == stab.order
+        wanted = half.reshape(-1, 25) @ weights
         at = np.searchsorted(codes, wanted)
         assert np.array_equal(codes[at], wanted)
         found = element_order[at]
         for got, want in zip(route[:4], scan3):
-            assert np.array_equal(got[rows], want[found])
-        virtual, trace = route[4][rows], route[0][rows]
+            assert np.array_equal(got, want[found])
+        virtual, trace = route[4], route[0]
         assert np.array_equal(virtual, trace)
         # V by transporter conjugation, which reads no split sign
         (one, det), (one_n, det_n) = (
@@ -977,23 +1030,24 @@ def test_line_stabilizer_halves_match_the_whole_group_scan(geo3, scan3):
         assert np.array_equal(virtual, (one - det) - (one_n - det_n))
         # a member of label (eps, delta) negates q lines of type delta
         d = int(geo3.line_types[base])
-        eps, delta = route[2][rows], route[3][rows]
-        members.append(int(route[1][rows].sum()))
-        assert set(delta[route[1][rows]].tolist()) == {d}
+        _, is_member, eps, delta = route[:4]
+        members.append(int(is_member.sum()))
+        assert set(delta[is_member].tolist()) == {d}
         for e in (-1, 1):
-            count = len(stab.line_indices) * int(((eps == e) & (delta == d)).sum())
+            rows = np.flatnonzero((eps == e) & (delta == d))
+            count = len(stab.line_indices) * len(rows)
             assert count % q == 0
             sizes[e, d] = count // q
+            h = elements[found[rows[0]]]
+            centralizers[e, d] = geo3._commuting(h, matrices)
+            assert q * centralizers[e, d] == order // geo3.conjugacy_class_size(h)
     assert members == [192, 240]
     _, scan_members, scan_eps, scan_delta = scan3
     assert sorted(sizes) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     assert sum(sizes.values()) == int(scan_members.sum()) == 5760
     for (e, d), size in sizes.items():
-        matrices, tables, base, (_, _, eps, delta, *_) = halves[e]
-        fixing = np.flatnonzero((tables[:, base] == base * q + 1) & (eps == e) & (delta == d))
-        centralizer = geo3._commuting(matrices[fixing[0]], matrices)
         label_rows = np.flatnonzero((scan_eps == e) & (scan_delta == d))
-        assert size == order // centralizer == 1440
+        assert size == order // (q * centralizers[e, d]) == 1440
         assert size == len(label_rows)
         assert size == geo3.conjugacy_class_size(elements[label_rows[0]])
 
@@ -1166,24 +1220,19 @@ def test_coded_kernels_reject_what_they_cannot_code():
 
 
 def split_half(geo):
-    """H_+, the split stabilizer at q = 3, and H_+^-: its tables, its
-    ``_eigenline_scan`` and the table rows that negate its base line, in
-    order, so that ``verify``'s "H_+^- row i" is table row ``rows[i]``."""
-    stab = geo.stabilizer(split=True)
-    _, tables = geo._subgroup(stab)
-    base = stab.base_index
-    rows = np.flatnonzero(tables[:, base] == base * geo.q + geo.q - 1)
-    return tables, geo._eigenline_scan(tables), rows
+    """H_+^-, the det -1 half of the stabilizer of the first square-type
+    line (the split type at q = 3): the ``_eigenline_scan`` of its 576
+    tables, whose row i is ``verify``'s "H_+^- row i"."""
+    _, _, tables = geo._subgroup(int(np.flatnonzero(geo.line_types == 1)[0]))
+    return geo._eigenline_scan(tables)
 
 
 def test_verify_reports_broken_labels(geo3, monkeypatch, capsys):
-    _, scan, rows = split_half(geo3)
-    trace, members, _, delta = (part[rows] for part in scan[:4])
+    trace, members, _, delta = split_half(geo3)[:4]
     index = np.flatnonzero(members)
 
     def edit(trace, members, eps, delta, *rest):
-        at = rows[index]
-        eps[at[0]], delta[at[1]], delta[at[2]] = 0, 0, -delta[at[2]]
+        eps[index[0]], delta[index[1]], delta[index[2]] = 0, 0, -delta[index[2]]
         return trace, members, eps, delta, *rest
 
     out = assert_verify_fails_with(
@@ -1240,9 +1289,9 @@ def edited(edit):
 
 
 def on_split_rows(edit):
-    """``edited(edit)`` for the ``_eigenline_scan`` of H_+ (1,152 rows at
-    q = 3); the non-split stabilizer's scan passes unchanged."""
-    return edited(lambda *parts: edit(*parts) if len(parts[0]) == 1152 else parts)
+    """``edited(edit)`` for the ``_eigenline_scan`` of H_+^- (576 rows at
+    q = 3); the scan of H_-^- passes unchanged."""
+    return edited(lambda *parts: edit(*parts) if len(parts[0]) == 576 else parts)
 
 
 def test_verify_fails_without_members(geo3, monkeypatch, capsys):
@@ -1255,12 +1304,12 @@ def test_verify_reports_a_nonzero_trace_off_the_class(geo3, monkeypatch, capsys)
     # a row off the class that negates n = 2 anisotropic lines (a split
     # plane): its trace 2 moves the sum of T over G by 45 x 2 / 2, 45 being
     # the number of lines of H_+'s type
-    _, scan, rows = split_half(geo3)
-    members, anisotropic = scan[1][rows], scan[5][rows]
+    scan = split_half(geo3)
+    members, anisotropic = scan[1], scan[5]
     i = int(np.flatnonzero(~members & (anisotropic == 2))[0])
 
     def edit(trace, *rest):
-        trace[rows[i]] = 2
+        trace[i] = 2
         return trace, *rest
 
     out = assert_verify_fails_with(
@@ -1274,13 +1323,12 @@ def test_verify_reports_a_trace_that_pairs_with_trivial(geo3, monkeypatch, capsy
     # one member's label and trace flipped together: the support identity
     # still holds there, and no trace moves off the class; the sum of T over
     # G moves by 45 x (-2 T) / n for the member's n = 3 anisotropic lines
-    _, scan, rows = split_half(geo3)
-    trace, members = scan[0][rows], scan[1][rows]
+    trace, members, *_, anisotropic = split_half(geo3)
     m = int(np.flatnonzero(members)[0])
-    assert (trace[m], scan[5][rows[m]]) == (6, 3)
+    assert (trace[m], anisotropic[m]) == (6, 3)
 
     def edit(trace, members, eps, delta, *rest):
-        trace[rows[m]], delta[rows[m]] = -trace[rows[m]], -delta[rows[m]]
+        trace[m], delta[m] = -trace[m], -delta[m]
         return trace, members, eps, delta, *rest
 
     assert_verify_fails_with(
@@ -1297,48 +1345,34 @@ def twice(original):
 def test_verify_reports_a_wrong_orbit_size(geo3, monkeypatch, capsys):
     out = assert_verify_fails_with(
         geo3, monkeypatch, capsys, "_commuting", twice,
-        "label (-1, -1): orbit 720 != class size 1440",
+        "label (-1, -1): |G| / (q |C_H(h)|) = 720 != class size 1440",
     )
     for label in ("(-1, 1)", "(1, -1)", "(1, 1)"):
-        assert f"  - label {label}: orbit 720 != class size 1440\n" in out
+        assert f"  - label {label}: |G| / (q |C_H(h)|) = 720 != class size 1440\n" in out
 
 
-def test_verify_reports_a_label_with_no_member_fixing_its_base_line(geo3, monkeypatch, capsys):
-    # the labels of H_+'s rows that fix its base line are dropped: the
-    # labels (1, -1) and (1, 1) are still realized in H_-^- and H_+^-, but
-    # no member of H_+ is left to count a centralizer on
-    tables, _, rows = split_half(geo3)
-    fixing = np.setdiff1d(np.arange(len(tables)), rows)
-
-    def edit(trace, members, eps, delta, *rest):
-        eps[fixing] = delta[fixing] = 0
-        return trace, members, eps, delta, *rest
-
-    out = assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "_eigenline_scan", on_split_rows(edit),
-        "label (1, -1): no member of H_eps fixes u_eps",
-    )
-    assert "  - label (1, 1): no member of H_eps fixes u_eps\n" in out
-    assert "label (-1" not in out
-
-
-def test_verify_reports_a_stabilizer_that_is_not_halved(geo3, monkeypatch, capsys):
-    # the last row of H_+^- replaced by the identity, which fixes the base line
-    _, _, rows = split_half(geo3)
+def test_verify_reports_a_stabilizer_that_is_not_halved(monkeypatch, capsys):
+    # the last matrix of H_+^- replaced by the identity, which fixes the base
+    # line: H_+ still has 1,152 rows, and 575 of them negate it (on a fresh
+    # geometry, whose H is not yet cached)
+    geo = OrthogonalGeometry(q=3)
+    base = int(np.flatnonzero(geo.line_types == 1)[0])
+    u = geo.lines[base]
 
     def one_row_fixed(original):
-        def subgroup(*args):
-            matrices, tables = original(*args)
-            if len(tables) != 1152:
-                return matrices, tables
-            tables = tables.copy()
-            tables[rows[-1]] = tables[0]
-            return matrices, tables
+        def stabilizer_matrices(*args):
+            matrices = original(*args)
+            if args[-1] != base:
+                return matrices
+            negating = np.flatnonzero(((matrices @ u) % 3 == (-u) % 3).all(axis=1))
+            matrices = matrices.copy()
+            matrices[negating[-1]] = np.eye(5, dtype=np.int64)
+            return matrices
 
-        return subgroup
+        return stabilizer_matrices
 
     assert_verify_fails_with(
-        geo3, monkeypatch, capsys, "_subgroup", one_row_fixed,
+        geo, monkeypatch, capsys, "_stabilizer_matrices", one_row_fixed,
         "H_+^- holds 575 elements, expected 1152 / 2",
     )
 
@@ -1346,8 +1380,7 @@ def test_verify_reports_a_stabilizer_that_is_not_halved(geo3, monkeypatch, capsy
 def first_sampled(geo3):
     """The H_+^- row ``verify(seed=0)`` samples first, a class member: row 0
     of the split half's ``_support_batch`` stack, whose conjugate is row 8."""
-    _, scan, rows = split_half(geo3)
-    members = np.flatnonzero(scan[1][rows])
+    members = np.flatnonzero(split_half(geo3)[1])
     return int(members[random.Random(0).randrange(len(members))])
 
 
@@ -1435,9 +1468,8 @@ def test_sampled_check_reports_broken_labels(monkeypatch):
 def test_verify_reports_an_induced_character_mismatch(geo3, monkeypatch, capsys):
     # s(u) flipped at H_+'s base line u, which every row of H_+^- negates:
     # V moves by -4 on each of them, and the first five are reported
-    base = geo3.stabilizer(split=True).base_index
-    _, scan, rows = split_half(geo3)
-    trace = scan[0][rows]
+    base = int(np.flatnonzero(geo3.line_types == 1)[0])
+    trace = split_half(geo3)[0]
 
     def flipped(original):
         def signs(*args):
@@ -1451,5 +1483,5 @@ def test_verify_reports_an_induced_character_mismatch(geo3, monkeypatch, capsys)
         geo3, monkeypatch, capsys, "_split_signs", flipped,
         f"H_+^- row 0: induced character {trace[0] - 4} != line count {trace[0]}",
     )
-    reported = [i for i in range(len(rows)) if f"  - H_+^- row {i}: induced character" in out]
+    reported = [i for i in range(len(trace)) if f"  - H_+^- row {i}: induced character" in out]
     assert reported == [0, 1, 2, 3, 4]
